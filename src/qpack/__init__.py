@@ -16,12 +16,9 @@ from .gf import (
 from .geometry import (
     Line,
     OrderParams,
-    Point,
-    SlopeVector,
     ZeroSlopeError,
     canonical_line,
-    point_at,
-    point_index,
+    canonical_slope,
 )
 from .construction import (
     CountOutOfRangeError,

@@ -33,9 +33,15 @@ from .verifier import (
     Witness,
 )
 
-CLASS_CHECKS = ("pls", "order", "triangle", "gq", "counting")
+STRUCTURE_CHECKS = {
+    "pls": verifier.check_pls,
+    "order": verifier.check_order,
+    "triangle": verifier.check_triangle_free,
+    "gq": verifier.check_gq,
+    "counting": lambda g, exhaustive: verifier.counting_bound(g),
+}
 FAMILY_CHECKS = ("disjoint", "union")
-ALL_CHECKS = CLASS_CHECKS + FAMILY_CHECKS
+ALL_CHECKS = tuple(STRUCTURE_CHECKS) + FAMILY_CHECKS
 DEFAULT_CHECKS = ("pls", "order", "triangle", "disjoint", "union")
 
 
@@ -131,24 +137,11 @@ def _run_structure_checks(task) -> list[dict]:
         start = time.perf_counter()
         record = {"check": check, "scope": scope}
         try:
-            if check == "pls":
-                outcome = verifier.check_pls(g, exhaustive)
-            elif check == "order":
-                outcome = verifier.check_order(g, exhaustive)
-            elif check == "triangle":
-                outcome = verifier.check_triangle_free(g, exhaustive)
-            elif check == "gq":
-                outcome = verifier.check_gq(g, exhaustive)
-            elif check == "counting":
-                outcome = verifier.counting_bound(g)
-            else:
-                raise AssertionError(f"unknown per-structure check {check}")
+            outcome = STRUCTURE_CHECKS[check](g, exhaustive)
         except MalformedStructureError as exc:
             record.update(verdict="malformed", reason=str(exc))
-            outcome = None
         except (verifier.NotUniformError, verifier.NotTriangleFreeError) as exc:
             record.update(verdict="inapplicable", reason=str(exc))
-            outcome = None
         else:
             _record_outcome(record, outcome)
         record["elapsed"] = round(time.perf_counter() - start, 6)
@@ -238,7 +231,7 @@ def cmd_verify(input_path: str, checks_option: str, exhaustive: bool, jobs: Opti
     except GeometryFormatError as exc:
         _fail_usage(str(exc))
 
-    structure_checks = tuple(c for c in checks if c in CLASS_CHECKS)
+    structure_checks = tuple(c for c in checks if c in STRUCTURE_CHECKS)
     family_checks = tuple(c for c in checks if c in FAMILY_CHECKS)
     results: list[dict] = []
 
@@ -248,8 +241,9 @@ def cmd_verify(input_path: str, checks_option: str, exhaustive: bool, jobs: Opti
             for cls in family.classes
         ]
         tasks = [t for t in tasks if t[2]]
-        if jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = min(jobs, len(tasks))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 for batch in pool.map(_run_structure_checks, tasks):
                     results.extend(batch)
         else:

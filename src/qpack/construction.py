@@ -10,10 +10,11 @@ exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .gf import FieldElement, FieldSpec
-from .geometry import Line, Point, SlopeVector
+from .geometry import Line, Triple
 
 
 class ZeroScaleError(ValueError):
@@ -36,6 +37,13 @@ class LineClass:
     def field(self) -> FieldSpec:
         return self.scale.field
 
+    @cached_property
+    def point_ids(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted point ids of each line, in line order; computed once and
+        shared by the class and union incidences."""
+        field = self.field
+        return tuple(line.point_ids(field) for line in self.lines)
+
     def __repr__(self):
         return f"LineClass(scale={self.scale.value}, lines={len(self.lines)})"
 
@@ -51,7 +59,7 @@ class GeometryFamily:
         return f"GeometryFamily(field={self.field!r}, classes={len(self.classes)})"
 
 
-def moment_curve(field: FieldSpec, scale: FieldElement) -> list[SlopeVector]:
+def moment_curve(field: FieldSpec, scale: FieldElement) -> list[Triple]:
     """The q-1 slopes (1, s*a, s*a^2) for nonzero a, sorted.
 
     Distinct slopes for distinct a (the middle coordinate is injective in a),
@@ -59,42 +67,23 @@ def moment_curve(field: FieldSpec, scale: FieldElement) -> list[SlopeVector]:
     """
     if scale.is_zero:
         raise ZeroScaleError("moment curve needs a nonzero scale")
-    one = field.one
-    slopes = []
-    for alpha in field.elements()[1:]:
-        mid = scale * alpha
-        slopes.append(SlopeVector((one, mid, mid * alpha)))
-    slopes.sort()
-    return slopes
+    mul = field.mul_table
+    scaled = mul[scale.value]
+    return sorted((1, scaled[alpha], mul[scaled[alpha]][alpha]) for alpha in range(1, field.q))
 
 
 def build_class(field: FieldSpec, scale: FieldElement) -> LineClass:
     """Every canonical line with slope on the scaled moment curve.
 
-    For a fixed slope the lines partition F_q^3 into q^2 cosets.  Sweeping
-    points in ascending dense order and skipping already-covered ones emits
-    exactly one line per coset, anchored at its minimum point, with no
-    hashing of the q^3 candidate anchors.
+    Each slope has leading coordinate 1, so each of its q^2 parallel lines
+    crosses the plane x = 0 in exactly one point, which is its canonical
+    base: the lines of one slope are those through (0, y, z), in ascending
+    (y, z) order.
     """
     q = field.q
-    add, mul = field.add_table, field.mul_table
-    els = field.elements()
-    lines: list[Line] = []
-    for slope in moment_curve(field, scale):
-        s0, s1, s2 = slope.values()
-        covered = bytearray(q**3)
-        emitted = 0
-        for anchor in range(q**3):
-            if covered[anchor]:
-                continue
-            a0, a1, a2 = anchor // (q * q), (anchor // q) % q, anchor % q
-            for beta in range(q):
-                covered[(add[a0][mul[beta][s0]] * q + add[a1][mul[beta][s1]]) * q
-                        + add[a2][mul[beta][s2]]] = 1
-            lines.append(Line(slope=slope, base=Point((els[a0], els[a1], els[a2]))))
-            emitted += 1
-        assert emitted == q * q, f"slope {slope} produced {emitted} cosets"
-    return LineClass(scale=scale, lines=tuple(lines))
+    bases = [(0, y, z) for y in range(q) for z in range(q)]
+    lines = tuple(Line(slope, base) for slope in moment_curve(field, scale) for base in bases)
+    return LineClass(scale=scale, lines=lines)
 
 
 def build_family(field: FieldSpec, count: Optional[int] = None) -> GeometryFamily:

@@ -14,8 +14,8 @@ import json
 from typing import Any, Optional
 
 from .construction import GeometryFamily, LineClass
-from .geometry import Line, Point, canonical_line
-from .gf import FieldElement, FieldSpec, NotPrimePowerError, make_field
+from .geometry import Line, canonical_line
+from .gf import FieldSpec, NotPrimePowerError, make_field
 from .verifier import GenericIncidence
 
 FORMAT_VERSION = 1
@@ -37,9 +37,11 @@ def field_from_json(obj: Any) -> FieldSpec:
     if not isinstance(obj, dict):
         raise GeometryFormatError("field spec must be an object")
     try:
-        p, n, modulus = int(obj["p"]), int(obj["n"]), [int(c) for c in obj["modulus"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        p, n, modulus = obj["p"], obj["n"], list(obj["modulus"])
+    except (KeyError, TypeError) as exc:
         raise GeometryFormatError(f"bad field spec: {exc}") from exc
+    if any(type(c) is not int for c in [p, n, *modulus]):
+        raise GeometryFormatError(f"field spec values must be integers, got {obj!r}")
     try:
         field = make_field(p**n)
     except NotPrimePowerError as exc:
@@ -51,50 +53,55 @@ def field_from_json(obj: Any) -> FieldSpec:
     return field
 
 
-def element_to_json(element: FieldElement) -> list[int]:
-    return list(element.coeffs)
+def element_to_json(field: FieldSpec, value: int) -> list[int]:
+    return list(field.elements()[value].coeffs)
 
 
-def element_from_json(field: FieldSpec, obj: Any) -> FieldElement:
+def element_from_json(field: FieldSpec, obj: Any) -> int:
+    """The value of an element given as its coefficient list; every
+    coefficient must be an int (not a bool, float or string) in [0, p)."""
     if not isinstance(obj, list) or len(obj) != field.n:
         raise GeometryFormatError(f"element must be a list of {field.n} coefficients")
-    try:
-        coeffs = [int(c) for c in obj]
-    except (TypeError, ValueError) as exc:
-        raise GeometryFormatError(f"bad element coefficients: {exc}") from exc
-    if any(not 0 <= c < field.p for c in coeffs):
-        raise GeometryFormatError(f"coefficients {coeffs} not reduced mod {field.p}")
-    return field.from_coeffs(coeffs)
+    p = field.p
+    value = 0
+    for c in reversed(obj):
+        if type(c) is not int:
+            raise GeometryFormatError(f"bad element coefficients {obj!r}: not all integers")
+        if not 0 <= c < p:
+            raise GeometryFormatError(f"coefficients {obj} not reduced mod {p}")
+        value = value * p + c
+    return value
 
 
-def line_to_json(line: Line) -> dict[str, Any]:
+def line_to_json(field: FieldSpec, line: Line) -> dict[str, Any]:
     return {
-        "slope": [element_to_json(c) for c in line.slope.direction],
-        "base": [element_to_json(c) for c in line.base.coords],
+        "slope": [element_to_json(field, c) for c in line.slope],
+        "base": [element_to_json(field, c) for c in line.base],
     }
 
 
 def line_from_json(field: FieldSpec, obj: Any) -> Line:
-    if not isinstance(obj, dict) or not {"slope", "base"} <= set(obj):
+    if not isinstance(obj, dict) or not {"slope", "base"} <= obj.keys():
         raise GeometryFormatError("line must be an object with slope and base")
     slope, base = obj["slope"], obj["base"]
     if not (isinstance(slope, list) and isinstance(base, list) and len(slope) == len(base) == 3):
         raise GeometryFormatError("slope and base must be coordinate triples")
-    direction = tuple(element_from_json(field, c) for c in slope)
-    anchor = Point(tuple(element_from_json(field, c) for c in base))
-    if all(c.is_zero for c in direction):
+    direction = [element_from_json(field, c) for c in slope]
+    anchor = [element_from_json(field, c) for c in base]
+    if not any(direction):
         raise GeometryFormatError("line slope is the zero vector")
-    return canonical_line(direction, anchor)
+    return canonical_line(field, direction, anchor)
 
 
 def family_to_json(
     family: GeometryFamily, metadata: Optional[dict[str, Any]] = None
 ) -> dict[str, Any]:
+    field = family.field
     out: dict[str, Any] = {
         "version": FORMAT_VERSION,
-        "field": field_to_json(family.field),
+        "field": field_to_json(field),
         "classes": {
-            str(cls.scale.value): [line_to_json(line) for line in cls.lines]
+            str(cls.scale.value): [line_to_json(field, line) for line in cls.lines]
             for cls in family.classes
         },
     }
@@ -118,6 +125,8 @@ def family_from_json(obj: Any) -> GeometryFamily:
             scale_value = int(key)
         except ValueError as exc:
             raise GeometryFormatError(f"class key {key!r} is not an element value") from exc
+        if key != str(scale_value):
+            raise GeometryFormatError(f"class key {key!r} is not the decimal form of its scale")
         if not 0 < scale_value < field.q:
             raise GeometryFormatError(f"class scale {scale_value} outside [1, {field.q})")
         if not isinstance(lines_obj, list):

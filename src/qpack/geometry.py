@@ -1,19 +1,20 @@
-"""Points and lines of three-dimensional affine space over a finite field.
+"""Lines of three-dimensional affine space over a finite field.
 
-Lines are kept in a canonical (slope, base) form: the slope is scaled so its
-first nonzero coordinate is 1, and the base is the smallest point on the line
-under the lexicographic point order.  Two canonical lines are equal exactly
-when their point sets are equal, which makes deduplication and line-set
-comparisons O(1) per line.
+Coordinates are element values (integers in [0, q)) and all arithmetic goes
+through the field's dense operation tables.  Lines are kept in a canonical
+(slope, base) form: the slope is scaled so its first nonzero coordinate is 1,
+and the base is the smallest point on the line under the lexicographic point
+order.  Two canonical lines are equal exactly when their point sets are
+equal, which makes deduplication and line-set comparisons O(1) per line.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import total_ordering
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Sequence
 
-from .gf import FieldElement, FieldSpec
+from .gf import FieldSpec
+
+Triple = tuple[int, int, int]
 
 
 class ZeroSlopeError(ValueError):
@@ -28,165 +29,47 @@ class OrderParams(NamedTuple):
     t_order: int
 
 
-@total_ordering
-@dataclass(frozen=True)
-class Point:
-    """A point of F_q^3; ordered lexicographically by coordinate."""
+class Line(NamedTuple):
+    """An affine line {beta*slope + base} in canonical form, as two value
+    triples; equality is point-set equality."""
 
-    coords: tuple[FieldElement, FieldElement, FieldElement]
+    slope: Triple
+    base: Triple
 
-    @property
-    def field(self) -> FieldSpec:
-        return self.coords[0].field
-
-    @classmethod
-    def from_values(cls, field: FieldSpec, values: Iterable[int]) -> "Point":
-        vals = tuple(values)
-        if len(vals) != 3:
-            raise ValueError(f"a point needs 3 coordinates, got {len(vals)}")
-        return cls(tuple(field.element(v) for v in vals))
-
-    def values(self) -> tuple[int, int, int]:
-        return tuple(c.value for c in self.coords)
-
-    def __lt__(self, other: "Point") -> bool:
-        return self.values() < other.values()
-
-    def __repr__(self):
-        return f"Point{self.values()}"
+    def point_ids(self, field: FieldSpec) -> tuple[int, ...]:
+        """Dense point indices (x*q + y)*q + z of the q points, sorted."""
+        q = field.q
+        (s0, s1, s2), (b0, b1, b2) = self
+        add = field.add_table
+        r0, r1, r2 = add[b0], add[b1], add[b2]
+        return tuple(sorted(
+            (r0[row[s0]] * q + r1[row[s1]]) * q + r2[row[s2]] for row in field.mul_table
+        ))
 
 
-def point_index(point: Point) -> int:
-    """Dense index in [0, q^3), compatible with the point order."""
-    q = point.field.q
-    v0, v1, v2 = point.values()
-    return (v0 * q + v1) * q + v2
-
-
-def point_at(field: FieldSpec, index: int) -> Point:
-    q = field.q
-    if not 0 <= index < q**3:
-        raise ValueError(f"point index {index} outside [0, {q**3})")
-    els = field.elements()
-    return Point((els[index // (q * q)], els[(index // q) % q], els[index % q]))
-
-
-@total_ordering
-@dataclass(frozen=True)
-class SlopeVector:
-    """A canonical line direction: first nonzero coordinate scaled to 1, so
+def canonical_slope(field: FieldSpec, direction: Sequence[int]) -> Triple:
+    """The direction scaled so its first nonzero coordinate is 1, so
     proportional directions collapse to one value."""
-
-    direction: tuple[FieldElement, FieldElement, FieldElement]
-
-    def __post_init__(self):
-        for c in self.direction:
-            if not c.is_zero:
-                if c != c.field.one:
-                    raise ValueError("slope not canonical; use SlopeVector.canonicalize")
-                return
-        raise ZeroSlopeError("the zero vector is not a direction")
-
-    @classmethod
-    def canonicalize(cls, direction: Iterable[FieldElement]) -> "SlopeVector":
-        d = tuple(direction)
-        if len(d) != 3:
-            raise ValueError(f"a direction needs 3 coordinates, got {len(d)}")
-        for c in d:
-            if not c.is_zero:
-                scale = c.inverse()
-                return cls(tuple(scale * x for x in d))
-        raise ZeroSlopeError("the zero vector is not a direction")
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.direction[0].field
-
-    def values(self) -> tuple[int, int, int]:
-        return tuple(c.value for c in self.direction)
-
-    def __lt__(self, other: "SlopeVector") -> bool:
-        return self.values() < other.values()
-
-    def __repr__(self):
-        return f"Slope{self.values()}"
+    if len(direction) != 3:
+        raise ValueError(f"a direction needs 3 coordinates, got {len(direction)}")
+    for c in direction:
+        if c:
+            row = field.mul_table[field.inv_table[c]]
+            return (row[direction[0]], row[direction[1]], row[direction[2]])
+    raise ZeroSlopeError("the zero vector is not a direction")
 
 
-@dataclass(frozen=True)
-class Line:
-    """An affine line {beta*slope + base} in canonical form; equality is
-    point-set equality."""
-
-    slope: SlopeVector
-    base: Point
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.base.field
-
-    def point_values(self) -> list[tuple[int, int, int]]:
-        """Coordinate triples of the q points, sorted."""
-        field = self.field
-        add, mul = field.add_table, field.mul_table
-        s0, s1, s2 = self.slope.values()
-        b0, b1, b2 = self.base.values()
-        pts = [
-            (add[b0][mul[beta][s0]], add[b1][mul[beta][s1]], add[b2][mul[beta][s2]])
-            for beta in range(field.q)
-        ]
-        pts.sort()
-        return pts
-
-    def points(self) -> list[Point]:
-        """The q points of the line, sorted."""
-        els = self.field.elements()
-        return [Point((els[a], els[b], els[c])) for a, b, c in self.point_values()]
-
-    def point_ids(self) -> list[int]:
-        """Dense point indices of the line, sorted."""
-        q = self.field.q
-        return [(a * q + b) * q + c for a, b, c in self.point_values()]
-
-    def intersect(self, other: "Line") -> Optional[Point]:
-        """The unique common point of two lines, or None.
-
-        Equal slopes mean parallel or identical lines; neither has a unique
-        common point, so both give None.  Otherwise the 3-equation linear
-        system in the two curve parameters is solved exactly via the first
-        invertible 2x2 minor and checked on the remaining equation.
-        """
-        if self.slope == other.slope:
-            return None
-        s1 = self.slope.direction
-        s2 = other.slope.direction
-        diff = tuple(b - a for a, b in zip(self.base.coords, other.base.coords))
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            det = s1[i] * s2[j] - s1[j] * s2[i]
-            if not det.is_zero:
-                beta = (diff[i] * s2[j] - diff[j] * s2[i]) / det
-                gamma = (s1[j] * diff[i] - s1[i] * diff[j]) / det
-                k = 3 - i - j
-                if s1[k] * beta - s2[k] * gamma != diff[k]:
-                    return None
-                return Point(tuple(v + beta * s for v, s in zip(self.base.coords, s1)))
-        raise AssertionError("distinct canonical slopes cannot be proportional")
-
-    def __repr__(self):
-        return f"Line(slope={self.slope.values()}, base={self.base.values()})"
-
-
-def canonical_line(direction: Iterable[FieldElement], anchor: Point) -> Line:
+def canonical_line(field: FieldSpec, direction: Sequence[int], anchor: Sequence[int]) -> Line:
     """The canonical line through ``anchor`` with the given direction.
 
-    Idempotent: feeding a line's own slope and base back in reproduces it.
+    The coordinates before the slope's leading 1 are constant along the line
+    and the leading one takes every value once, so the smallest point is the
+    one where the leading coordinate is 0.  Idempotent: feeding a line's own
+    slope and base back in reproduces it.
     """
-    slope = direction if isinstance(direction, SlopeVector) else SlopeVector.canonicalize(direction)
-    field = anchor.field
-    add, mul = field.add_table, field.mul_table
-    s0, s1, s2 = slope.values()
-    a0, a1, a2 = anchor.values()
-    base_vals = min(
-        (add[a0][mul[beta][s0]], add[a1][mul[beta][s1]], add[a2][mul[beta][s2]])
-        for beta in range(field.q)
-    )
-    return Line(slope=slope, base=Point.from_values(field, base_vals))
+    slope = canonical_slope(field, direction)
+    a0, a1, a2 = anchor
+    lead = 0 if slope[0] else 1 if slope[1] else 2
+    row = field.mul_table[field.neg_table[anchor[lead]]]
+    add = field.add_table
+    return Line(slope, (add[a0][row[slope[0]]], add[a1][row[slope[1]]], add[a2][row[slope[2]]]))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Union
 
 from .construction import GeometryFamily, LineClass
-from .geometry import OrderParams
+from .geometry import Line, OrderParams
 
 
 class MalformedStructureError(ValueError):
@@ -83,21 +83,14 @@ class GenericIncidence:
 
 def class_incidence(line_class: LineClass) -> GenericIncidence:
     """A line class over the dense point index of F_q^3."""
-    q = line_class.field.q
-    return GenericIncidence(
-        num_points=q**3,
-        lines=tuple(tuple(line.point_ids()) for line in line_class.lines),
-    )
+    return GenericIncidence(num_points=line_class.field.q**3, lines=line_class.point_ids)
 
 
 def union_incidence(family: GeometryFamily) -> GenericIncidence:
     """All classes of a family merged over the shared point set; line order is
     class order, then in-class order."""
-    q = family.field.q
-    lines = tuple(
-        tuple(line.point_ids()) for cls in family.classes for line in cls.lines
-    )
-    return GenericIncidence(num_points=q**3, lines=lines)
+    lines = tuple(ids for cls in family.classes for ids in cls.point_ids)
+    return GenericIncidence(num_points=family.field.q**3, lines=lines)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +173,8 @@ def check_order(g: GenericIncidence, exhaustive: bool = False):
     """Uniform (s_order, t_order) if all line sizes and point degrees agree;
     otherwise an order_violation naming the first deviant line or point."""
     _require_simple_lines(g)
-    if not g.lines and g.num_points:
-        raise MalformedStructureError("no lines: every point is isolated")
+    if not g.lines:
+        raise MalformedStructureError("the structure has no lines")
     degrees = [0] * g.num_points
     for idx, line in enumerate(g.lines):
         if len(line) < 2:
@@ -328,7 +321,7 @@ def check_disjoint_classes(family: GeometryFamily, exhaustive: bool = False):
 
 
 def _overlap_violations(family: GeometryFamily) -> Iterator[Witness]:
-    owner: dict[object, int] = {}
+    owner: dict[Line, int] = {}
     for cls_idx, cls in enumerate(family.classes):
         for line in cls.lines:
             prior = owner.setdefault(line, cls_idx)
@@ -337,8 +330,8 @@ def _overlap_violations(family: GeometryFamily) -> Iterator[Witness]:
                     CLASS_OVERLAP,
                     {
                         "scales": (family.classes[prior].scale.value, cls.scale.value),
-                        "slope": line.slope.values(),
-                        "base": line.base.values(),
+                        "slope": line.slope,
+                        "base": line.base,
                     },
                 )
 
@@ -472,15 +465,6 @@ def revalidate(target: Union[GenericIncidence, GeometryFamily], witness: Witness
 
 def _revalidate_overlap(family: GeometryFamily, witness: Witness) -> bool:
     scale_1, scale_2 = witness.items["scales"]
-    slope = tuple(witness.items["slope"])
-    base = tuple(witness.items["base"])
-    hits = []
-    for cls in family.classes:
-        if cls.scale.value in (scale_1, scale_2):
-            hits.append(
-                any(
-                    line.slope.values() == slope and line.base.values() == base
-                    for line in cls.lines
-                )
-            )
+    line = (tuple(witness.items["slope"]), tuple(witness.items["base"]))
+    hits = [line in cls.lines for cls in family.classes if cls.scale.value in (scale_1, scale_2)]
     return len(hits) >= 2 and all(hits)

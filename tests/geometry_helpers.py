@@ -1,0 +1,56 @@
+"""Point and intersection helpers for tests of the integer geometry.
+
+The library works on point ids and value triples; these helpers go between
+the two and solve line intersections exactly with :class:`FieldElement`
+arithmetic, independently of the dense operation tables.
+"""
+
+from typing import Optional
+
+from qpack import FieldSpec, Line
+
+
+def point_index(field: FieldSpec, point) -> int:
+    """Dense index in [0, q^3), compatible with the point order."""
+    q = field.q
+    v0, v1, v2 = point
+    return (v0 * q + v1) * q + v2
+
+
+def point_at(field: FieldSpec, index: int) -> tuple[int, int, int]:
+    q = field.q
+    if not 0 <= index < q**3:
+        raise ValueError(f"point index {index} outside [0, {q**3})")
+    return (index // (q * q), (index // q) % q, index % q)
+
+
+def line_points(field: FieldSpec, line: Line) -> list[tuple[int, int, int]]:
+    """The q points of the line as value triples, sorted."""
+    return [point_at(field, i) for i in line.point_ids(field)]
+
+
+def intersect(field: FieldSpec, first: Line, second: Line) -> Optional[tuple[int, int, int]]:
+    """The unique common point of two lines, or None.
+
+    Equal slopes mean parallel or identical lines; neither has a unique
+    common point, so both give None.  Otherwise the 3-equation linear
+    system in the two curve parameters is solved exactly via the first
+    invertible 2x2 minor and checked on the remaining equation.
+    """
+    if first.slope == second.slope:
+        return None
+    els = field.elements()
+    s1 = [els[v] for v in first.slope]
+    s2 = [els[v] for v in second.slope]
+    base = [els[v] for v in first.base]
+    diff = [els[b] - els[a] for a, b in zip(first.base, second.base)]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        det = s1[i] * s2[j] - s1[j] * s2[i]
+        if not det.is_zero:
+            beta = (diff[i] * s2[j] - diff[j] * s2[i]) / det
+            gamma = (s1[j] * diff[i] - s1[i] * diff[j]) / det
+            k = 3 - i - j
+            if s1[k] * beta - s2[k] * gamma != diff[k]:
+                return None
+            return tuple((v + beta * s).value for v, s in zip(base, s1))
+    raise AssertionError("distinct canonical slopes cannot be proportional")

@@ -83,7 +83,7 @@ def test_criterion_2_class_cardinalities():
             assert len(set(cls.lines)) == (q - 1) * q * q
             degrees = [0] * q**3
             for line in cls.lines:
-                for i in line.point_ids():
+                for i in line.point_ids(cls.field):
                     degrees[i] += 1
             assert set(degrees) == {q - 1}
     print(

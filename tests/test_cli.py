@@ -5,8 +5,12 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from qpack import cli
 from qpack.cli import main
 from qpack.formats import family_to_json, line_to_json, loads_family
+from qpack.geometry import canonical_line
+
+from geometry_helpers import intersect, line_points
 
 
 @pytest.fixture
@@ -94,19 +98,19 @@ class TestVerify:
 
     def test_injected_triangle_detected(self, runner, tmp_path, geo5):
         family = loads_family(geo5.read_text())
+        field = family.field
         cls = family.classes[0]
         # two class lines meeting at a point; the line through one other
         # point of each closes a triangle
         l1 = cls.lines[0]
-        l2 = next(l for l in cls.lines if l1.intersect(l) is not None and l != l1)
-        shared = l1.intersect(l2)
-        x = next(p for p in l1.points() if p != shared)
-        y = next(p for p in l2.points() if p != shared)
-        from qpack.geometry import canonical_line
-
-        extra = canonical_line(tuple(b - a for a, b in zip(x.coords, y.coords)), x)
+        l2 = next(l for l in cls.lines if intersect(field, l1, l) is not None and l != l1)
+        shared = intersect(field, l1, l2)
+        x = next(p for p in line_points(field, l1) if p != shared)
+        y = next(p for p in line_points(field, l2) if p != shared)
+        neg = field.neg_table
+        extra = canonical_line(field, [field.add_table[b][neg[a]] for a, b in zip(x, y)], x)
         obj = family_to_json(family)
-        obj["classes"]["1"].append(line_to_json(extra))
+        obj["classes"]["1"].append(line_to_json(field, extra))
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
         result = run(runner, "verify", str(bad), "--checks", "triangle")
@@ -142,6 +146,33 @@ class TestVerify:
         path = tmp_path / "mystery.txt"
         path.write_text("hello\n")
         assert run(runner, "verify", str(path)).exit_code == 2
+
+    @pytest.mark.parametrize("coeff", [1.9, "1", True])
+    def test_non_integer_coefficient_exits_2(self, runner, tmp_path, geo5, coeff):
+        obj = json.loads(geo5.read_text())
+        obj["classes"]["1"][0]["base"][1] = [coeff]
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(obj))
+        result = run(runner, "verify", str(path))
+        assert result.exit_code == 2
+        assert "error:" in result.stderr and not result.stdout
+
+    def test_non_canonical_class_key_exits_2(self, runner, tmp_path, geo5):
+        obj = json.loads(geo5.read_text())
+        obj["classes"]["01"] = obj["classes"]["1"]
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(obj))
+        result = run(runner, "verify", str(path))
+        assert result.exit_code == 2
+        assert "'01'" in result.stderr and not result.stdout
+
+    def test_points_zero_is_malformed(self, runner, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("points 0\n")
+        result = run(runner, "verify", str(path))
+        assert result.exit_code == 2
+        by_check = {r["check"]: r for r in json_lines(result.stdout)}
+        assert by_check["order"]["verdict"] == "malformed"
 
     def test_missing_file_exits_2(self, runner):
         assert run(runner, "verify", "no-such-file.json").exit_code == 2
@@ -186,6 +217,32 @@ class TestVerify:
             ]
 
         assert stripped(sequential) == stripped(parallel) == stripped(env_forced)
+
+    @pytest.mark.parametrize("option,env", [(["--jobs", "64"], {}), ([], {"QPACK_JOBS": "64"})])
+    def test_pool_capped_at_class_tasks(self, runner, tmp_path, monkeypatch, option, env):
+        created = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor; runs tasks in-process."""
+
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        path = tmp_path / "geo3.json"
+        assert run(runner, "construct", "--q", "3", "--out", str(path)).exit_code == 0
+        result = run(runner, "verify", str(path), *option, env=env)
+        assert result.exit_code == 0
+        assert created == [2]  # two classes over GF(3)
 
 
 class TestBound:

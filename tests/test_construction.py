@@ -17,14 +17,15 @@ from qpack import (
     canonical_line,
     make_field,
     moment_curve,
-    point_at,
 )
+
+from geometry_helpers import point_at
 
 
 class TestMomentCurve:
     def test_f5_scale_one_frozen(self, f5):
         slopes = moment_curve(f5, f5.element(1))
-        assert [s.values() for s in slopes] == [(1, 1, 1), (1, 2, 4), (1, 3, 4), (1, 4, 1)]
+        assert slopes == [(1, 1, 1), (1, 2, 4), (1, 3, 4), (1, 4, 1)]
 
     def test_zero_scale_rejected(self, f5):
         with pytest.raises(ZeroScaleError):
@@ -49,9 +50,9 @@ class TestMomentCurve:
             slopes = moment_curve(field, scale)
             assert len(slopes) == q - 1 == len(set(slopes))
             assert slopes == sorted(slopes)
-            assert all(s.values()[0] == 1 for s in slopes)
+            assert all(s[0] == 1 for s in slopes)
             # middle coordinate is scale * alpha, a bijection on nonzero alpha
-            assert sorted(s.values()[1] for s in slopes) == list(range(1, q))
+            assert sorted(s[1] for s in slopes) == list(range(1, q))
 
 
 class TestBuildClass:
@@ -65,7 +66,7 @@ class TestBuildClass:
     def test_matches_canonicalize_and_dedup_oracle(self, f4):
         cls = build_class(f4, f4.element(1))
         oracle = {
-            canonical_line(slope, point_at(f4, anchor))
+            canonical_line(f4, slope, point_at(f4, anchor))
             for slope in moment_curve(f4, f4.element(1))
             for anchor in range(4**3)
         }
@@ -86,14 +87,14 @@ class TestBuildClass:
             by_slope.setdefault(line.slope, []).append(line)
         for slope, lines in by_slope.items():
             assert len(lines) == q * q
-            covered = [i for line in lines for i in line.point_ids()]
+            covered = [i for line in lines for i in line.point_ids(field)]
             assert sorted(covered) == list(range(q**3))
 
     @pytest.mark.parametrize("q", [3, 4, 5, 7])
     def test_every_point_on_q_minus_one_lines(self, q):
         field = make_field(q)
         cls = build_class(field, field.element(1))
-        degree = Counter(i for line in cls.lines for i in line.point_ids())
+        degree = Counter(i for line in cls.lines for i in line.point_ids(field))
         assert len(degree) == q**3
         assert set(degree.values()) == {q - 1}
 

@@ -1,5 +1,6 @@
 """Geometry JSON and plain incidence formats: round trips and strictness."""
 
+import hashlib
 import json
 
 import pytest
@@ -47,7 +48,7 @@ class TestFieldJson:
 class TestElementJson:
     def test_roundtrip(self, f9):
         for e in f9.elements():
-            assert element_from_json(f9, element_to_json(e)) == e
+            assert element_from_json(f9, element_to_json(f9, e.value)) == e.value
 
     def test_rejects_unreduced(self, f9):
         with pytest.raises(GeometryFormatError):
@@ -57,21 +58,26 @@ class TestElementJson:
         with pytest.raises(GeometryFormatError):
             element_from_json(f9, [1])
 
+    @pytest.mark.parametrize("coeffs", [[1.9, 0], [1.0, 0], ["1", 0], [True, 0], [None, 0]])
+    def test_rejects_non_integer_coefficients(self, f9, coeffs):
+        with pytest.raises(GeometryFormatError):
+            element_from_json(f9, coeffs)
+
 
 class TestLineJson:
     def test_roundtrip(self, f5):
         from qpack import build_class
 
         for line in build_class(f5, f5.element(1)).lines[:20]:
-            assert line_from_json(f5, line_to_json(line)) == line
+            assert line_from_json(f5, line_to_json(f5, line)) == line
 
     def test_non_canonical_input_is_recanonicalized(self, f3):
         # slope (0, 2, 1) scales to (0, 1, 2); anchor (0, 2, 1) is on the
         # line through the origin
         obj = {"slope": [[0], [2], [1]], "base": [[0], [2], [1]]}
         line = line_from_json(f3, obj)
-        assert line.slope.values() == (0, 1, 2)
-        assert line.base.values() == (0, 0, 0)
+        assert line.slope == (0, 1, 2)
+        assert line.base == (0, 0, 0)
 
     def test_zero_slope_rejected(self, f3):
         with pytest.raises(GeometryFormatError):
@@ -105,6 +111,31 @@ class TestFamilyJson:
         with pytest.raises(GeometryFormatError):
             family_from_json(obj)
 
+    @pytest.mark.parametrize("key", ["01", "+1", " 1", "0_1"])
+    def test_rejects_non_canonical_scale_key(self, f3, key):
+        obj = family_to_json(build_family(f3, count=1))
+        obj["classes"][key] = obj["classes"]["1"]
+        with pytest.raises(GeometryFormatError):
+            family_from_json(obj)
+
+    @pytest.mark.parametrize("coeff", [1.9, "1", True])
+    def test_rejects_non_integer_coefficient_in_file(self, f3, coeff):
+        obj = family_to_json(build_family(f3))
+        obj["classes"]["1"][0]["base"][1] = [coeff]
+        with pytest.raises(GeometryFormatError):
+            loads_family(json.dumps(obj))
+
+    @pytest.mark.parametrize("field", [
+        {"p": 3.0, "n": 1, "modulus": [0, 1]},
+        {"p": "3", "n": 1, "modulus": [0, 1]},
+        {"p": 3, "n": 1, "modulus": [0.0, 1]},
+    ])
+    def test_rejects_non_integer_field_spec(self, f3, field):
+        obj = family_to_json(build_family(f3))
+        obj["field"] = field
+        with pytest.raises(GeometryFormatError):
+            family_from_json(obj)
+
     def test_rejects_bad_version(self, f3):
         obj = family_to_json(build_family(f3))
         obj["version"] = 99
@@ -122,6 +153,24 @@ class TestFamilyJson:
             loads_family("not json at all")
         with pytest.raises(GeometryFormatError):
             loads_family("[1, 2, 3]")
+
+
+# sha256 prefixes of dumps_family(build_family(make_field(q))) as written
+# before lines became integer triples; the geometry JSON must not change.
+FAMILY_JSON_SHA256 = {
+    3: "41b80d47b9ee0c39",
+    4: "093a48d7a570d626",
+    5: "118199ccc6cecd62",
+    7: "58e3cb229b1cde2e",
+    8: "53da9c9637c4929f",
+    9: "226ab087112f107d",
+}
+
+
+@pytest.mark.parametrize("q", sorted(FAMILY_JSON_SHA256))
+def test_family_json_bytes_are_pinned(q):
+    text = dumps_family(build_family(make_field(q)))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == FAMILY_JSON_SHA256[q]
 
 
 class TestPlainIncidence:
