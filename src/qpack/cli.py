@@ -9,16 +9,14 @@ verification check failed (witness printed), 2 usage or input-format errors.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 import click
 
 from . import __version__, bounds, verifier
-from .construction import GeometryFamily, build_family
+from .construction import build_family
 from .formats import (
     GeometryFormatError,
     dumps_family,
@@ -40,8 +38,11 @@ STRUCTURE_CHECKS = {
     "gq": verifier.check_gq,
     "counting": lambda g, exhaustive: verifier.counting_bound(g),
 }
-FAMILY_CHECKS = ("disjoint", "union")
-ALL_CHECKS = tuple(STRUCTURE_CHECKS) + FAMILY_CHECKS
+FAMILY_CHECKS = {
+    "disjoint": verifier.check_disjoint_classes,
+    "union": verifier.check_union_pls,
+}
+ALL_CHECKS = (*STRUCTURE_CHECKS, *FAMILY_CHECKS)
 DEFAULT_CHECKS = ("pls", "order", "triangle", "disjoint", "union")
 
 
@@ -128,16 +129,16 @@ def _witness_json(witness) -> dict:
     return witness.to_json()
 
 
-def _run_structure_checks(task) -> list[dict]:
-    """Selected per-structure checks on one incidence structure; picklable so
-    classes can be verified in parallel worker processes."""
-    scope, g, checks, exhaustive = task
+def _run_checks(scope: str, target, checks: list, exhaustive: bool) -> list[dict]:
+    """One JSON record per ``(name, check)`` pair in ``checks``, in order, each
+    check run on ``target`` in this process: an incidence structure for the
+    structure checks, a geometry family for the family checks."""
     results = []
-    for check in checks:
+    for name, check in checks:
         start = time.perf_counter()
-        record = {"check": check, "scope": scope}
+        record = {"check": name, "scope": scope}
         try:
-            outcome = STRUCTURE_CHECKS[check](g, exhaustive)
+            outcome = check(target, exhaustive)
         except MalformedStructureError as exc:
             record.update(verdict="malformed", reason=str(exc))
         except (verifier.NotUniformError, verifier.NotTriangleFreeError) as exc:
@@ -169,43 +170,13 @@ def _record_outcome(record: dict, outcome):
         raise AssertionError(f"unhandled outcome {outcome!r}")
 
 
-def _run_family_checks(family: GeometryFamily, checks, exhaustive: bool) -> list[dict]:
-    results = []
-    for check in checks:
-        start = time.perf_counter()
-        record = {"check": check, "scope": "family"}
-        if check == "disjoint":
-            outcome = verifier.check_disjoint_classes(family, exhaustive)
-        else:
-            outcome = verifier.check_union_pls(family, exhaustive)
-        _record_outcome(record, outcome)
-        record["elapsed"] = round(time.perf_counter() - start, 6)
-        results.append(record)
-    return results
-
-
-def _resolve_jobs(option_value: Optional[int]) -> int:
-    env = os.environ.get("QPACK_JOBS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            _fail_usage(f"QPACK_JOBS must be an integer, got {env!r}")
-    if option_value is not None:
-        return max(1, option_value)
-    return os.cpu_count() or 1
-
-
 @main.command("verify")
 @click.argument("input_path", metavar="INPUT")
 @click.option("--checks", "checks_option", default=",".join(DEFAULT_CHECKS),
               show_default=True,
               help="Comma-separated subset of: " + ",".join(ALL_CHECKS))
 @click.option("--exhaustive", is_flag=True, help="Collect every violation, not just the first.")
-@click.option("--jobs", type=int, default=None,
-              help="Worker processes for per-class checks (default: all cores; "
-                   "QPACK_JOBS overrides).")
-def cmd_verify(input_path: str, checks_option: str, exhaustive: bool, jobs: Optional[int]):
+def cmd_verify(input_path: str, checks_option: str, exhaustive: bool):
     """Verify a geometry JSON file or a plain 'points N' incidence file.
 
     Prints one JSON line per executed check.  Exits 0 when every selected
@@ -215,7 +186,6 @@ def cmd_verify(input_path: str, checks_option: str, exhaustive: bool, jobs: Opti
     unknown = [c for c in checks if c not in ALL_CHECKS]
     if unknown or not checks:
         _fail_usage(f"unknown checks {unknown}; valid: {','.join(ALL_CHECKS)}")
-    jobs = _resolve_jobs(jobs)
 
     text = _read_input(input_path)
     stripped = text.lstrip()
@@ -231,29 +201,18 @@ def cmd_verify(input_path: str, checks_option: str, exhaustive: bool, jobs: Opti
     except GeometryFormatError as exc:
         _fail_usage(str(exc))
 
-    structure_checks = tuple(c for c in checks if c in STRUCTURE_CHECKS)
-    family_checks = tuple(c for c in checks if c in FAMILY_CHECKS)
+    structure_checks = [(c, STRUCTURE_CHECKS[c]) for c in checks if c in STRUCTURE_CHECKS]
+    family_checks = [(c, FAMILY_CHECKS[c]) for c in checks if c in FAMILY_CHECKS]
     results: list[dict] = []
 
     if family is not None:
-        tasks = [
-            (f"class:{cls.scale.value}", verifier.class_incidence(cls), structure_checks, exhaustive)
-            for cls in family.classes
-        ]
-        tasks = [t for t in tasks if t[2]]
-        workers = min(jobs, len(tasks))
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for batch in pool.map(_run_structure_checks, tasks):
-                    results.extend(batch)
-        else:
-            for task in tasks:
-                results.extend(_run_structure_checks(task))
-        results.extend(_run_family_checks(family, family_checks, exhaustive))
+        for cls in family.classes:
+            results.extend(_run_checks(f"class:{cls.scale.value}", verifier.class_incidence(cls),
+                                       structure_checks, exhaustive))
+        results.extend(_run_checks("family", family, family_checks, exhaustive))
     else:
-        if structure_checks:
-            results.extend(_run_structure_checks(("structure", structure, structure_checks, exhaustive)))
-        for check in family_checks:
+        results.extend(_run_checks("structure", structure, structure_checks, exhaustive))
+        for check, _ in family_checks:
             results.append({"check": check, "scope": "structure", "verdict": "skipped",
                             "reason": "requires a geometry family"})
 

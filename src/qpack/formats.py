@@ -19,6 +19,7 @@ from .gf import FieldSpec, NotPrimePowerError, make_field
 from .verifier import GenericIncidence
 
 FORMAT_VERSION = 1
+MAX_FIELD_ORDER = 256
 
 
 class GeometryFormatError(ValueError):
@@ -42,6 +43,10 @@ def field_from_json(obj: Any) -> FieldSpec:
         raise GeometryFormatError(f"bad field spec: {exc}") from exc
     if any(type(c) is not int for c in [p, n, *modulus]):
         raise GeometryFormatError(f"field spec values must be integers, got {obj!r}")
+    # bound p and n before p**n: the modulus search scans up to p**n polynomials
+    if not (2 <= p <= MAX_FIELD_ORDER and 1 <= n <= MAX_FIELD_ORDER.bit_length()
+            and p**n <= MAX_FIELD_ORDER):
+        raise GeometryFormatError(f"field order {p}^{n} is outside [2, {MAX_FIELD_ORDER}]")
     try:
         field = make_field(p**n)
     except NotPrimePowerError as exc:

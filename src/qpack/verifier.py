@@ -145,15 +145,20 @@ def _first_or_all(found: Iterator[Witness], exhaustive: bool):
 def check_pls(g: GenericIncidence, exhaustive: bool = False):
     """Every point pair on at most one line.
 
-    Single pass registering each in-line point pair; a pair seen twice is a
-    witness naming both lines and the shared pair.  Returns None when the
-    structure is a partial linear space.
+    A mask test decides first: two lines through x share a second point
+    exactly when the neighbour mask of x, the running OR of those lines, has
+    fewer bits than they have points besides x.  Only then does a single
+    pass register each in-line point pair; a pair seen twice is a witness
+    naming both lines and the shared pair.  Returns None when the structure
+    is a partial linear space.
     """
     _require_simple_lines(g)
     return _first_or_all(_pls_violations(g), exhaustive)
 
 
 def _pls_violations(g: GenericIncidence) -> Iterator[Witness]:
+    if not _pair_on_two_lines(g):
+        return
     span = g.num_points
     seen: dict[int, int] = {}
     for idx, line in enumerate(g.lines):
@@ -163,6 +168,17 @@ def _pls_violations(g: GenericIncidence) -> Iterator[Witness]:
                 other = seen.setdefault(key, idx)
                 if other != idx:
                     yield Witness(PLS_VIOLATION, {"lines": (other, idx), "points": (a, b)})
+
+
+def _pair_on_two_lines(g: GenericIncidence) -> bool:
+    """The mask test of :func:`check_pls`; its masks are freed before the
+    pair scan builds its dictionary."""
+    nbr = _neighbour_masks(g, _line_masks(g))
+    others = [0] * g.num_points
+    for line in g.lines:
+        for pt in line:
+            others[pt] += len(line) - 1
+    return any(mask.bit_count() != count for mask, count in zip(nbr, others))
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +236,14 @@ def _order_violations(g: GenericIncidence, degrees: list[int]) -> Iterator[Witne
 # exactly the same predicate, so their verdicts agree on arbitrary input.
 
 def check_triangle_free(g: GenericIncidence, exhaustive: bool = False):
-    """Point-pair driven triangle search.
+    """Point-pair driven triangle search behind a per-line mask test.
 
     For each line and each point pair (x, y) on it, any common neighbour z of
     x and y off the line closes a triangle, provided the closing lines are
-    distinct.  The common-neighbour test is one bitmask intersection, keeping
-    the scan at O(|L| * (s+1)^2) mask operations.
+    distinct.  Such a z exists for some pair on the line exactly when the
+    off-line neighbour masks of its points overlap, which one running OR per
+    line decides in O(s+1) mask operations; only lines that fail it get the
+    pair scan, one bitmask intersection per pair.
     """
     _require_simple_lines(g)
     return _first_or_all(_triangle_violations(g), exhaustive)
@@ -237,6 +255,8 @@ def _triangle_violations(g: GenericIncidence) -> Iterator[Witness]:
     nbr = _neighbour_masks(g, masks)
     for idx, line in enumerate(g.lines):
         off_line = ~masks[idx]
+        if not _overlapping(nbr[x] & off_line for x in line):
+            continue
         for i, x in enumerate(line):
             for y in line[i + 1 :]:
                 common = nbr[x] & nbr[y] & off_line
@@ -253,6 +273,16 @@ def _triangle_violations(g: GenericIncidence) -> Iterator[Witness]:
                             {"lines": (idx, pick[0], pick[1]), "points": (x, y, z)},
                         )
                         break  # one witness per point pair is enough
+
+
+def _overlapping(masks: Iterator[int]) -> bool:
+    """Whether any two of the masks share a bit."""
+    running = 0
+    for mask in masks:
+        if running & mask:
+            return True
+        running |= mask
+    return False
 
 
 def _distinct_pair(first: list[int], second: list[int]) -> Optional[tuple[int, int]]:

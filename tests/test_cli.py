@@ -5,7 +5,6 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from qpack import cli
 from qpack.cli import main
 from qpack.formats import family_to_json, line_to_json, loads_family
 from qpack.geometry import canonical_line
@@ -174,6 +173,16 @@ class TestVerify:
         by_check = {r["check"]: r for r in json_lines(result.stdout)}
         assert by_check["order"]["verdict"] == "malformed"
 
+    @pytest.mark.parametrize("p,n", [(2, 40), (2, 10**9), (10**21, 1), (257, 1)])
+    def test_field_order_over_limit_exits_2(self, runner, tmp_path, p, n):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"version": 1, "field": {"p": p, "n": n, "modulus": [1, 1]},
+                                    "classes": {"1": []}}))
+        result = run(runner, "verify", str(path))
+        assert result.exit_code == 2
+        assert "256" in result.stderr and not result.stdout
+        assert len(result.stderr.splitlines()) == 1
+
     def test_missing_file_exits_2(self, runner):
         assert run(runner, "verify", "no-such-file.json").exit_code == 2
 
@@ -197,52 +206,14 @@ class TestVerify:
     def test_construct_verify_roundtrip(self, runner, tmp_path, q):
         path = tmp_path / f"geo{q}.json"
         assert run(runner, "construct", "--q", str(q), "--out", str(path)).exit_code == 0
-        result = run(runner, "verify", str(path), "--jobs", "2")
+        result = run(runner, "verify", str(path))
         assert result.exit_code == 0
         records = json_lines(result.stdout)
         assert len(records) == 3 * (q - 1) + 2
         assert all(r["verdict"] == "ok" for r in records)
 
-    def test_jobs_flag_and_env(self, runner, geo5):
-        sequential = run(runner, "verify", str(geo5), "--jobs", "1")
-        parallel = run(runner, "verify", str(geo5), "--jobs", "2")
-        env_forced = run(runner, "verify", str(geo5), "--jobs", "4",
-                         env={"QPACK_JOBS": "1"})
-        assert sequential.exit_code == parallel.exit_code == env_forced.exit_code == 0
-
-        def stripped(result):
-            return [
-                {k: v for k, v in r.items() if k != "elapsed"}
-                for r in json_lines(result.stdout)
-            ]
-
-        assert stripped(sequential) == stripped(parallel) == stripped(env_forced)
-
-    @pytest.mark.parametrize("option,env", [(["--jobs", "64"], {}), ([], {"QPACK_JOBS": "64"})])
-    def test_pool_capped_at_class_tasks(self, runner, tmp_path, monkeypatch, option, env):
-        created = []
-
-        class RecordingPool:
-            """Stands in for ProcessPoolExecutor; runs tasks in-process."""
-
-            def __init__(self, max_workers):
-                created.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        path = tmp_path / "geo3.json"
-        assert run(runner, "construct", "--q", "3", "--out", str(path)).exit_code == 0
-        result = run(runner, "verify", str(path), *option, env=env)
-        assert result.exit_code == 0
-        assert created == [2]  # two classes over GF(3)
+    def test_jobs_option_is_gone(self, runner, geo5):
+        assert run(runner, "verify", str(geo5), "--jobs", "2").exit_code == 2
 
 
 class TestBound:

@@ -24,7 +24,7 @@ from qpack.formats import (
 
 
 class TestFieldJson:
-    @pytest.mark.parametrize("q", [3, 4, 9, 11])
+    @pytest.mark.parametrize("q", [3, 4, 9, 11, 256])
     def test_roundtrip(self, q):
         field = make_field(q)
         assert field_from_json(field_to_json(field)) == field
