@@ -9,7 +9,6 @@ from .gf import (
     FieldSpec,
     NotPrimePowerError,
     is_prime,
-    is_prime_power,
     make_field,
     next_prime_geq,
 )

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
-from .gf import is_prime_power, next_prime_geq
+from .gf import next_prime_geq
 
 
 class OutOfRangeError(ValueError):
@@ -140,22 +140,9 @@ def threshold(k: int, r: int) -> float:
     return 4.0 * k * r * math.log(k)
 
 
-def find_q(k: int, r: int, allow_prime_powers: bool = False) -> int:
-    """Smallest prime >= threshold(k, r).
-
-    ``allow_prime_powers`` widens the search to prime powers; that variant is
-    an extension beyond the proved statement and is off by default.
-    """
-    floor = threshold(k, r)
-    m = math.ceil(floor)
-    while m < floor:  # guard against float rounding at the integer boundary
-        m += 1
-    if allow_prime_powers:
-        q = m
-        while not is_prime_power(q):
-            q += 1
-    else:
-        q = next_prime_geq(max(m, 2))
+def find_q(k: int, r: int) -> int:
+    """Smallest prime >= threshold(k, r)."""
+    q = next_prime_geq(math.ceil(threshold(k, r)))
     assert q <= 8.0 * k * r * math.log(k), f"q={q} escaped the Bertrand cap at k={k}, r={r}"
     assert r <= q - 1, f"not enough classes: r={r} > q-1={q - 1}"
     return q
@@ -173,9 +160,9 @@ def lemma_conditions(q: int, k: int, r: int) -> LemmaConditions:
     )
 
 
-def bound_main(k: int, r: int, allow_prime_powers: bool = False) -> MainBound:
+def bound_main(k: int, r: int) -> MainBound:
     """q^3 for the selected prime, after confirming the lemma hypotheses."""
-    q = find_q(k, r, allow_prime_powers=allow_prime_powers)
+    q = find_q(k, r)
     conditions = lemma_conditions(q, k, r)
     if not conditions.all_ok():
         raise ConditionsFailedError(f"hypotheses failed at q={q}, k={k}, r={r}: {conditions}")

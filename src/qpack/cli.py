@@ -9,7 +9,7 @@ verification check failed (witness printed), 2 usage or input-format errors.
 from __future__ import annotations
 
 import json
-import sys
+import math
 import time
 from typing import Optional
 
@@ -44,6 +44,7 @@ FAMILY_CHECKS = {
 }
 ALL_CHECKS = (*STRUCTURE_CHECKS, *FAMILY_CHECKS)
 DEFAULT_CHECKS = ("pls", "order", "triangle", "disjoint", "union")
+MAX_SCAN_GRID = 10**6
 
 
 def _fail_usage(message: str):
@@ -114,13 +115,18 @@ def cmd_construct(order: int, count: Optional[int], out: Optional[str]):
 # ---------------------------------------------------------------------------
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """The input as UTF-8 text, from a file or from stdin for ``-``."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        if path == "-":
+            data = click.get_binary_stream("stdin").read()
+        else:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        return data.decode("utf-8")
     except OSError as exc:
         _fail_usage(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        _fail_usage(f"{'stdin' if path == '-' else path} is not UTF-8 text: {exc}")
 
 
 def _witness_json(witness) -> dict:
@@ -304,11 +310,13 @@ def cmd_scan(k_range: str, r_range: str, out: Optional[str]):
 def cmd_exponent(alpha, orientation, do_scan, alpha_max, alpha_step):
     """Point-count exponents forced by packings of skewed order."""
     if do_scan:
-        if alpha_max < 1 or alpha_step <= 0:
-            _fail_usage("scan needs --alpha-max >= 1 and --alpha-step > 0")
-        grid = [1.0]
-        while grid[-1] + alpha_step <= alpha_max + 1e-12:
-            grid.append(round(grid[-1] + alpha_step, 12))
+        if not (math.isfinite(alpha_max) and math.isfinite(alpha_step)
+                and alpha_max >= 1 and alpha_step > 0):
+            _fail_usage("scan needs a finite --alpha-max >= 1 and a finite --alpha-step > 0")
+        size = math.floor((alpha_max - 1 + 1e-12) / alpha_step) + 1
+        if size > MAX_SCAN_GRID:
+            _fail_usage(f"scan grid of {size} points is above the limit of {MAX_SCAN_GRID}")
+        grid = [round(1 + i * alpha_step, 12) for i in range(size)]
         best_alpha, best_degree = bounds.min_total_degree(grid)
         _emit({"alpha": best_alpha, "total_degree": best_degree, "grid_size": len(grid)})
         return

@@ -65,7 +65,7 @@ def moment_curve(field: FieldSpec, scale: FieldElement) -> list[Triple]:
     Distinct slopes for distinct a (the middle coordinate is injective in a),
     and curves for distinct scales are disjoint.
     """
-    if scale.is_zero:
+    if not scale.value:
         raise ZeroScaleError("moment curve needs a nonzero scale")
     mul = field.mul_table
     scaled = mul[scale.value]
@@ -94,5 +94,5 @@ def build_family(field: FieldSpec, count: Optional[int] = None) -> GeometryFamil
         count = limit
     if not 1 <= count <= limit:
         raise CountOutOfRangeError(f"count must be in [1, {limit}], got {count}")
-    classes = tuple(build_class(field, s) for s in field.elements()[1 : count + 1])
+    classes = tuple(build_class(field, field.element(s)) for s in range(1, count + 1))
     return GeometryFamily(field=field, classes=classes)

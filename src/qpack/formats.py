@@ -59,7 +59,7 @@ def field_from_json(obj: Any) -> FieldSpec:
 
 
 def element_to_json(field: FieldSpec, value: int) -> list[int]:
-    return list(field.elements()[value].coeffs)
+    return list(field.coeff_table[value])
 
 
 def element_from_json(field: FieldSpec, obj: Any) -> int:
@@ -151,6 +151,8 @@ def loads_family(text: str) -> GeometryFamily:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GeometryFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise GeometryFormatError("JSON nested too deeply") from exc
     return family_from_json(obj)
 
 
@@ -160,7 +162,8 @@ def loads_family(text: str) -> GeometryFamily:
 
 def parse_plain_incidence(text: str) -> GenericIncidence:
     """Parse the 'points N' header plus one whitespace-separated id line per
-    geometry line."""
+    geometry line.  N is at most ``MAX_FIELD_ORDER**3``, the largest point
+    set a geometry file may declare."""
     rows = [row.strip() for row in text.splitlines()]
     rows = [row for row in rows if row]
     if not rows:
@@ -172,8 +175,8 @@ def parse_plain_incidence(text: str) -> GenericIncidence:
         num_points = int(header[1])
     except ValueError as exc:
         raise GeometryFormatError(f"bad point count {header[1]!r}") from exc
-    if num_points < 0:
-        raise GeometryFormatError(f"negative point count {num_points}")
+    if not 0 <= num_points <= MAX_FIELD_ORDER**3:
+        raise GeometryFormatError(f"point count {num_points} outside [0, {MAX_FIELD_ORDER**3}]")
     lines = []
     for row in rows[1:]:
         try:

@@ -1,17 +1,20 @@
-"""Exact arithmetic in GF(p^n), plus the primality helpers used by the bound
-calculator.
+"""Exact arithmetic in GF(p^n) as dense integer tables, plus the primality
+helpers used by the bound calculator.
 
 Fields are constructed through :func:`make_field`, which factors the order,
 picks a deterministic irreducible modulus and returns an immutable
-:class:`FieldSpec`.  Elements are reduced coefficient vectors with a total
-order (zero first), so every downstream structure has one canonical form.
+:class:`FieldSpec`.  An element is an integer value in [0, q) whose base-p
+digits are its polynomial coefficients.  The field's add, mul, neg and inv
+tables, built once from polynomial arithmetic over GF(p), are the only
+arithmetic, so every downstream structure works on plain ints in one
+canonical form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, total_ordering
-from typing import Iterable, Sequence
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Sequence
 
 
 class NotPrimePowerError(ValueError):
@@ -74,14 +77,6 @@ def prime_power_decomposition(q: int) -> tuple[int, int]:
     return p, n
 
 
-def is_prime_power(q: int) -> bool:
-    try:
-        prime_power_decomposition(q)
-    except NotPrimePowerError:
-        return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # polynomial helpers over GF(p); coefficient lists, constant term first
 # ---------------------------------------------------------------------------
@@ -103,15 +98,6 @@ def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return _trim(out)
 
 
-def _poly_sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _trim(out)
-
-
 def _poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
     rem = list(a)
     _trim(rem)
@@ -125,6 +111,15 @@ def _poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int],
             rem[shift + i] = (rem[shift + i] - factor * c) % p
         _trim(rem)
     return _trim(quot), rem
+
+
+def _poly_value(a: Sequence[int], p: int) -> int:
+    """The element value of a reduced polynomial: its coefficients read as
+    base-p digits, constant term least significant."""
+    value = 0
+    for c in reversed(a):
+        value = value * p + c
+    return value
 
 
 def _is_irreducible(poly: Sequence[int], p: int) -> bool:
@@ -155,11 +150,17 @@ def _smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """An explicit GF(p^n): order, characteristic and reduction modulus.
+    """An explicit GF(p^n): order, characteristic, reduction modulus, and the
+    dense operation tables that are its only arithmetic.
 
-    ``modulus`` is monic of degree n, constant term first, and is always the
-    lexicographically smallest irreducible in the scan order of
-    :func:`_smallest_irreducible`, so identical orders give identical fields.
+    An element is its canonical value in [0, q): the base-p digits of the
+    value, least significant first, are the coefficients of a polynomial of
+    degree < n, constant term first.  The tables are built once from that
+    polynomial arithmetic: digit-wise addition mod p, and multiplication
+    reduced by ``modulus``.  ``modulus`` is monic of degree n, constant term
+    first, and is always the lexicographically smallest irreducible in the
+    scan order of :func:`_smallest_irreducible`, so identical orders give
+    identical fields and tables.
     """
 
     p: int
@@ -176,146 +177,49 @@ class FieldSpec:
     def __repr__(self):
         return f"GF({self.q})"
 
-    # -- elements ----------------------------------------------------------
-
     def element(self, value: int) -> "FieldElement":
-        """Element with canonical-order index ``value`` (base-p digits are the
-        coefficients, constant term least significant)."""
+        """The element with canonical value ``value``."""
         if not 0 <= value < self.q:
             raise ValueError(f"element value {value} outside [0, {self.q})")
-        return FieldElement(self, tuple((value // self.p**i) % self.p for i in range(self.n)))
-
-    def from_coeffs(self, coeffs: Iterable[int]) -> "FieldElement":
-        reduced = tuple(c % self.p for c in coeffs)
-        if len(reduced) != self.n:
-            raise ValueError(f"expected {self.n} coefficients, got {len(reduced)}")
-        return FieldElement(self, reduced)
-
-    def elements(self) -> tuple["FieldElement", ...]:
-        """All q elements in canonical order, zero first."""
-        return self._elements
+        return FieldElement(self, value)
 
     @cached_property
-    def _elements(self) -> tuple["FieldElement", ...]:
-        return tuple(self.element(v) for v in range(self.q))
-
-    @cached_property
-    def zero(self) -> "FieldElement":
-        return self.element(0)
-
-    @cached_property
-    def one(self) -> "FieldElement":
-        return self.element(1)
-
-    # -- dense operation tables (fast path for the geometry loops) ----------
+    def coeff_table(self) -> tuple[tuple[int, ...], ...]:
+        """The n coefficients of each value, constant term first."""
+        p = self.p
+        return tuple(tuple(v // p**i % p for i in range(self.n)) for v in range(self.q))
 
     @cached_property
     def add_table(self) -> tuple[tuple[int, ...], ...]:
-        els = self._elements
-        return tuple(tuple((a + b).value for b in els) for a in els)
+        p, coeffs = self.p, self.coeff_table
+        return tuple(
+            tuple(_poly_value([(x + y) % p for x, y in zip(a, b)], p) for b in coeffs) for a in coeffs
+        )
 
     @cached_property
     def mul_table(self) -> tuple[tuple[int, ...], ...]:
-        els = self._elements
-        return tuple(tuple((a * b).value for b in els) for a in els)
+        p, coeffs = self.p, self.coeff_table
+        return tuple(
+            tuple(_poly_value(_poly_divmod(_poly_mul(a, b, p), self.modulus, p)[1], p) for b in coeffs)
+            for a in coeffs
+        )
 
     @cached_property
     def neg_table(self) -> tuple[int, ...]:
-        return tuple((-a).value for a in self._elements)
+        return tuple(row.index(0) for row in self.add_table)
 
     @cached_property
     def inv_table(self) -> tuple[int, ...]:
         """Multiplicative inverses by element value; index 0 is unused."""
-        return (0,) + tuple(a.inverse().value for a in self._elements[1:])
+        return (0,) + tuple(row.index(1) for row in self.mul_table[1:])
 
 
-@total_ordering
-@dataclass(frozen=True)
-class FieldElement:
-    """A reduced element of a :class:`FieldSpec`; coefficient vector, constant
-    term first."""
+class FieldElement(NamedTuple):
+    """A field and the canonical value of one of its elements; all arithmetic
+    goes through the field's tables."""
 
     field: FieldSpec
-    coeffs: tuple[int, ...]
-
-    @cached_property
-    def value(self) -> int:
-        """Canonical integer form: base-p digits read most significant first."""
-        return sum(c * self.field.p**i for i, c in enumerate(self.coeffs))
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __repr__(self):
-        return f"{self.field!r}[{self.value}]"
-
-    def __lt__(self, other: "FieldElement") -> bool:
-        self._check(other)
-        return self.value < other.value
-
-    def _check(self, other: "FieldElement"):
-        if self.field != other.field:
-            raise ValueError(f"mixed fields: {self.field!r} and {other.field!r}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        p = self.field.p
-        return FieldElement(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        p = self.field.p
-        return FieldElement(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "FieldElement":
-        p = self.field.p
-        return FieldElement(self.field, tuple(-a % p for a in self.coeffs))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        f = self.field
-        if f.n == 1:
-            return FieldElement(f, (self.coeffs[0] * other.coeffs[0] % f.p,))
-        prod = _poly_mul(self.coeffs, other.coeffs, f.p)
-        _, rem = _poly_divmod(prod, f.modulus, f.p)
-        rem += [0] * (f.n - len(rem))
-        return FieldElement(f, tuple(rem))
-
-    def inverse(self) -> "FieldElement":
-        """Multiplicative inverse; extended Euclid against the modulus."""
-        if self.is_zero:
-            raise ZeroDivisionError(f"0 has no inverse in {self.field!r}")
-        f = self.field
-        if f.n == 1:
-            return FieldElement(f, (pow(self.coeffs[0], f.p - 2, f.p),))
-        r0, r1 = list(f.modulus), _trim(list(self.coeffs))
-        s0, s1 = [], [1]
-        while r1:
-            quot, rem = _poly_divmod(r0, r1, f.p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(quot, s1, f.p), f.p)
-        # r0 is a nonzero constant: modulus is irreducible and self != 0
-        scale = pow(r0[0], f.p - 2, f.p)
-        inv = [c * scale % f.p for c in s0]
-        inv += [0] * (f.n - len(inv))
-        return FieldElement(f, tuple(inv[: f.n]))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return self * other.inverse()
-
-    def __pow__(self, exponent: int) -> "FieldElement":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = self.field.one
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+    value: int
 
 
 @lru_cache(maxsize=None)

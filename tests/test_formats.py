@@ -7,6 +7,7 @@ import pytest
 
 from qpack import GenericIncidence, build_family, make_field
 from qpack.formats import (
+    MAX_FIELD_ORDER,
     GeometryFormatError,
     dumps_family,
     element_from_json,
@@ -47,8 +48,8 @@ class TestFieldJson:
 
 class TestElementJson:
     def test_roundtrip(self, f9):
-        for e in f9.elements():
-            assert element_from_json(f9, element_to_json(f9, e.value)) == e.value
+        for v in range(9):
+            assert element_from_json(f9, element_to_json(f9, v)) == v
 
     def test_rejects_unreduced(self, f9):
         with pytest.raises(GeometryFormatError):
@@ -154,6 +155,10 @@ class TestFamilyJson:
         with pytest.raises(GeometryFormatError):
             loads_family("[1, 2, 3]")
 
+    def test_rejects_deep_nesting(self):
+        with pytest.raises(GeometryFormatError, match="nested"):
+            loads_family('{"a":' + "[" * 200_000)
+
 
 # sha256 prefixes of dumps_family(build_family(make_field(q))) as written
 # before lines became integer triples; the geometry JSON must not change.
@@ -201,3 +206,9 @@ class TestPlainIncidence:
     def test_rejects_malformed(self, text):
         with pytest.raises(GeometryFormatError):
             parse_plain_incidence(text)
+
+    def test_point_count_limit(self):
+        limit = MAX_FIELD_ORDER**3
+        assert parse_plain_incidence(f"points {limit}\n0 {limit - 1}\n").num_points == limit
+        with pytest.raises(GeometryFormatError):
+            parse_plain_incidence(f"points {limit + 1}\n0 1\n")

@@ -1,11 +1,13 @@
 """Field arithmetic, modulus selection, and prime-search tests.
 
 Expected values are frozen from independent oracles: an in-test irreducible
-scan for moduli, exhaustive multiplication tables for inverses, and a
-trial-division prime scan.
+scan for moduli, exhaustive multiplication tables for inverses, sha256 pins
+of the operation tables, and a trial-division prime scan.
 """
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -14,7 +16,6 @@ from qpack import (
     FieldSpec,
     NotPrimePowerError,
     is_prime,
-    is_prime_power,
     make_field,
     next_prime_geq,
 )
@@ -78,110 +79,148 @@ class TestMakeField:
     def test_decomposition(self):
         assert prime_power_decomposition(8) == (2, 3)
         assert prime_power_decomposition(121) == (11, 2)
-        assert is_prime_power(32) and not is_prime_power(36)
+        assert prime_power_decomposition(32) == (2, 5)
+        with pytest.raises(NotPrimePowerError):
+            prime_power_decomposition(36)
 
     def test_inconsistent_spec_rejected(self):
         with pytest.raises(NotPrimePowerError):
             FieldSpec(p=4, n=1, q=4, modulus=(0, 1))
 
 
+# sha256 prefixes of json.dumps([add_table, mul_table, neg_table, inv_table]),
+# recorded while the tables were still filled from a separate element-operator
+# model, so the polynomial construction must reproduce them byte for byte.
+TABLE_SHA256 = {
+    2: "a5711015077fb8f8",
+    4: "f0f9c77523c06baa",
+    9: "548eb8b53305a518",
+    16: "b50a622748f05740",
+    27: "eac4d15fa8ae7aa4",
+    49: "5b0b40e14334226b",
+    256: "bb58da3e671c6075",
+}
+
+
+def power(field, a, exponent):
+    """a**exponent by repeated table multiplication; a negative exponent
+    raises the inverse."""
+    if exponent < 0:
+        a, exponent = field.inv_table[a], -exponent
+    result = 1
+    for _ in range(exponent):
+        result = field.mul_table[result][a]
+    return result
+
+
 class TestArithmetic:
     def test_inverse_of_two_mod_five(self, f5):
-        two = f5.element(2)
-        assert two.inverse() == f5.element(3)
+        assert f5.inv_table[2] == 3
         # oracle: the unique partner in the full multiplication table
-        partners = [b for b in f5.elements() if (two * b) == f5.one]
-        assert partners == [f5.element(3)]
+        partners = [b for b in range(5) if f5.mul_table[2][b] == 1]
+        assert partners == [3]
 
     def test_x_squared_in_gf9(self, f9):
-        x = f9.from_coeffs([0, 1])
-        assert x * x == f9.from_coeffs([2, 0])  # x^2 = -1 under x^2 + 1
-        assert x * x == -f9.one
+        x = 3  # coefficients (0, 1)
+        assert f9.coeff_table[x] == (0, 1)
+        assert f9.coeff_table[f9.mul_table[x][x]] == (2, 0)  # x^2 = -1 under x^2 + 1
+        assert f9.mul_table[x][x] == f9.neg_table[1]
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
     def test_additive_identity(self, q):
-        f = make_field(q)
-        for a in f.elements():
-            assert a + f.zero == a
+        add = make_field(q).add_table
+        for a in range(q):
+            assert add[a][0] == a
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
     def test_axioms_exhaustive(self, q):
         f = make_field(q)
-        els = f.elements()
-        for a, b in itertools.product(els, repeat=2):
-            assert a + b == b + a
-            assert a * b == b * a
-        for a, b, c in itertools.product(els, repeat=3):
-            assert (a + b) + c == a + (b + c)
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
-        for a in els[1:]:
-            assert a * a.inverse() == f.one
+        add, mul = f.add_table, f.mul_table
+        for a, b in itertools.product(range(q), repeat=2):
+            assert add[a][b] == add[b][a]
+            assert mul[a][b] == mul[b][a]
+        for a, b, c in itertools.product(range(q), repeat=3):
+            assert add[add[a][b]][c] == add[a][add[b][c]]
+            assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+            assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+        for a in range(1, q):
+            assert mul[a][f.inv_table[a]] == 1
 
     @pytest.mark.parametrize("q", [25, 27, 49])
     def test_axioms_randomized(self, q):
         f = make_field(q)
-        els = f.elements()
+        add, mul = f.add_table, f.mul_table
         rng = random.Random(20240 + q)
         for _ in range(300):
-            a, b, c = (els[rng.randrange(q)] for _ in range(3))
-            assert (a + b) + c == a + (b + c)
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
-            if not a.is_zero:
-                assert a * a.inverse() == f.one
+            a, b, c = (rng.randrange(q) for _ in range(3))
+            assert add[add[a][b]][c] == add[a][add[b][c]]
+            assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+            assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+            if a:
+                assert mul[a][f.inv_table[a]] == 1
 
     def test_subtraction_and_negation(self, f9):
-        for a in f9.elements():
-            assert a - a == f9.zero
-            assert a + (-a) == f9.zero
+        add, neg = f9.add_table, f9.neg_table
+        for a in range(9):
+            assert add[a].index(a) == 0  # a - a: the c with a + c = a
+            assert add[a][neg[a]] == 0
 
     def test_division(self, f9):
-        for a in f9.elements()[1:]:
-            for b in f9.elements()[1:]:
-                assert (a / b) * b == a
+        mul, inv = f9.mul_table, f9.inv_table
+        for a in range(1, 9):
+            for b in range(1, 9):
+                assert mul[mul[a][inv[b]]][b] == a
 
-    def test_division_by_zero(self, f5):
-        with pytest.raises(ZeroDivisionError):
-            f5.element(3) / f5.zero
-        with pytest.raises(ZeroDivisionError):
-            f5.zero.inverse()
+    def test_zero_has_no_inverse(self, f5):
+        assert 1 not in f5.mul_table[0]
+        assert f5.inv_table[0] == 0  # placeholder, never a product of 1
 
     @pytest.mark.parametrize("q", [5, 8, 9])
     def test_pow(self, q):
         f = make_field(q)
-        for a in f.elements():
-            assert a**0 == f.one
-            assert a**1 == a
-            assert a**3 == a * a * a
-        for a in f.elements()[1:]:
-            assert a ** (q - 1) == f.one  # multiplicative group order
-            assert a**-1 == a.inverse()
-            assert a**-2 == (a * a).inverse()
+        mul, inv = f.mul_table, f.inv_table
+        for a in range(q):
+            assert power(f, a, 0) == 1
+            assert power(f, a, 1) == a
+            assert power(f, a, 3) == mul[mul[a][a]][a]
+        for a in range(1, q):
+            assert power(f, a, q - 1) == 1  # multiplicative group order
+            assert power(f, a, -1) == inv[a]
+            assert power(f, a, -2) == inv[mul[a][a]]
 
-    def test_mixed_fields_rejected(self, f5, f7):
-        with pytest.raises(ValueError):
-            f5.element(1) + f7.element(1)
+    @pytest.mark.parametrize("q", [2, 4, 9, 16, 27, 49, 256])
+    def test_tables_are_pinned(self, q):
+        f = make_field(q)
+        text = json.dumps([f.add_table, f.mul_table, f.neg_table, f.inv_table])
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == TABLE_SHA256[q]
 
 
 class TestEnumeration:
     def test_gf3(self, f3):
-        assert [e.value for e in f3.elements()] == [0, 1, 2]
+        assert [f3.element(v).value for v in range(3)] == [0, 1, 2]
+        assert f3.coeff_table == ((0,), (1,), (2,))
 
     def test_gf4_coefficient_order(self, f4):
-        assert [e.coeffs for e in f4.elements()] == [(0, 0), (1, 0), (0, 1), (1, 1)]
+        assert f4.coeff_table == ((0, 0), (1, 0), (0, 1), (1, 1))
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25])
     def test_count_and_order(self, q):
-        f = make_field(q)
-        els = f.elements()
-        assert len(els) == q
-        assert els[0] == f.zero
-        assert all(a < b for a, b in zip(els, els[1:]))
+        coeffs = make_field(q).coeff_table
+        assert len(coeffs) == q == len(set(coeffs))
+        assert not any(coeffs[0])  # zero first
+        # canonical order: coefficient vectors read highest degree first
+        assert all(a[::-1] < b[::-1] for a, b in zip(coeffs, coeffs[1:]))
 
     def test_element_value_roundtrip(self, f9):
-        for e in f9.elements():
-            assert f9.element(e.value) == e
+        for v in range(9):
+            e = f9.element(v)
+            assert e == (f9, v) and e.value == v
+            assert sum(c * 3**i for i, c in enumerate(f9.coeff_table[v])) == v
+
+    @pytest.mark.parametrize("value", [-1, 9])
+    def test_element_value_out_of_range(self, f9, value):
+        with pytest.raises(ValueError):
+            f9.element(value)
 
 
 class TestPrimes:

@@ -1,7 +1,9 @@
-"""Property tests: the pls and triangle checks against independent oracles on
-random small incidences, including repeated lines and structures that are
-not partial linear spaces."""
+"""Property tests: the pls, triangle and gq checks against independent
+oracles on random small incidences, including repeated lines and structures
+that are not partial linear spaces; and both parsers on random and mutated
+input, which must either parse or raise :class:`GeometryFormatError`."""
 
+import json
 from itertools import combinations
 
 from hypothesis import given, settings
@@ -10,9 +12,18 @@ from hypothesis import strategies as st
 from qpack import (
     GenericIncidence,
     brute_force_triangle_check,
+    build_family,
+    check_gq,
     check_pls,
     check_triangle_free,
+    make_field,
     revalidate,
+)
+from qpack.formats import (
+    GeometryFormatError,
+    dumps_family,
+    loads_family,
+    parse_plain_incidence,
 )
 
 
@@ -52,3 +63,89 @@ def test_triangle_matches_brute_force(g):
     if first is not None:
         assert first == every[0]
     assert all(revalidate(g, w) for w in [first, *every] if w is not None)
+
+
+def gq_oracle(g: GenericIncidence) -> list[tuple[int, int, int]]:
+    """(point, line, count) for every point x and line L not through x where
+    the number of points of L collinear with x is not 1, in point order,
+    then line order."""
+    lines = [set(line) for line in g.lines]
+    collinear = [set() for _ in range(g.num_points)]
+    for line in lines:
+        for x in line:
+            collinear[x] |= line - {x}
+    found = []
+    for x in range(g.num_points):
+        for idx, line in enumerate(lines):
+            if x not in line and len(line & collinear[x]) != 1:
+                found.append((x, idx, len(line & collinear[x])))
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(incidences())
+def test_gq_matches_collinearity_oracle(g):
+    first = check_gq(g)
+    every = check_gq(g, exhaustive=True)
+    expected = gq_oracle(g)
+    assert [(w.items["point"], w.items["line"], w.items["count"]) for w in every] == expected
+    if first is not None:
+        assert first == every[0]
+    else:
+        assert not expected
+    assert all(revalidate(g, w) for w in [first, *every] if w is not None)
+
+
+def parses_or_rejects(parse, text: str):
+    try:
+        parse(text)
+    except GeometryFormatError:
+        pass
+
+
+PLAIN_TOKENS = ["0", "1", "2", "7", "-1", "16777216", "16777217", "1_0", "x", "1.5", "\u0661", ""]
+PLAIN_ROWS = st.lists(st.sampled_from(PLAIN_TOKENS), max_size=4).map(" ".join)
+PLAIN_TEXTS = st.builds(
+    lambda head, count, rows, newline: newline.join([f"{head} {count}", *rows]),
+    st.sampled_from(["points", "points points", "vertices", ""]),
+    st.sampled_from(PLAIN_TOKENS),
+    st.lists(PLAIN_ROWS, max_size=5),
+    st.sampled_from(["\n", "\r\n", "\t"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(max_size=60), PLAIN_TEXTS))
+def test_plain_parser_parses_or_rejects(text):
+    parses_or_rejects(parse_plain_incidence, text)
+
+
+Q3_TEXT = dumps_family(build_family(make_field(3)), {"q": 3})
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300) | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_geometry_parser_rejects_mutated_values(data):
+    """Replace one value anywhere in a valid q=3 file with random JSON."""
+    obj = json.loads(Q3_TEXT)
+    parent, key = None, None
+    node = obj
+    while isinstance(node, (dict, list)) and node and data.draw(st.integers(0, 3)):
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, data.draw(st.sampled_from(keys))
+        node = node[key]
+    if parent is not None:
+        parent[key] = data.draw(JSON_VALUES)
+    parses_or_rejects(loads_family, json.dumps(obj))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, len(Q3_TEXT) - 1), st.integers(0, 8), st.text(alphabet='[]{}",:0123-e.tn', max_size=4))
+def test_geometry_parser_rejects_mutated_text(at, cut, insert):
+    """Splice random JSON characters into a valid q=3 file."""
+    parses_or_rejects(loads_family, Q3_TEXT[:at] + insert + Q3_TEXT[at + cut:])
