@@ -118,8 +118,9 @@ def family_to_json(
 def family_from_json(obj: Any) -> GeometryFamily:
     if not isinstance(obj, dict):
         raise GeometryFormatError("geometry file must be a JSON object")
-    if obj.get("version") != FORMAT_VERSION:
-        raise GeometryFormatError(f"unsupported format version {obj.get('version')!r}")
+    version = obj.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise GeometryFormatError(f"unsupported format version {version!r}")
     field = field_from_json(obj.get("field"))
     classes_obj = obj.get("classes")
     if not isinstance(classes_obj, dict) or not classes_obj:

@@ -13,6 +13,7 @@ collect every violation instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterator, Optional, Union
 
 from .construction import GeometryFamily, LineClass
@@ -65,7 +66,12 @@ class CountingReport:
 
 @dataclass(frozen=True)
 class GenericIncidence:
-    """num_points point ids [0, num_points) and lines as sorted id tuples."""
+    """num_points point ids [0, num_points) and lines as sorted id tuples.
+
+    The checks share one incidence index, built on first use and cached:
+    ``masks``, ``neighbours`` and ``through``.  Callers read it and never
+    mutate it.
+    """
 
     num_points: int
     lines: tuple[tuple[int, ...], ...]
@@ -80,6 +86,44 @@ class GenericIncidence:
                 )
         return cls(num_points=num_points, lines=normalized)
 
+    @cached_property
+    def masks(self) -> list[int]:
+        """One bitmask of point ids per line; a repeated point in a line is
+        malformed."""
+        masks = []
+        for idx, line in enumerate(self.lines):
+            mask = 0
+            for pt in line:
+                mask |= 1 << pt
+            if mask.bit_count() != len(line):
+                pt = next(pt for i, pt in enumerate(line) if pt in line[:i])
+                raise MalformedStructureError(f"line {idx} repeats point {pt}")
+            masks.append(mask)
+        return masks
+
+    @cached_property
+    def through(self) -> dict[int, list[int]]:
+        """The indices of the lines through each point, ascending, keyed by
+        the points that lie on a line."""
+        through: dict[int, list[int]] = {}
+        for idx, line in enumerate(self.lines):
+            for pt in line:
+                through.setdefault(pt, []).append(idx)
+        return through
+
+    @cached_property
+    def neighbours(self) -> list[int]:
+        """Per point, the mask of the points collinear with it, itself
+        excluded; 0 for a point on no line."""
+        nbr = [0] * self.num_points
+        for mask, line in zip(self.masks, self.lines):
+            for pt in line:
+                nbr[pt] |= mask
+        for pt, mask in enumerate(nbr):
+            if mask:
+                nbr[pt] = mask ^ (1 << pt)
+        return nbr
+
 
 def class_incidence(line_class: LineClass) -> GenericIncidence:
     """A line class over the dense point index of F_q^3."""
@@ -91,45 +135,6 @@ def union_incidence(family: GeometryFamily) -> GenericIncidence:
     class order, then in-class order."""
     lines = tuple(ids for cls in family.classes for ids in cls.point_ids)
     return GenericIncidence(num_points=family.field.q**3, lines=lines)
-
-
-# ---------------------------------------------------------------------------
-# shared scaffolding
-# ---------------------------------------------------------------------------
-
-def _require_simple_lines(g: GenericIncidence):
-    for idx, line in enumerate(g.lines):
-        for a, b in zip(line, line[1:]):
-            if a == b:
-                raise MalformedStructureError(f"line {idx} repeats point {a}")
-
-
-def _line_masks(g: GenericIncidence) -> list[int]:
-    masks = []
-    for line in g.lines:
-        m = 0
-        for pt in line:
-            m |= 1 << pt
-        masks.append(m)
-    return masks
-
-
-def _lines_through(g: GenericIncidence) -> list[list[int]]:
-    through: list[list[int]] = [[] for _ in range(g.num_points)]
-    for idx, line in enumerate(g.lines):
-        for pt in line:
-            through[pt].append(idx)
-    return through
-
-
-def _neighbour_masks(g: GenericIncidence, masks: list[int]) -> list[int]:
-    nbr = [0] * g.num_points
-    for mask, line in zip(masks, g.lines):
-        for pt in line:
-            nbr[pt] |= mask
-    for pt in range(g.num_points):
-        nbr[pt] &= ~(1 << pt)
-    return nbr
 
 
 def _first_or_all(found: Iterator[Witness], exhaustive: bool):
@@ -145,40 +150,36 @@ def _first_or_all(found: Iterator[Witness], exhaustive: bool):
 def check_pls(g: GenericIncidence, exhaustive: bool = False):
     """Every point pair on at most one line.
 
-    A mask test decides first: two lines through x share a second point
-    exactly when the neighbour mask of x, the running OR of those lines, has
-    fewer bits than they have points besides x.  Only then does a single
-    pass register each in-line point pair; a pair seen twice is a witness
-    naming both lines and the shared pair.  Returns None when the structure
-    is a partial linear space.
+    Two lines through a point a share a second point exactly when the
+    neighbour mask of a has fewer bits than those lines have points besides
+    a; such points are flagged.  Walking the lines in index order with a
+    running OR of the earlier lines through each flagged point a, every
+    point b > a of the current line already in that OR gives a witness
+    naming the first line through a and b, the current line and the pair
+    (a, b).  Returns None when the structure is a partial linear space.
     """
-    _require_simple_lines(g)
     return _first_or_all(_pls_violations(g), exhaustive)
 
 
 def _pls_violations(g: GenericIncidence) -> Iterator[Witness]:
-    if not _pair_on_two_lines(g):
-        return
-    span = g.num_points
-    seen: dict[int, int] = {}
-    for idx, line in enumerate(g.lines):
-        for i, a in enumerate(line):
-            for b in line[i + 1 :]:
-                key = a * span + b
-                other = seen.setdefault(key, idx)
-                if other != idx:
-                    yield Witness(PLS_VIOLATION, {"lines": (other, idx), "points": (a, b)})
-
-
-def _pair_on_two_lines(g: GenericIncidence) -> bool:
-    """The mask test of :func:`check_pls`; its masks are freed before the
-    pair scan builds its dictionary."""
-    nbr = _neighbour_masks(g, _line_masks(g))
+    masks, nbr = g.masks, g.neighbours
     others = [0] * g.num_points
     for line in g.lines:
         for pt in line:
             others[pt] += len(line) - 1
-    return any(mask.bit_count() != count for mask, count in zip(nbr, others))
+    running = {a: 0 for a, mask in enumerate(nbr) if mask.bit_count() != others[a]}
+    if not running:
+        return
+    for idx, (line, mask) in enumerate(zip(g.lines, masks)):
+        for a in line:
+            if a not in running:
+                continue
+            shared = (running[a] & mask) >> (a + 1)
+            running[a] |= mask
+            for b in _bits(shared):
+                b += a + 1
+                first = next(m for m in g.through[a] if masks[m] >> b & 1)
+                yield Witness(PLS_VIOLATION, {"lines": (first, idx), "points": (a, b)})
 
 
 # ---------------------------------------------------------------------------
@@ -188,18 +189,15 @@ def _pair_on_two_lines(g: GenericIncidence) -> bool:
 def check_order(g: GenericIncidence, exhaustive: bool = False):
     """Uniform (s_order, t_order) if all line sizes and point degrees agree;
     otherwise an order_violation naming the first deviant line or point."""
-    _require_simple_lines(g)
-    if not g.lines:
+    if not g.masks:
         raise MalformedStructureError("the structure has no lines")
-    degrees = [0] * g.num_points
     for idx, line in enumerate(g.lines):
         if len(line) < 2:
             raise MalformedStructureError(f"line {idx} has fewer than 2 points")
-        for pt in line:
-            degrees[pt] += 1
-    for pt, deg in enumerate(degrees):
-        if deg == 0:
-            raise MalformedStructureError(f"point {pt} lies on no line")
+    through = g.through
+    degrees = [len(through.get(pt, ())) for pt in range(g.num_points)]
+    if 0 in degrees:
+        raise MalformedStructureError(f"point {degrees.index(0)} lies on no line")
     found = _first_or_all(_order_violations(g, degrees), exhaustive)
     return found or OrderParams(s_order=len(g.lines[0]) - 1, t_order=degrees[0] - 1)
 
@@ -241,24 +239,18 @@ def check_triangle_free(g: GenericIncidence, exhaustive: bool = False):
     line decides in O(s+1) mask operations; only lines that fail it get the
     pair scan, one bitmask intersection per pair.
     """
-    _require_simple_lines(g)
     return _first_or_all(_triangle_violations(g), exhaustive)
 
 
 def _triangle_violations(g: GenericIncidence) -> Iterator[Witness]:
-    masks = _line_masks(g)
-    through = _lines_through(g)
-    nbr = _neighbour_masks(g, masks)
+    masks, nbr, through = g.masks, g.neighbours, g.through
     for idx, line in enumerate(g.lines):
         off_line = ~masks[idx]
         if not _overlapping(nbr[x] & off_line for x in line):
             continue
         for i, x in enumerate(line):
             for y in line[i + 1 :]:
-                common = nbr[x] & nbr[y] & off_line
-                while common:
-                    z = (common & -common).bit_length() - 1
-                    common &= common - 1
+                for z in _bits(nbr[x] & nbr[y] & off_line):
                     zbit = 1 << z
                     via_x = [m for m in through[x] if masks[m] & zbit]
                     via_y = [m for m in through[y] if masks[m] & zbit]
@@ -296,12 +288,18 @@ def brute_force_triangle_check(g: GenericIncidence, exhaustive: bool = False):
     Cubic in the number of lines; intended for small structures and for
     cross-checking :func:`check_triangle_free`.
     """
-    _require_simple_lines(g)
     return _first_or_all(_brute_force_triangles(g), exhaustive)
 
 
 def _brute_force_triangles(g: GenericIncidence) -> Iterator[Witness]:
-    sets = [frozenset(line) for line in g.lines]
+    sets = []
+    for idx, line in enumerate(g.lines):
+        seen: set[int] = set()
+        for pt in line:
+            if pt in seen:
+                raise MalformedStructureError(f"line {idx} repeats point {pt}")
+            seen.add(pt)
+        sets.append(frozenset(seen))
     count = len(sets)
     for i in range(count):
         for j in range(i + 1, count):
@@ -386,13 +384,11 @@ def neighbourhood(g: GenericIncidence, x: int) -> frozenset[int]:
 def check_gq(g: GenericIncidence, exhaustive: bool = False):
     """Every non-incident point-line pair sees exactly one collinear point on
     the line.  Assumes the structure already passed check_pls."""
-    _require_simple_lines(g)
     return _first_or_all(_gq_violations(g), exhaustive)
 
 
 def _gq_violations(g: GenericIncidence) -> Iterator[Witness]:
-    masks = _line_masks(g)
-    nbr = _neighbour_masks(g, masks)
+    masks, nbr = g.masks, g.neighbours
     for x in range(g.num_points):
         xbit = 1 << x
         reach = nbr[x]

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: commands, formats, witnesses and exit codes."""
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -210,6 +211,18 @@ class TestVerify:
         result = run(runner, "verify", str(path))
         assert_usage_error(result)
         assert str(256**3) in result.stderr
+
+    def test_sparse_structure_is_fast(self, runner, tmp_path):
+        """An isolated point costs the incidence index no num_points-bit
+        mask, so a million points with one line verify in seconds, not
+        minutes."""
+        path = tmp_path / "sparse.txt"
+        path.write_text("points 1000000\n0 1\n")
+        start = time.perf_counter()
+        result = run(runner, "verify", str(path), "--checks", "pls,triangle")
+        assert result.exit_code == 0
+        assert [r["verdict"] for r in json_lines(result.stdout)] == ["ok", "ok"]
+        assert time.perf_counter() - start < 10
 
     def test_missing_file_exits_2(self, runner):
         assert run(runner, "verify", "no-such-file.json").exit_code == 2

@@ -137,9 +137,10 @@ class TestFamilyJson:
         with pytest.raises(GeometryFormatError):
             family_from_json(obj)
 
-    def test_rejects_bad_version(self, f3):
+    @pytest.mark.parametrize("version", [99, True, 1.0, "1"])
+    def test_rejects_bad_version(self, f3, version):
         obj = family_to_json(build_family(f3))
-        obj["version"] = 99
+        obj["version"] = version
         with pytest.raises(GeometryFormatError):
             family_from_json(obj)
 

@@ -1,11 +1,14 @@
 """Property tests: the pls, triangle and gq checks against independent
 oracles on random small incidences, including repeated lines and structures
-that are not partial linear spaces; and both parsers on random and mutated
-input, which must either parse or raise :class:`GeometryFormatError`."""
+that are not partial linear spaces, with the pls witnesses in the reference
+pair scan's order; both parsers on random and mutated input, which must
+either parse or raise :class:`GeometryFormatError`; and ``qpack verify`` on
+such input, which must exit 0, 1 or 2 without a traceback."""
 
 import json
 from itertools import combinations
 
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +22,7 @@ from qpack import (
     make_field,
     revalidate,
 )
+from qpack.cli import ALL_CHECKS, main
 from qpack.formats import (
     GeometryFormatError,
     dumps_family,
@@ -43,6 +47,21 @@ def shares_a_pair(g: GenericIncidence) -> bool:
     return any(len(set(a) & set(b)) >= 2 for a, b in combinations(g.lines, 2))
 
 
+def pair_scan_witnesses(g: GenericIncidence) -> list[dict]:
+    """Reference pls witnesses: register every in-line point pair (a, b) in
+    line order, then a, then b; a pair seen again names the line that first
+    held it and the current one."""
+    seen: dict[tuple[int, int], int] = {}
+    found = []
+    for idx, line in enumerate(g.lines):
+        for i, a in enumerate(line):
+            for b in line[i + 1:]:
+                other = seen.setdefault((a, b), idx)
+                if other != idx:
+                    found.append({"lines": (other, idx), "points": (a, b)})
+    return found
+
+
 @settings(max_examples=300, deadline=None)
 @given(incidences())
 def test_pls_matches_pair_oracle(g):
@@ -52,6 +71,16 @@ def test_pls_matches_pair_oracle(g):
     if first is not None:
         assert first == every[0]
     assert all(revalidate(g, w) for w in [first, *every] if w is not None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(incidences())
+def test_pls_witnesses_match_pair_scan(g):
+    """The mask walk reports the pair scan's witnesses, in its order."""
+    expected = pair_scan_witnesses(g)
+    assert [w.items for w in check_pls(g, exhaustive=True)] == expected
+    first = check_pls(g)
+    assert ([first.items] if first else []) == expected[:1]
 
 
 @settings(max_examples=300, deadline=None)
@@ -128,20 +157,25 @@ JSON_VALUES = st.recursive(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_geometry_parser_rejects_mutated_values(data):
-    """Replace one value anywhere in a valid q=3 file with random JSON."""
+@st.composite
+def mutated_q3_texts(draw) -> str:
+    """A valid q=3 file with one value anywhere replaced by random JSON."""
     obj = json.loads(Q3_TEXT)
     parent, key = None, None
     node = obj
-    while isinstance(node, (dict, list)) and node and data.draw(st.integers(0, 3)):
+    while isinstance(node, (dict, list)) and node and draw(st.integers(0, 3)):
         keys = list(node) if isinstance(node, dict) else range(len(node))
-        parent, key = node, data.draw(st.sampled_from(keys))
+        parent, key = node, draw(st.sampled_from(keys))
         node = node[key]
     if parent is not None:
-        parent[key] = data.draw(JSON_VALUES)
-    parses_or_rejects(loads_family, json.dumps(obj))
+        parent[key] = draw(JSON_VALUES)
+    return json.dumps(obj)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_q3_texts())
+def test_geometry_parser_rejects_mutated_values(text):
+    parses_or_rejects(loads_family, text)
 
 
 @settings(max_examples=150, deadline=None)
@@ -149,3 +183,25 @@ def test_geometry_parser_rejects_mutated_values(data):
 def test_geometry_parser_rejects_mutated_text(at, cut, insert):
     """Splice random JSON characters into a valid q=3 file."""
     parses_or_rejects(loads_family, Q3_TEXT[:at] + insert + Q3_TEXT[at + cut:])
+
+
+@st.composite
+def plain_incidence_texts(draw) -> str:
+    """Up to 8 lines over at most 40 points, relabelled so that the lines
+    cover points 0..N-1; the header declares N or N+1 (an isolated point)."""
+    line = st.lists(st.integers(0, 63), min_size=2, max_size=5, unique=True)
+    rows = draw(st.lists(line, max_size=8))
+    label = {pt: i for i, pt in enumerate(sorted({pt for row in rows for pt in row}))}
+    count = len(label) + draw(st.integers(0, 1))
+    return "\n".join([f"points {count}", *(" ".join(str(label[pt]) for pt in row) for row in rows)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(plain_incidence_texts(), mutated_q3_texts()))
+def test_verify_exits_cleanly(text):
+    """Every check on small plain incidences, and on mutated q=3 files,
+    ends with exit code 0, 1 or 2 and no traceback."""
+    result = CliRunner().invoke(main, ["verify", "-", "--checks", ",".join(ALL_CHECKS)],
+                                input=text)
+    assert result.exit_code in (0, 1, 2)
+    assert result.exception is None or isinstance(result.exception, SystemExit)

@@ -71,9 +71,11 @@ class TestCheckPls:
     def test_empty_line_list(self):
         assert check_pls(incidence(5, [])) is None
 
-    def test_duplicate_point_in_line_is_malformed(self):
-        with pytest.raises(MalformedStructureError):
-            check_pls(incidence(3, [(0, 1, 1)]))
+    @pytest.mark.parametrize("check", [check_pls, check_order, check_triangle_free, check_gq,
+                                       counting_bound, brute_force_triangle_check])
+    def test_duplicate_point_in_line_is_malformed(self, check):
+        with pytest.raises(MalformedStructureError, match="^line 0 repeats point 1$"):
+            check(incidence(3, [(0, 1, 1)]))
 
     def test_exhaustive_counts_all_collisions(self):
         g = incidence(4, [(0, 1, 2), (0, 1, 3), (1, 2, 3)])
