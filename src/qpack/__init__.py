@@ -35,7 +35,6 @@ from .verifier import (
     NotTriangleFreeError,
     NotUniformError,
     Witness,
-    brute_force_triangle_check,
     check_disjoint_classes,
     check_gq,
     check_order,

@@ -22,7 +22,7 @@ class OutOfRangeError(ValueError):
 
 
 class AlphaOutOfRangeError(OutOfRangeError):
-    """Exponent analysis needs alpha >= 1."""
+    """Exponent analysis needs a finite alpha >= 1."""
 
 
 class ConditionsFailedError(ValueError):
@@ -62,8 +62,9 @@ class FlaggedBound:
     constant_unspecified: bool = True
 
     def to_json(self) -> dict:
+        """JSON has no infinity, so a value that overflowed is written as null."""
         return {
-            "value": self.value,
+            "value": self.value if math.isfinite(self.value) else None,
             "constant": self.constant,
             "constant_unspecified": self.constant_unspecified,
         }
@@ -180,8 +181,8 @@ def bound_hrs(k: int, r: int, constant: float = 1.0) -> tuple[FlaggedBound, bool
     """C * (r ln r)^3 * (k ln k)^2 with its r < k^2 applicability flag."""
     if k < 2 or r < 2:
         raise OutOfRangeError(f"need k >= 2 and r >= 2, got k={k}, r={r}")
-    if constant <= 0:
-        raise OutOfRangeError(f"constant must be positive, got {constant}")
+    if not 0 < constant < math.inf:
+        raise OutOfRangeError(f"constant must be positive and finite, got {constant}")
     value = constant * (r * math.log(r)) ** 3 * (k * math.log(k)) ** 2
     return FlaggedBound(value=value, constant=constant), r < k * k
 
@@ -189,8 +190,8 @@ def bound_hrs(k: int, r: int, constant: float = 1.0) -> tuple[FlaggedBound, bool
 def bound_bbl(k: int, r: int, constant: float = 1.0) -> FlaggedBound:
     """C * k^5 * r^(5/2)."""
     _require_range(k, r)
-    if constant <= 0:
-        raise OutOfRangeError(f"constant must be positive, got {constant}")
+    if not 0 < constant < math.inf:
+        raise OutOfRangeError(f"constant must be positive and finite, got {constant}")
     return FlaggedBound(value=constant * k**5 * r**2.5, constant=constant)
 
 
@@ -206,8 +207,8 @@ def eq1_range(
         raise OutOfRangeError(f"need k >= 2, got {k}")
     if r <= math.e:
         raise OutOfRangeError(f"need r > e for a meaningful lower form, got r={r}")
-    if lower_constant <= 0 or upper_constant <= 0:
-        raise OutOfRangeError("constants must be positive")
+    if not (0 < lower_constant < math.inf and 0 < upper_constant < math.inf):
+        raise OutOfRangeError("constants must be positive and finite")
     lower = lower_constant * r * r * math.log(r) / math.log(math.log(r))
     log_upper = math.log(upper_constant) + 2 * math.log(r) + 8 * k * k * math.log(math.log(r))
     upper = math.exp(log_upper) if log_upper < 709.0 else math.inf
@@ -252,8 +253,8 @@ def compare(
 def exponent_analysis(alpha: float, orientation: str) -> ExponentReport:
     """Point-count exponents in k and r forced by an order-(q, q^alpha) or
     (q^alpha, q) packing."""
-    if alpha < 1:
-        raise AlphaOutOfRangeError(f"need alpha >= 1, got {alpha}")
+    if not 1 <= alpha < math.inf:
+        raise AlphaOutOfRangeError(f"need a finite alpha >= 1, got {alpha}")
     if orientation == ORIENTATION_HIGH_T:
         k_exp = r_exp = 2.0 + alpha
     elif orientation == ORIENTATION_HIGH_S:

@@ -52,8 +52,14 @@ def _fail_usage(message: str):
     raise SystemExit(2)
 
 
-def _emit(obj: dict):
-    click.echo(json.dumps(obj))
+def _emit(*objs: dict):
+    """Print each object as one JSON line.  JSON has no NaN or infinity, so
+    a non-finite number is a usage error and nothing is printed."""
+    try:
+        text = "\n".join(json.dumps(obj, allow_nan=False) for obj in objs)
+    except ValueError as exc:
+        _fail_usage(f"a result is not a finite number: {exc}")
+    click.echo(text)
 
 
 @click.group()
@@ -222,8 +228,7 @@ def cmd_verify(input_path: str, checks_option: str, exhaustive: bool):
             results.append({"check": check, "scope": "structure", "verdict": "skipped",
                             "reason": "requires a geometry family"})
 
-    for record in results:
-        _emit(record)
+    _emit(*results)
     counted = [r for r in results if r["verdict"] != "skipped"]
     ok = sum(1 for r in counted if r["verdict"] == "ok")
     click.echo(f"verify: {ok}/{len(counted)} checks ok", err=True)
@@ -324,10 +329,10 @@ def cmd_exponent(alpha, orientation, do_scan, alpha_max, alpha_step):
         _fail_usage("provide --alpha or --scan")
     orientations = (orientation,) if orientation else bounds.ORIENTATIONS
     try:
-        for direction in orientations:
-            _emit(bounds.exponent_analysis(alpha, direction).to_json())
+        reports = [bounds.exponent_analysis(alpha, d).to_json() for d in orientations]
     except bounds.AlphaOutOfRangeError as exc:
         _fail_usage(str(exc))
+    _emit(*reports)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ lines remain verifiable.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Any, Optional
 
 from .construction import GeometryFamily, LineClass
@@ -58,31 +59,18 @@ def field_from_json(obj: Any) -> FieldSpec:
     return field
 
 
-def element_to_json(field: FieldSpec, value: int) -> list[int]:
-    return list(field.coeff_table[value])
-
-
 def element_from_json(field: FieldSpec, obj: Any) -> int:
-    """The value of an element given as its coefficient list; every
-    coefficient must be an int (not a bool, float or string) in [0, p)."""
-    if not isinstance(obj, list) or len(obj) != field.n:
+    """The value of an element given as its coefficient list: a list of ints
+    (not bools, floats or strings) that is a row of ``field.coeff_table``."""
+    if not isinstance(obj, list):
         raise GeometryFormatError(f"element must be a list of {field.n} coefficients")
-    p = field.p
-    value = 0
-    for c in reversed(obj):
+    for c in obj:
         if type(c) is not int:
             raise GeometryFormatError(f"bad element coefficients {obj!r}: not all integers")
-        if not 0 <= c < p:
-            raise GeometryFormatError(f"coefficients {obj} not reduced mod {p}")
-        value = value * p + c
-    return value
-
-
-def line_to_json(field: FieldSpec, line: Line) -> dict[str, Any]:
-    return {
-        "slope": [element_to_json(field, c) for c in line.slope],
-        "base": [element_to_json(field, c) for c in line.base],
-    }
+    try:
+        return field.coeff_index[tuple(obj)]
+    except KeyError:
+        raise GeometryFormatError(f"{obj} is not an element of {field!r}") from None
 
 
 def line_from_json(field: FieldSpec, obj: Any) -> Line:
@@ -98,23 +86,6 @@ def line_from_json(field: FieldSpec, obj: Any) -> Line:
     return canonical_line(field, direction, anchor)
 
 
-def family_to_json(
-    family: GeometryFamily, metadata: Optional[dict[str, Any]] = None
-) -> dict[str, Any]:
-    field = family.field
-    out: dict[str, Any] = {
-        "version": FORMAT_VERSION,
-        "field": field_to_json(field),
-        "classes": {
-            str(cls.scale.value): [line_to_json(field, line) for line in cls.lines]
-            for cls in family.classes
-        },
-    }
-    if metadata:
-        out["metadata"] = metadata
-    return out
-
-
 def family_from_json(obj: Any) -> GeometryFamily:
     if not isinstance(obj, dict):
         raise GeometryFormatError("geometry file must be a JSON object")
@@ -125,31 +96,55 @@ def family_from_json(obj: Any) -> GeometryFamily:
     classes_obj = obj.get("classes")
     if not isinstance(classes_obj, dict) or not classes_obj:
         raise GeometryFormatError("geometry file needs a non-empty classes map")
+    scales = {str(s): s for s in range(1, field.q)}
     classes = []
     for key, lines_obj in classes_obj.items():
-        try:
-            scale_value = int(key)
-        except ValueError as exc:
-            raise GeometryFormatError(f"class key {key!r} is not an element value") from exc
-        if key != str(scale_value):
-            raise GeometryFormatError(f"class key {key!r} is not the decimal form of its scale")
-        if not 0 < scale_value < field.q:
-            raise GeometryFormatError(f"class scale {scale_value} outside [1, {field.q})")
+        if key not in scales:
+            raise GeometryFormatError(
+                f"class key {key!r} is not the decimal form of a scale in [1, {field.q})"
+            )
         if not isinstance(lines_obj, list):
             raise GeometryFormatError(f"class {key!r} must map to a list of lines")
-        scale = field.element(scale_value)
+        scale = field.element(scales[key])
         lines = tuple(line_from_json(field, entry) for entry in lines_obj)
         classes.append(LineClass(scale=scale, lines=lines))
     return GeometryFamily(field=field, classes=tuple(classes))
 
 
 def dumps_family(family: GeometryFamily, metadata: Optional[dict[str, Any]] = None) -> str:
-    return json.dumps(family_to_json(family, metadata), separators=(",", ":"))
+    """The geometry JSON text; each element is written as its row of
+    ``field.coeff_table``, which ``json.dumps`` spells as an array."""
+    field = family.field
+    coeffs = field.coeff_table
+    obj: dict[str, Any] = {
+        "version": FORMAT_VERSION,
+        "field": field_to_json(field),
+        "classes": {
+            str(cls.scale.value): [
+                {"slope": [coeffs[c] for c in slope], "base": [coeffs[c] for c in base]}
+                for slope, base in cls.lines
+            ]
+            for cls in family.classes
+        },
+    }
+    if metadata:
+        obj["metadata"] = metadata
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        key = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+        raise GeometryFormatError(f"repeated key {key!r}")
+    return obj
 
 
 def loads_family(text: str) -> GeometryFamily:
+    """Parse geometry JSON; a repeated key in any object is a format error,
+    since ``json.loads`` would silently keep only its last value."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise GeometryFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -188,9 +183,3 @@ def parse_plain_incidence(text: str) -> GenericIncidence:
             raise GeometryFormatError(f"point id outside [0, {num_points}) in row {row!r}")
         lines.append(tuple(sorted(ids)))
     return GenericIncidence(num_points=num_points, lines=tuple(lines))
-
-
-def plain_incidence_to_text(g: GenericIncidence) -> str:
-    rows = [f"points {g.num_points}"]
-    rows.extend(" ".join(str(i) for i in line) for line in g.lines)
-    return "\n".join(rows) + "\n"

@@ -113,15 +113,6 @@ def _poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int],
     return _trim(quot), rem
 
 
-def _poly_value(a: Sequence[int], p: int) -> int:
-    """The element value of a reduced polynomial: its coefficients read as
-    base-p digits, constant term least significant."""
-    value = 0
-    for c in reversed(a):
-        value = value * p + c
-    return value
-
-
 def _is_irreducible(poly: Sequence[int], p: int) -> bool:
     """Trial division by every monic polynomial of degree <= deg/2."""
     deg = len(poly) - 1
@@ -190,19 +181,26 @@ class FieldSpec:
         return tuple(tuple(v // p**i % p for i in range(self.n)) for v in range(self.q))
 
     @cached_property
+    def coeff_index(self) -> dict[tuple[int, ...], int]:
+        """The inverse of :attr:`coeff_table`: each coefficient tuple's value."""
+        return {coeffs: v for v, coeffs in enumerate(self.coeff_table)}
+
+    @cached_property
     def add_table(self) -> tuple[tuple[int, ...], ...]:
-        p, coeffs = self.p, self.coeff_table
+        p, coeffs, index = self.p, self.coeff_table, self.coeff_index
         return tuple(
-            tuple(_poly_value([(x + y) % p for x, y in zip(a, b)], p) for b in coeffs) for a in coeffs
+            tuple(index[tuple((x + y) % p for x, y in zip(a, b))] for b in coeffs) for a in coeffs
         )
 
     @cached_property
     def mul_table(self) -> tuple[tuple[int, ...], ...]:
-        p, coeffs = self.p, self.coeff_table
-        return tuple(
-            tuple(_poly_value(_poly_divmod(_poly_mul(a, b, p), self.modulus, p)[1], p) for b in coeffs)
-            for a in coeffs
-        )
+        p, n, coeffs, index = self.p, self.n, self.coeff_table, self.coeff_index
+
+        def product(a, b):
+            rem = _poly_divmod(_poly_mul(a, b, p), self.modulus, p)[1]
+            return index[tuple(rem) + (0,) * (n - len(rem))]
+
+        return tuple(tuple(product(a, b) for b in coeffs) for a in coeffs)
 
     @cached_property
     def neg_table(self) -> tuple[int, ...]:

@@ -226,7 +226,7 @@ def _order_violations(g: GenericIncidence, degrees: list[int]) -> Iterator[Witne
 # A triangle is three pairwise-distinct lines (l, l1, l2) and points x != y on
 # l, x on l1, y on l2, plus a point z on both l1 and l2 but off l.  On a
 # partial linear space this matches "three lines pairwise meeting in three
-# distinct points"; the fast scan and the brute-force triple scan below decide
+# distinct points"; the fast scan and the tests' brute-force triple scan decide
 # exactly the same predicate, so their verdicts agree on arbitrary input.
 
 def check_triangle_free(g: GenericIncidence, exhaustive: bool = False):
@@ -279,58 +279,6 @@ def _distinct_pair(first: list[int], second: list[int]) -> Optional[tuple[int, i
         for b in second:
             if a != b:
                 return a, b
-    return None
-
-
-def brute_force_triangle_check(g: GenericIncidence, exhaustive: bool = False):
-    """Independent oracle: examine every line triple directly.
-
-    Cubic in the number of lines; intended for small structures and for
-    cross-checking :func:`check_triangle_free`.
-    """
-    return _first_or_all(_brute_force_triangles(g), exhaustive)
-
-
-def _brute_force_triangles(g: GenericIncidence) -> Iterator[Witness]:
-    sets = []
-    for idx, line in enumerate(g.lines):
-        seen: set[int] = set()
-        for pt in line:
-            if pt in seen:
-                raise MalformedStructureError(f"line {idx} repeats point {pt}")
-            seen.add(pt)
-        sets.append(frozenset(seen))
-    count = len(sets)
-    for i in range(count):
-        for j in range(i + 1, count):
-            meet_ij = sets[i] & sets[j]
-            if not meet_ij:
-                continue
-            for k in range(j + 1, count):
-                witness = _triangle_in_triple(sets, (i, j, k), meet_ij)
-                if witness is not None:
-                    yield witness
-
-
-def _triangle_in_triple(sets, triple, meet_ij) -> Optional[Witness]:
-    i, j, k = triple
-    meet_ik = sets[i] & sets[k]
-    meet_jk = sets[j] & sets[k]
-    if not meet_ik or not meet_jk:
-        return None
-    # try each line of the triple as the side holding two corners
-    for base, s1, s2, corners_1, corners_2, apexes in (
-        (i, j, k, meet_ij, meet_ik, meet_jk),
-        (j, i, k, meet_ij, meet_jk, meet_ik),
-        (k, i, j, meet_ik, meet_jk, meet_ij),
-    ):
-        for z in sorted(apexes - sets[base]):
-            for x in sorted(corners_1):
-                for y in sorted(corners_2):
-                    if x != y:
-                        return Witness(
-                            TRIANGLE, {"lines": (base, s1, s2), "points": (x, y, z)}
-                        )
     return None
 
 

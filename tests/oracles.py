@@ -1,0 +1,71 @@
+"""Reference implementations that only the tests use: the brute-force
+triangle oracle, which shares no code with the fast scan it checks, and the
+writer of the plain incidence format."""
+
+from typing import Iterator, Optional
+
+from qpack.verifier import TRIANGLE, GenericIncidence, MalformedStructureError, Witness
+
+
+def _first_or_all(found: Iterator[Witness], exhaustive: bool):
+    if exhaustive:
+        return list(found)
+    return next(found, None)
+
+
+def brute_force_triangle_check(g: GenericIncidence, exhaustive: bool = False):
+    """Independent oracle: examine every line triple directly.
+
+    Cubic in the number of lines; intended for small structures and for
+    cross-checking :func:`check_triangle_free`.
+    """
+    return _first_or_all(_brute_force_triangles(g), exhaustive)
+
+
+def _brute_force_triangles(g: GenericIncidence) -> Iterator[Witness]:
+    sets = []
+    for idx, line in enumerate(g.lines):
+        seen: set[int] = set()
+        for pt in line:
+            if pt in seen:
+                raise MalformedStructureError(f"line {idx} repeats point {pt}")
+            seen.add(pt)
+        sets.append(frozenset(seen))
+    count = len(sets)
+    for i in range(count):
+        for j in range(i + 1, count):
+            meet_ij = sets[i] & sets[j]
+            if not meet_ij:
+                continue
+            for k in range(j + 1, count):
+                witness = _triangle_in_triple(sets, (i, j, k), meet_ij)
+                if witness is not None:
+                    yield witness
+
+
+def _triangle_in_triple(sets, triple, meet_ij) -> Optional[Witness]:
+    i, j, k = triple
+    meet_ik = sets[i] & sets[k]
+    meet_jk = sets[j] & sets[k]
+    if not meet_ik or not meet_jk:
+        return None
+    # try each line of the triple as the side holding two corners
+    for base, s1, s2, corners_1, corners_2, apexes in (
+        (i, j, k, meet_ij, meet_ik, meet_jk),
+        (j, i, k, meet_ij, meet_jk, meet_ik),
+        (k, i, j, meet_ik, meet_jk, meet_ij),
+    ):
+        for z in sorted(apexes - sets[base]):
+            for x in sorted(corners_1):
+                for y in sorted(corners_2):
+                    if x != y:
+                        return Witness(
+                            TRIANGLE, {"lines": (base, s1, s2), "points": (x, y, z)}
+                        )
+    return None
+
+
+def plain_incidence_to_text(g: GenericIncidence) -> str:
+    rows = [f"points {g.num_points}"]
+    rows.extend(" ".join(str(i) for i in line) for line in g.lines)
+    return "\n".join(rows) + "\n"

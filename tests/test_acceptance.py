@@ -13,7 +13,6 @@ import pytest
 
 from qpack import (
     OrderParams,
-    brute_force_triangle_check,
     build_family,
     check_disjoint_classes,
     check_gq,
@@ -34,6 +33,8 @@ from qpack import (
 from qpack.bounds import ORIENTATIONS, bound_main
 from qpack.verifier import GenericIncidence
 from qpack.formats import dumps_family, loads_family
+
+from oracles import brute_force_triangle_check
 
 MAIN_ORDERS = (3, 4, 5, 7, 8, 9, 11)
 LARGE_ORDER = 13

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from qpack import cli
 from qpack.cli import main
-from qpack.formats import family_to_json, line_to_json, loads_family
+from qpack.formats import loads_family
 from qpack.geometry import canonical_line
 
 from geometry_helpers import intersect, line_points
@@ -23,8 +23,14 @@ def run(runner, *args, **kwargs):
     return runner.invoke(main, list(args), catch_exceptions=False, **kwargs)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def json_lines(output):
-    return [json.loads(row) for row in output.splitlines() if row.strip()]
+    """Parse stdout strictly: NaN and Infinity are not JSON."""
+    return [json.loads(row, parse_constant=_reject_constant)
+            for row in output.splitlines() if row.strip()]
 
 
 def assert_usage_error(result):
@@ -117,8 +123,10 @@ class TestVerify:
         y = next(p for p in line_points(field, l2) if p != shared)
         neg = field.neg_table
         extra = canonical_line(field, [field.add_table[b][neg[a]] for a, b in zip(x, y)], x)
-        obj = family_to_json(family)
-        obj["classes"]["1"].append(line_to_json(field, extra))
+        obj = json.loads(geo5.read_text())
+        coeffs = field.coeff_table
+        obj["classes"]["1"].append({"slope": [list(coeffs[c]) for c in extra.slope],
+                                    "base": [list(coeffs[c]) for c in extra.base]})
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
         result = run(runner, "verify", str(bad), "--checks", "triangle")
@@ -164,6 +172,15 @@ class TestVerify:
         result = run(runner, "verify", str(path))
         assert result.exit_code == 2
         assert "error:" in result.stderr and not result.stdout
+
+    def test_repeated_class_key_exits_2(self, runner, tmp_path, geo5):
+        # json.loads alone would keep only the second list, which verifies
+        text = geo5.read_text()
+        path = tmp_path / "repeated.json"
+        path.write_text(text.replace('"2":', '"1":', 1))
+        result = run(runner, "verify", str(path))
+        assert_usage_error(result)
+        assert "repeated key '1'" in result.stderr
 
     def test_non_canonical_class_key_exits_2(self, runner, tmp_path, geo5):
         obj = json.loads(geo5.read_text())
@@ -276,6 +293,22 @@ class TestBound:
         report = json_lines(run(runner, "bound", "--k", "2", "--r", "5").stdout)[0]
         assert report["hrs_applicable"] is False
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("option", ["--hrs-constant", "--bbl-constant",
+                                        "--eq1-lower-constant", "--eq1-upper-constant"])
+    def test_non_finite_constant_exits_2(self, runner, option, value):
+        result = run(runner, "bound", "--k", "2", "--r", "3", option, value)
+        assert_usage_error(result)
+        assert "finite" in result.stderr
+
+    def test_overflowing_bound_prints_null(self, runner):
+        result = run(runner, "bound", "--k", "12", "--r", "12")
+        assert result.exit_code == 0
+        report = json_lines(result.stdout)[0]
+        assert report["q"] == 1433
+        assert report["eq1_upper"]["value"] is None
+        assert report["eq1_lower"]["value"] > 0
+
     def test_constants_flow_through(self, runner):
         base = json_lines(run(runner, "bound", "--k", "2", "--r", "3").stdout)[0]
         scaled = json_lines(
@@ -332,6 +365,17 @@ class TestExponent:
 
     def test_alpha_below_one_exits_2(self, runner):
         assert run(runner, "exponent", "--alpha", "0.5").exit_code == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_alpha_exits_2(self, runner, value):
+        result = run(runner, "exponent", "--alpha", value)
+        assert_usage_error(result)
+        assert "finite alpha" in result.stderr
+
+    def test_overflowing_exponent_exits_2(self, runner):
+        result = run(runner, "exponent", "--alpha", "1e308", "--orientation", "high-s")
+        assert_usage_error(result)
+        assert "not a finite number" in result.stderr
 
     def test_scan_mode(self, runner):
         result = run(runner, "exponent", "--scan", "--alpha-max", "3")

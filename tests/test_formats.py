@@ -1,27 +1,31 @@
 """Geometry JSON and plain incidence formats: round trips and strictness."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
 
-from qpack import GenericIncidence, build_family, make_field
+from qpack import GenericIncidence, build_class, build_family, make_field
 from qpack.formats import (
     MAX_FIELD_ORDER,
     GeometryFormatError,
     dumps_family,
     element_from_json,
-    element_to_json,
     family_from_json,
-    family_to_json,
     field_from_json,
     field_to_json,
     line_from_json,
-    line_to_json,
     loads_family,
     parse_plain_incidence,
-    plain_incidence_to_text,
 )
+
+from oracles import plain_incidence_to_text
+
+
+def document(field, count=None):
+    """The geometry JSON of a family as parsed JSON values, ready to mutate."""
+    return json.loads(dumps_family(build_family(field, count)))
 
 
 class TestFieldJson:
@@ -34,43 +38,65 @@ class TestFieldJson:
         assert field_to_json(f9) == {"p": 3, "n": 2, "modulus": [1, 0, 1]}
 
     def test_rejects_non_canonical_modulus(self):
-        with pytest.raises(GeometryFormatError):
+        with pytest.raises(GeometryFormatError, match="non-canonical modulus"):
             field_from_json({"p": 3, "n": 2, "modulus": [2, 1, 1]})
 
     def test_rejects_non_prime_power(self):
-        with pytest.raises(GeometryFormatError):
+        with pytest.raises(GeometryFormatError, match="at least two distinct prime factors"):
+            field_from_json({"p": 6, "n": 1, "modulus": [0, 1]})
+        # order 4 is a prime power, but not with p = 4: the modulus cannot match
+        with pytest.raises(GeometryFormatError, match="non-canonical modulus"):
             field_from_json({"p": 4, "n": 1, "modulus": [0, 1]})
 
     def test_rejects_missing_keys(self):
-        with pytest.raises(GeometryFormatError):
+        with pytest.raises(GeometryFormatError, match="bad field spec"):
             field_from_json({"p": 3})
 
 
 class TestElementJson:
     def test_roundtrip(self, f9):
         for v in range(9):
-            assert element_from_json(f9, element_to_json(f9, v)) == v
+            assert element_from_json(f9, list(f9.coeff_table[v])) == v
 
     def test_rejects_unreduced(self, f9):
-        with pytest.raises(GeometryFormatError):
+        with pytest.raises(GeometryFormatError, match=r"^\[3, 0\] is not an element of GF\(9\)"):
             element_from_json(f9, [3, 0])
 
     def test_rejects_wrong_length(self, f9):
-        with pytest.raises(GeometryFormatError):
+        with pytest.raises(GeometryFormatError, match=r"^\[1\] is not an element of GF\(9\)"):
             element_from_json(f9, [1])
 
     @pytest.mark.parametrize("coeffs", [[1.9, 0], [1.0, 0], ["1", 0], [True, 0], [None, 0]])
     def test_rejects_non_integer_coefficients(self, f9, coeffs):
-        with pytest.raises(GeometryFormatError):
+        with pytest.raises(GeometryFormatError, match="not all integers"):
             element_from_json(f9, coeffs)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+    def test_exhaustive_decode(self, q):
+        """Every short list over [-1, p], and lists with one non-int slot,
+        against the base-p digit value of a reduced coefficient list."""
+        field = make_field(q)
+        p, n = field.p, field.n
+        inputs = [list(c) for size in range(n + 2)
+                  for c in itertools.product(range(-1, p + 1), repeat=size)]
+        inputs += [[0] * slot + [bad] + [0] * (size - slot - 1)
+                   for bad in (True, 1.0, "1") for size in range(1, n + 2) for slot in range(size)]
+        for coeffs in inputs:
+            ints = all(type(c) is int for c in coeffs)
+            if ints and len(coeffs) == n and all(0 <= c < p for c in coeffs):
+                value = sum(c * p**i for i, c in enumerate(coeffs))
+                assert element_from_json(field, coeffs) == value
+            else:
+                message = "is not an element" if ints else "not all integers"
+                with pytest.raises(GeometryFormatError, match=message):
+                    element_from_json(field, coeffs)
 
 
 class TestLineJson:
     def test_roundtrip(self, f5):
-        from qpack import build_class
-
-        for line in build_class(f5, f5.element(1)).lines[:20]:
-            assert line_from_json(f5, line_to_json(f5, line)) == line
+        lines_obj = document(f5, count=1)["classes"]["1"]
+        for line, entry in zip(build_class(f5, f5.element(1)).lines[:20], lines_obj):
+            assert line_from_json(f5, entry) == line
 
     def test_non_canonical_input_is_recanonicalized(self, f3):
         # slope (0, 2, 1) scales to (0, 1, 2); anchor (0, 2, 1) is on the
@@ -81,7 +107,7 @@ class TestLineJson:
         assert line.base == (0, 0, 0)
 
     def test_zero_slope_rejected(self, f3):
-        with pytest.raises(GeometryFormatError):
+        with pytest.raises(GeometryFormatError, match="zero vector"):
             line_from_json(f3, {"slope": [[0], [0], [0]], "base": [[0], [0], [0]]})
 
 
@@ -103,27 +129,27 @@ class TestFamilyJson:
         assert json.loads(text)["metadata"]["q"] == 3
 
     def test_class_keys_are_scale_values(self, f4):
-        obj = family_to_json(build_family(f4))
-        assert list(obj["classes"]) == ["1", "2", "3"]
+        assert list(document(f4)["classes"]) == ["1", "2", "3"]
 
     def test_rejects_zero_scale_key(self, f3):
-        obj = family_to_json(build_family(f3))
+        obj = document(f3)
         obj["classes"]["0"] = obj["classes"].pop("1")
-        with pytest.raises(GeometryFormatError):
+        message = r"^class key '0' is not the decimal form of a scale in \[1, 3\)$"
+        with pytest.raises(GeometryFormatError, match=message):
             family_from_json(obj)
 
     @pytest.mark.parametrize("key", ["01", "+1", " 1", "0_1"])
     def test_rejects_non_canonical_scale_key(self, f3, key):
-        obj = family_to_json(build_family(f3, count=1))
+        obj = document(f3, count=1)
         obj["classes"][key] = obj["classes"]["1"]
-        with pytest.raises(GeometryFormatError):
+        with pytest.raises(GeometryFormatError, match="is not the decimal form of a scale"):
             family_from_json(obj)
 
     @pytest.mark.parametrize("coeff", [1.9, "1", True])
     def test_rejects_non_integer_coefficient_in_file(self, f3, coeff):
-        obj = family_to_json(build_family(f3))
+        obj = document(f3)
         obj["classes"]["1"][0]["base"][1] = [coeff]
-        with pytest.raises(GeometryFormatError):
+        with pytest.raises(GeometryFormatError, match="not all integers"):
             loads_family(json.dumps(obj))
 
     @pytest.mark.parametrize("field", [
@@ -132,29 +158,41 @@ class TestFamilyJson:
         {"p": 3, "n": 1, "modulus": [0.0, 1]},
     ])
     def test_rejects_non_integer_field_spec(self, f3, field):
-        obj = family_to_json(build_family(f3))
+        obj = document(f3)
         obj["field"] = field
-        with pytest.raises(GeometryFormatError):
+        with pytest.raises(GeometryFormatError, match="field spec values must be integers"):
             family_from_json(obj)
 
     @pytest.mark.parametrize("version", [99, True, 1.0, "1"])
     def test_rejects_bad_version(self, f3, version):
-        obj = family_to_json(build_family(f3))
+        obj = document(f3)
         obj["version"] = version
-        with pytest.raises(GeometryFormatError):
+        with pytest.raises(GeometryFormatError, match="unsupported format version"):
             family_from_json(obj)
 
     def test_rejects_empty_classes(self, f3):
-        obj = family_to_json(build_family(f3))
+        obj = document(f3)
         obj["classes"] = {}
-        with pytest.raises(GeometryFormatError):
+        with pytest.raises(GeometryFormatError, match="non-empty classes map"):
             family_from_json(obj)
 
     def test_rejects_garbage(self):
-        with pytest.raises(GeometryFormatError):
+        with pytest.raises(GeometryFormatError, match="not valid JSON"):
             loads_family("not json at all")
-        with pytest.raises(GeometryFormatError):
+        with pytest.raises(GeometryFormatError, match="must be a JSON object"):
             loads_family("[1, 2, 3]")
+
+    @pytest.mark.parametrize("key, old, new", [
+        # the second class list would silently replace the first
+        ("1", '"2":', '"1":'),
+        ("slope", '{"slope":', '{"slope":[[0],[0],[1]],"slope":'),
+        ("field", '"field":', '"field":{"p":5,"n":1,"modulus":[0,1]},"field":'),
+    ], ids=["class", "slope", "field"])
+    def test_rejects_repeated_key(self, f3, key, old, new):
+        text = dumps_family(build_family(f3))
+        assert old in text
+        with pytest.raises(GeometryFormatError, match=f"^repeated key '{key}'$"):
+            loads_family(text.replace(old, new, 1))
 
     def test_rejects_deep_nesting(self):
         with pytest.raises(GeometryFormatError, match="nested"):
@@ -193,23 +231,22 @@ class TestPlainIncidence:
         g = parse_plain_incidence("\npoints 3\n\n0 1\n\n1 2\n")
         assert len(g.lines) == 2
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "vertices 3\n0 1\n",
-            "points x\n0 1\n",
-            "points 3\n0 7\n",
-            "points 3\n0 one\n",
-            "points -1\n",
-        ],
-    )
+    MALFORMED = {
+        "": "empty incidence input",
+        "vertices 3\n0 1\n": "expected 'points N' header",
+        "points x\n0 1\n": "bad point count 'x'",
+        "points 3\n0 7\n": r"point id outside \[0, 3\)",
+        "points 3\n0 one\n": "bad point id in row",
+        "points -1\n": "point count -1 outside",
+    }
+
+    @pytest.mark.parametrize("text", list(MALFORMED))
     def test_rejects_malformed(self, text):
-        with pytest.raises(GeometryFormatError):
+        with pytest.raises(GeometryFormatError, match=self.MALFORMED[text]):
             parse_plain_incidence(text)
 
     def test_point_count_limit(self):
         limit = MAX_FIELD_ORDER**3
         assert parse_plain_incidence(f"points {limit}\n0 {limit - 1}\n").num_points == limit
-        with pytest.raises(GeometryFormatError):
+        with pytest.raises(GeometryFormatError, match=f"point count {limit + 1} outside"):
             parse_plain_incidence(f"points {limit + 1}\n0 1\n")

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from qpack import (
     GenericIncidence,
-    brute_force_triangle_check,
     build_family,
     check_gq,
     check_pls,
@@ -29,6 +28,8 @@ from qpack.formats import (
     loads_family,
     parse_plain_incidence,
 )
+
+from oracles import brute_force_triangle_check
 
 
 @st.composite

@@ -17,7 +17,6 @@ from qpack import (
     NotUniformError,
     OrderParams,
     Witness,
-    brute_force_triangle_check,
     build_class,
     build_family,
     check_disjoint_classes,
@@ -33,6 +32,8 @@ from qpack import (
     revalidate,
     union_incidence,
 )
+
+from oracles import brute_force_triangle_check
 
 
 def incidence(num_points, lines):
