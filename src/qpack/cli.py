@@ -18,6 +18,7 @@ import click
 from . import __version__, bounds, verifier
 from .construction import build_family
 from .formats import (
+    MAX_FIELD_ORDER,
     GeometryFormatError,
     dumps_family,
     loads_family,
@@ -73,14 +74,15 @@ def main():
 # ---------------------------------------------------------------------------
 
 @main.command("construct")
-@click.option("--q", "order", type=int, required=True, help="Field order (prime power >= 3).")
+@click.option("--q", "order", type=int, required=True,
+              help=f"Field order (prime power in [3, {MAX_FIELD_ORDER}]).")
 @click.option("--count", type=int, default=None, help="Number of classes (default q-1).")
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
               help="Output file; omit to write the geometry JSON to stdout.")
 def cmd_construct(order: int, count: Optional[int], out: Optional[str]):
     """Build the full line-class family over GF(q) and write a geometry file."""
-    if order < 3:
-        _fail_usage(f"q must be >= 3, got {order}")
+    if not 3 <= order <= MAX_FIELD_ORDER:
+        _fail_usage(f"q must be in [3, {MAX_FIELD_ORDER}], got {order}")
     try:
         field = make_field(order)
     except NotPrimePowerError:
@@ -291,6 +293,10 @@ def cmd_scan(k_range: str, r_range: str, out: Optional[str]):
     rs = _parse_range(r_range, "r")
     if ks.start < 2 or rs.start < 3:
         _fail_usage(f"supported domain is k >= 2 and r >= 3, got k={k_range} r={r_range}")
+    # by arithmetic: len() of a range longer than sys.maxsize raises OverflowError
+    cells = (ks.stop - ks.start) * (rs.stop - rs.start)
+    if cells > MAX_SCAN_GRID:
+        _fail_usage(f"scan grid of {cells} cells is above the limit of {MAX_SCAN_GRID}")
     rows = [bounds.CSV_HEADER]
     for k in ks:
         for r in rs:

@@ -52,6 +52,10 @@ def field_from_json(obj: Any) -> FieldSpec:
         field = make_field(p**n)
     except NotPrimePowerError as exc:
         raise GeometryFormatError(str(exc)) from exc
+    if (field.p, field.n) != (p, n):
+        raise GeometryFormatError(
+            f"declared p={p}, n={n} do not match GF({p**n}), which has p={field.p}, n={field.n}"
+        )
     if list(field.modulus) != modulus:
         raise GeometryFormatError(
             f"non-canonical modulus {modulus} for GF({p**n}); expected {list(field.modulus)}"

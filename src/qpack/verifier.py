@@ -70,7 +70,7 @@ class GenericIncidence:
 
     The checks share one incidence index, built on first use and cached:
     ``masks``, ``neighbours`` and ``through``.  Callers read it and never
-    mutate it.
+    mutate it.  Per-point tables are as long as the widest line mask.
     """
 
     num_points: int
@@ -113,9 +113,9 @@ class GenericIncidence:
 
     @cached_property
     def neighbours(self) -> list[int]:
-        """Per point, the mask of the points collinear with it, itself
-        excluded; 0 for a point on no line."""
-        nbr = [0] * self.num_points
+        """Per point up to the widest line mask, the mask of the points
+        collinear with it, itself excluded; 0 for a point on no line."""
+        nbr = [0] * max((mask.bit_length() for mask in self.masks), default=0)
         for mask, line in zip(self.masks, self.lines):
             for pt in line:
                 nbr[pt] |= mask
@@ -163,7 +163,7 @@ def check_pls(g: GenericIncidence, exhaustive: bool = False):
 
 def _pls_violations(g: GenericIncidence) -> Iterator[Witness]:
     masks, nbr = g.masks, g.neighbours
-    others = [0] * g.num_points
+    others = [0] * len(nbr)
     for line in g.lines:
         for pt in line:
             others[pt] += len(line) - 1
@@ -195,9 +195,10 @@ def check_order(g: GenericIncidence, exhaustive: bool = False):
         if len(line) < 2:
             raise MalformedStructureError(f"line {idx} has fewer than 2 points")
     through = g.through
-    degrees = [len(through.get(pt, ())) for pt in range(g.num_points)]
-    if 0 in degrees:
-        raise MalformedStructureError(f"point {degrees.index(0)} lies on no line")
+    if len(through) < g.num_points:
+        pt = next(pt for pt in range(g.num_points) if pt not in through)
+        raise MalformedStructureError(f"point {pt} lies on no line")
+    degrees = [len(through[pt]) for pt in range(g.num_points)]
     found = _first_or_all(_order_violations(g, degrees), exhaustive)
     return found or OrderParams(s_order=len(g.lines[0]) - 1, t_order=degrees[0] - 1)
 
@@ -339,7 +340,7 @@ def _gq_violations(g: GenericIncidence) -> Iterator[Witness]:
     masks, nbr = g.masks, g.neighbours
     for x in range(g.num_points):
         xbit = 1 << x
-        reach = nbr[x]
+        reach = nbr[x] if x < len(nbr) else 0
         for idx, mask in enumerate(masks):
             if mask & xbit:
                 continue

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from qpack import cli
 from qpack.cli import main
-from qpack.formats import loads_family
+from qpack.formats import loads_family, parse_plain_incidence
 from qpack.geometry import canonical_line
 
 from geometry_helpers import intersect, line_points
@@ -67,6 +67,13 @@ class TestConstruct:
 
     def test_q_too_small_exits_2(self, runner):
         assert run(runner, "construct", "--q", "2").exit_code == 2
+
+    def test_q_over_field_limit_exits_2(self, runner):
+        """A field that a geometry file may not declare is refused before
+        any field table or line is built."""
+        result = run(runner, "construct", "--q", "257", "--count", "1")
+        assert_usage_error(result)
+        assert "256" in result.stderr
 
     def test_count_option(self, runner, tmp_path):
         path = tmp_path / "g9.json"
@@ -241,6 +248,27 @@ class TestVerify:
         assert [r["verdict"] for r in json_lines(result.stdout)] == ["ok", "ok"]
         assert time.perf_counter() - start < 10
 
+    def test_declared_point_count_does_not_size_the_index(self, runner):
+        """At the point-count cap with one line, the per-point tables end at
+        the widest line mask, and the records are those of the dense index."""
+        text = "points 16777216\n0 1\n"
+        result = run(runner, "verify", "-", input=text)
+        assert result.exit_code == 2
+        records = [{k: v for k, v in r.items() if k != "elapsed"}
+                   for r in json_lines(result.stdout)]
+        skipped = {"scope": "structure", "verdict": "skipped",
+                   "reason": "requires a geometry family"}
+        assert records == [
+            {"check": "pls", "scope": "structure", "verdict": "ok"},
+            {"check": "order", "scope": "structure", "verdict": "malformed",
+             "reason": "point 2 lies on no line"},
+            {"check": "triangle", "scope": "structure", "verdict": "ok"},
+            {"check": "disjoint", **skipped},
+            {"check": "union", **skipped},
+        ]
+        g = parse_plain_incidence(text)
+        assert len(g.neighbours) == 2
+
     def test_missing_file_exits_2(self, runner):
         assert run(runner, "verify", "no-such-file.json").exit_code == 2
 
@@ -348,6 +376,18 @@ class TestScan:
     @pytest.mark.parametrize("bad", ["4..2", "x..3", "1..3"])
     def test_bad_ranges_exit_2(self, runner, bad):
         assert run(runner, "scan", "--k", bad, "--r", "3..4").exit_code == 2
+
+    def test_grid_over_limit_exits_2(self, runner):
+        """A grid too long for len() is refused before any cell is computed."""
+        result = run(runner, "scan", "--k", "2..1000000000000000000000", "--r", "3..4")
+        assert_usage_error(result)
+        assert str(cli.MAX_SCAN_GRID) in result.stderr
+
+    def test_grid_limit_is_inclusive(self, runner, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SCAN_GRID", 9)
+        result = run(runner, "scan", "--k", "2..4", "--r", "3..5")
+        assert len(result.stdout.strip().splitlines()) == 10  # header + 9 cells
+        assert_usage_error(run(runner, "scan", "--k", "2..4", "--r", "3..6"))
 
 
 class TestExponent:

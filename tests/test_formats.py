@@ -44,9 +44,12 @@ class TestFieldJson:
     def test_rejects_non_prime_power(self):
         with pytest.raises(GeometryFormatError, match="at least two distinct prime factors"):
             field_from_json({"p": 6, "n": 1, "modulus": [0, 1]})
-        # order 4 is a prime power, but not with p = 4: the modulus cannot match
-        with pytest.raises(GeometryFormatError, match="non-canonical modulus"):
-            field_from_json({"p": 4, "n": 1, "modulus": [0, 1]})
+        # order 4 is a prime power, but not with p = 4, whatever the modulus;
+        # [1, 1, 1] is the modulus of GF(4) = GF(2^2)
+        for modulus in ([0, 1], [1, 1, 1]):
+            with pytest.raises(GeometryFormatError,
+                               match=r"^declared p=4, n=1 do not match GF\(4\), which has p=2, n=2$"):
+                field_from_json({"p": 4, "n": 1, "modulus": modulus})
 
     def test_rejects_missing_keys(self):
         with pytest.raises(GeometryFormatError, match="bad field spec"):

@@ -1,9 +1,11 @@
 """Property tests: the pls, triangle and gq checks against independent
 oracles on random small incidences, including repeated lines and structures
 that are not partial linear spaces, with the pls witnesses in the reference
-pair scan's order; both parsers on random and mutated input, which must
-either parse or raise :class:`GeometryFormatError`; and ``qpack verify`` on
-such input, which must exit 0, 1 or 2 without a traceback."""
+pair scan's order; the neighbour table against ``neighbourhood`` on
+structures that declare points past their lines; both parsers on random and
+mutated input, which must either parse or raise :class:`GeometryFormatError`;
+and ``qpack verify`` on such input, which must exit 0, 1 or 2 without a
+traceback."""
 
 import json
 from itertools import combinations
@@ -19,6 +21,7 @@ from qpack import (
     check_pls,
     check_triangle_free,
     make_field,
+    neighbourhood,
     revalidate,
 )
 from qpack.cli import ALL_CHECKS, main
@@ -93,6 +96,28 @@ def test_triangle_matches_brute_force(g):
     if first is not None:
         assert first == every[0]
     assert all(revalidate(g, w) for w in [first, *every] if w is not None)
+
+
+@st.composite
+def declared_beyond_lines(draw) -> GenericIncidence:
+    """Lines over points 0..11, with a point count 0 to 50 above the
+    largest point a line names."""
+    line = st.lists(st.integers(0, 11), min_size=2, max_size=5, unique=True)
+    lines = draw(st.lists(line, min_size=1, max_size=8))
+    widest = max(pt for ln in lines for pt in ln)
+    return GenericIncidence.from_lines(widest + 1 + draw(st.integers(0, 50)), lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(declared_beyond_lines())
+def test_neighbours_end_at_the_widest_mask(g):
+    """Every point's neighbour mask (0 past the end of the table) holds
+    exactly its neighbourhood, and the table ends at the widest line mask."""
+    nbr = g.neighbours
+    assert len(nbr) == max(line[-1] for line in g.lines) + 1
+    for x in range(g.num_points):
+        mask = nbr[x] if x < len(nbr) else 0
+        assert {b for b in range(mask.bit_length()) if mask >> b & 1} == neighbourhood(g, x)
 
 
 def gq_oracle(g: GenericIncidence) -> list[tuple[int, int, int]]:
