@@ -11,7 +11,8 @@ is unspecified in the literature are computed at a caller-supplied placeholder
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, NamedTuple, Optional
 
 from .gf import next_prime_geq
@@ -32,6 +33,8 @@ class ConditionsFailedError(ValueError):
 ORIENTATION_HIGH_T = "high-t"  # order (q, q^alpha): more lines per point
 ORIENTATION_HIGH_S = "high-s"  # order (q^alpha, q): more points per line
 ORIENTATIONS = (ORIENTATION_HIGH_T, ORIENTATION_HIGH_S)
+# below 2**53, so ceil(threshold) is exact; trial division takes seconds here
+MAX_THRESHOLD = 10**15
 
 
 class LemmaConditions(NamedTuple):
@@ -63,22 +66,18 @@ class FlaggedBound:
 
     def to_json(self) -> dict:
         """JSON has no infinity, so a value that overflowed is written as null."""
-        return {
-            "value": self.value if math.isfinite(self.value) else None,
-            "constant": self.constant,
-            "constant_unspecified": self.constant_unspecified,
-        }
+        return dict(asdict(self), value=self.value if math.isfinite(self.value) else None)
 
 
 @dataclass(frozen=True)
 class BoundReport:
     """Every bound at one (k, r), plus the hypothesis verdicts and the winner
-    among the fully specified bounds."""
+    among the fully specified bounds.  Each field name is its JSON key."""
 
     k: int
     r: int
     threshold: float
-    q_found: int
+    q: int
     bound_main: int
     cap_main: float
     bound_fglps: int
@@ -91,22 +90,14 @@ class BoundReport:
     winner: str
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "r": self.r,
-            "threshold": self.threshold,
-            "q": self.q_found,
-            "bound_main": self.bound_main,
-            "cap_main": self.cap_main,
-            "bound_fglps": self.bound_fglps,
-            "bound_hrs": self.bound_hrs.to_json(),
-            "hrs_applicable": self.hrs_applicable,
-            "bound_bbl": self.bound_bbl.to_json(),
-            "eq1_lower": self.eq1_lower.to_json(),
-            "eq1_upper": self.eq1_upper.to_json(),
-            "conditions_ok": list(self.conditions_ok),
-            "winner": self.winner,
-        }
+        """A flagged bound as its own record, the lemma verdicts as a list."""
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+
+
+def _json_value(value):
+    if type(value) is FlaggedBound:
+        return value.to_json()
+    return list(value) if type(value) is LemmaConditions else value
 
 
 @dataclass(frozen=True)
@@ -121,13 +112,7 @@ class ExponentReport:
     total_degree: float
 
     def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "orientation": self.orientation,
-            "k_exponent": self.k_exponent,
-            "r_exponent": self.r_exponent,
-            "total_degree": self.total_degree,
-        }
+        return asdict(self)
 
 
 def _require_range(k: int, r: int):
@@ -136,9 +121,15 @@ def _require_range(k: int, r: int):
 
 
 def threshold(k: int, r: int) -> float:
-    """The prime search floor 4*k*r*ln(k)."""
+    """The prime search floor 4*k*r*ln(k), at most :data:`MAX_THRESHOLD`."""
     _require_range(k, r)
-    return 4.0 * k * r * math.log(k)
+    # either of k, r above the limit puts the floor above it: compared as
+    # integers, a huge one never reaches float()
+    floor = 4.0 * k * r * math.log(k) if k <= MAX_THRESHOLD and r <= MAX_THRESHOLD else math.inf
+    if floor > MAX_THRESHOLD:
+        raise OutOfRangeError(f"threshold 4*k*r*ln(k) at k={k}, r={r} is above the limit "
+                              f"of {MAX_THRESHOLD}")
+    return floor
 
 
 def find_q(k: int, r: int) -> int:
@@ -236,7 +227,7 @@ def compare(
         k=k,
         r=r,
         threshold=threshold(k, r),
-        q_found=main.q,
+        q=main.q,
         bound_main=main.value,
         cap_main=main.cap,
         bound_fglps=fglps,
@@ -288,24 +279,18 @@ def min_total_degree(grid: Iterable[float]) -> tuple[float, float]:
     return best
 
 
-CSV_HEADER = "k,r,threshold,q,bound_main,cap_main,bound_fglps,bound_hrs,hrs_applicable,bound_bbl,winner"
+CSV_COLUMNS = ("k", "r", "threshold", "q", "bound_main", "cap_main", "bound_fglps",
+               "bound_hrs", "hrs_applicable", "bound_bbl", "winner")
+CSV_HEADER = ",".join(CSV_COLUMNS)
+_csv_values = operator.attrgetter(*CSV_COLUMNS)
 
 
 def csv_row(report: BoundReport) -> str:
-    """One grid-scan row in the fixed schema of :data:`CSV_HEADER`."""
-    return ",".join(
-        str(v)
-        for v in (
-            report.k,
-            report.r,
-            report.threshold,
-            report.q_found,
-            report.bound_main,
-            report.cap_main,
-            report.bound_fglps,
-            report.bound_hrs.value,
-            "true" if report.hrs_applicable else "false",
-            report.bound_bbl.value,
-            report.winner,
-        )
-    )
+    """The :data:`CSV_COLUMNS` attributes of ``report``: a flagged bound as its
+    value, a bool as true/false."""
+    return ",".join([
+        str(v.value) if type(v) is FlaggedBound
+        else ("true" if v else "false") if type(v) is bool
+        else str(v)
+        for v in _csv_values(report)
+    ])

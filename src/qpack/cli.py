@@ -107,8 +107,7 @@ def cmd_construct(order: int, count: Optional[int], out: Optional[str]):
         click.echo(text)
         click.echo(f"construct: {json.dumps(summary)}", err=True)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        _write_output(out, text + "\n")
         summary["out"] = out
         _emit(summary)
         click.echo(
@@ -135,6 +134,15 @@ def _read_input(path: str) -> str:
         _fail_usage(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
         _fail_usage(f"{'stdin' if path == '-' else path} is not UTF-8 text: {exc}")
+
+
+def _write_output(path: str, text: str):
+    """Write ``text`` to the file ``path``; a failure to write is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        _fail_usage(f"cannot write {path}: {exc}")
 
 
 def _witness_json(witness) -> dict:
@@ -297,6 +305,10 @@ def cmd_scan(k_range: str, r_range: str, out: Optional[str]):
     cells = (ks.stop - ks.start) * (rs.stop - rs.start)
     if cells > MAX_SCAN_GRID:
         _fail_usage(f"scan grid of {cells} cells is above the limit of {MAX_SCAN_GRID}")
+    try:  # the threshold grows in k and r, so the last cell has the largest
+        bounds.threshold(ks.stop - 1, rs.stop - 1)
+    except bounds.OutOfRangeError as exc:
+        _fail_usage(str(exc))
     rows = [bounds.CSV_HEADER]
     for k in ks:
         for r in rs:
@@ -305,8 +317,7 @@ def cmd_scan(k_range: str, r_range: str, out: Optional[str]):
     if out is None:
         click.echo(text, nl=False)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_output(out, text)
         click.echo(f"scan: wrote {len(rows) - 1} rows to {out}", err=True)
 
 
@@ -324,9 +335,11 @@ def cmd_exponent(alpha, orientation, do_scan, alpha_max, alpha_step):
         if not (math.isfinite(alpha_max) and math.isfinite(alpha_step)
                 and alpha_max >= 1 and alpha_step > 0):
             _fail_usage("scan needs a finite --alpha-max >= 1 and a finite --alpha-step > 0")
-        size = math.floor((alpha_max - 1 + 1e-12) / alpha_step) + 1
-        if size > MAX_SCAN_GRID:
-            _fail_usage(f"scan grid of {size} points is above the limit of {MAX_SCAN_GRID}")
+        steps = (alpha_max - 1 + 1e-12) / alpha_step  # inf when the grid overflows a float
+        if steps >= MAX_SCAN_GRID:
+            _fail_usage(f"scan grid from 1 to {alpha_max} in steps of {alpha_step} is above "
+                        f"the limit of {MAX_SCAN_GRID} points")
+        size = math.floor(steps) + 1
         grid = [round(1 + i * alpha_step, 12) for i in range(size)]
         best_alpha, best_degree = bounds.min_total_degree(grid)
         _emit({"alpha": best_alpha, "total_degree": best_degree, "grid_size": len(grid)})

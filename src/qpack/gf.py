@@ -26,7 +26,9 @@ class NotPrimePowerError(ValueError):
 # ---------------------------------------------------------------------------
 
 def is_prime(m: int) -> bool:
-    """Deterministic trial division; every order in scope fits in 64 bits."""
+    """Deterministic trial division, O(sqrt(m)): quick for field orders; a
+    prime near ``bounds.MAX_THRESHOLD`` = 10^15, the largest floor the bound's
+    prime search accepts, takes seconds."""
     if m < 2:
         return False
     if m < 4:

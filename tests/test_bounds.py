@@ -5,6 +5,7 @@ formula (and, for primes, by an independent trial-division scan).
 """
 
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -23,7 +24,8 @@ from qpack import (
     min_total_degree,
     threshold,
 )
-from qpack.bounds import CSV_HEADER, ORIENTATIONS, csv_row
+from qpack import bounds
+from qpack.bounds import CSV_COLUMNS, CSV_HEADER, MAX_THRESHOLD, ORIENTATIONS, BoundReport, csv_row
 
 GRID = [(k, r) for k in range(2, 13) for r in range(3, 13)]
 
@@ -37,6 +39,26 @@ class TestThreshold:
     def test_out_of_range(self, k, r):
         with pytest.raises(OutOfRangeError):
             threshold(k, r)
+
+    @pytest.mark.parametrize("k,r", [(10**309, 3), (2, 10**74), (10**16, 3), (2, MAX_THRESHOLD + 1),
+                                     (2_800_000_000_000, 4)],
+                             ids=["k=1e309", "r=1e74", "k=1e16", "r=limit+1", "floor=1.3e15"])
+    def test_above_the_limit(self, k, r):
+        """Refused before the prime search, and before a huge k or r meets float()."""
+        with pytest.raises(OutOfRangeError, match="above the limit"):
+            threshold(k, r)
+        with pytest.raises(OutOfRangeError, match="above the limit"):
+            compare(k, r)
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(bounds, "MAX_THRESHOLD", threshold(2, 3))
+        assert find_q(2, 3) == 17
+        with pytest.raises(OutOfRangeError):
+            threshold(2, 4)
+
+    def test_limit_keeps_exact_ceiling(self):
+        assert MAX_THRESHOLD < 2**53
+        assert threshold(2_800_000_000_000, 3) <= MAX_THRESHOLD
 
 
 class TestFindQ:
@@ -159,7 +181,7 @@ class TestEq1Range:
 class TestCompare:
     def test_2_3_winner(self):
         report = compare(2, 3)
-        assert report.q_found == 17
+        assert report.q == 17
         assert report.bound_main == 4913
         assert report.bound_fglps == 13824
         assert report.winner == "main"
@@ -167,7 +189,7 @@ class TestCompare:
     def test_10_3_winner(self):
         report = compare(10, 3)
         assert report.bound_fglps == 216_000_000
-        assert report.q_found == 277
+        assert report.q == 277
         assert report.bound_main == 21_253_933
         assert report.winner == "main"
 
@@ -183,6 +205,14 @@ class TestCompare:
         assert obj["q"] == find_q(3, 4)
         assert obj["bound_hrs"]["constant_unspecified"] is True
         assert isinstance(obj["conditions_ok"], list)
+
+    def test_field_names_are_json_keys(self):
+        """One spelling: the report's fields, in order, are its JSON keys, and
+        the CSV columns are some of them in the same order."""
+        names = [f.name for f in fields(BoundReport)]
+        assert list(compare(2, 3).to_json()) == names
+        assert list(CSV_COLUMNS) == [name for name in names if name in CSV_COLUMNS]
+        assert CSV_HEADER == ",".join(CSV_COLUMNS)
 
     def test_csv_row_schema(self):
         assert CSV_HEADER.count(",") == 10

@@ -1,12 +1,15 @@
 """End-to-end CLI behaviour: commands, formats, witnesses and exit codes."""
 
+import csv
+import hashlib
+import io
 import json
 import time
 
 import pytest
 from click.testing import CliRunner
 
-from qpack import cli
+from qpack import bounds, cli
 from qpack.cli import main
 from qpack.formats import loads_family, parse_plain_incidence
 from qpack.geometry import canonical_line
@@ -74,6 +77,11 @@ class TestConstruct:
         result = run(runner, "construct", "--q", "257", "--count", "1")
         assert_usage_error(result)
         assert "256" in result.stderr
+
+    def test_unwritable_out_exits_2(self, runner, tmp_path):
+        result = run(runner, "construct", "--q", "3", "--out", str(tmp_path / "missing" / "x.json"))
+        assert_usage_error(result)
+        assert "cannot write" in result.stderr
 
     def test_count_option(self, runner, tmp_path):
         path = tmp_path / "g9.json"
@@ -315,6 +323,19 @@ class TestBound:
         assert run(runner, "bound", "--k", "1", "--r", "3").exit_code == 2
         assert run(runner, "bound", "--k", "2", "--r", "2").exit_code == 2
 
+    @pytest.mark.parametrize("k,r", [(10**309, 3), (10**16, 3), (2, 10**74)],
+                             ids=["k=1e309", "k=1e16", "r=1e74"])
+    def test_threshold_over_limit_exits_2(self, runner, k, r):
+        """Each overflowed a float or ran its prime search for minutes."""
+        result = run(runner, "bound", "--k", str(k), "--r", str(r))
+        assert_usage_error(result)
+        assert str(bounds.MAX_THRESHOLD) in result.stderr
+
+    def test_threshold_just_inside_limit(self, runner):
+        result = run(runner, "bound", "--k", "1000000000000", "--r", "3")
+        assert result.exit_code == 0
+        assert json_lines(result.stdout)[0]["q"] == 331572253391161
+
     def test_hrs_applicability(self, runner):
         report = json_lines(run(runner, "bound", "--k", "3", "--r", "8").stdout)[0]
         assert report["hrs_applicable"] is True
@@ -354,12 +375,19 @@ class TestScan:
         assert len(rows) == 10  # header + 3x3 grid
 
     def test_rows_match_bound_command(self, runner):
-        scan_rows = run(runner, "scan", "--k", "2..2", "--r", "3..3").stdout.strip().splitlines()
-        cells = scan_rows[1].split(",")
-        report = json_lines(run(runner, "bound", "--k", "2", "--r", "3").stdout)[0]
-        assert int(cells[3]) == report["q"]
-        assert int(cells[4]) == report["bound_main"]
-        assert float(cells[5]) == pytest.approx(report["cap_main"])
+        """Every column is the `bound` JSON key of the same name, in key order:
+        a flagged bound as its value, a bool as true/false."""
+        scan = run(runner, "scan", "--k", "2..4", "--r", "3..5").stdout
+        rows = list(csv.DictReader(io.StringIO(scan)))
+        assert len(rows) == 9
+        for row in rows:
+            report = json_lines(run(runner, "bound", "--k", row["k"], "--r", row["r"]).stdout)[0]
+            assert list(row) == [key for key in report if key in row]
+            for column, cell in row.items():
+                value = report[column]
+                if isinstance(value, dict):
+                    value = value["value"]
+                assert cell == (value if isinstance(value, str) else json.dumps(value)), column
 
     def test_cap_dominates_every_row(self, runner):
         rows = run(runner, "scan", "--k", "2..6", "--r", "3..6").stdout.strip().splitlines()
@@ -382,6 +410,28 @@ class TestScan:
         result = run(runner, "scan", "--k", "2..1000000000000000000000", "--r", "3..4")
         assert_usage_error(result)
         assert str(cli.MAX_SCAN_GRID) in result.stderr
+
+    def test_unwritable_out_exits_2(self, runner, tmp_path):
+        result = run(runner, "scan", "--k", "2", "--r", "3..4",
+                     "--out", str(tmp_path / "missing" / "x.csv"))
+        assert_usage_error(result)
+        assert "cannot write" in result.stderr
+
+    def test_threshold_over_limit_exits_2(self, runner):
+        result = run(runner, "scan", "--k", str(10**309), "--r", "3")
+        assert_usage_error(result)
+        assert str(bounds.MAX_THRESHOLD) in result.stderr
+
+    def test_largest_cell_checked_first(self, runner, monkeypatch):
+        """A grid whose last cell is over the limit computes no cell."""
+        calls = []
+        compare = bounds.compare
+        monkeypatch.setattr(bounds, "compare", lambda k, r: calls.append(k) or compare(k, r))
+        monkeypatch.setattr(bounds, "MAX_THRESHOLD", bounds.threshold(4, 5))
+        assert run(runner, "scan", "--k", "2..4", "--r", "3..5").exit_code == 0
+        assert len(calls) == 9
+        assert_usage_error(run(runner, "scan", "--k", "2..4", "--r", "3..6"))
+        assert len(calls) == 9
 
     def test_grid_limit_is_inclusive(self, runner, monkeypatch):
         monkeypatch.setattr(cli, "MAX_SCAN_GRID", 9)
@@ -435,8 +485,33 @@ class TestExponent:
         assert_usage_error(result)
         assert str(cli.MAX_SCAN_GRID) in result.stderr
 
+    @pytest.mark.parametrize("alpha_max,step", [("1e308", "1e-10"), ("2", "1e-320")])
+    def test_scan_grid_overflowing_a_float_exits_2(self, runner, alpha_max, step):
+        result = run(runner, "exponent", "--scan", "--alpha-max", alpha_max, "--alpha-step", step)
+        assert_usage_error(result)
+        assert str(cli.MAX_SCAN_GRID) in result.stderr
+
     def test_scan_grid_limit_is_inclusive(self, runner, monkeypatch):
         monkeypatch.setattr(cli, "MAX_SCAN_GRID", 201)
         result = run(runner, "exponent", "--scan", "--alpha-max", "3", "--alpha-step", "0.01")
         assert json_lines(result.stdout)[0]["grid_size"] == 201
         assert_usage_error(run(runner, "exponent", "--scan", "--alpha-max", "3.01"))
+
+
+class TestPinnedOutput:
+    """sha256 of stdout, pinned from the output of the release before the bound
+    record's JSON keys and CSV columns were read from one set of names."""
+
+    @pytest.mark.parametrize("k,r,digest", [
+        ("2..150", "3..150", "06f787a47a37ca0d9d27cfe7609bd930c39ca784264037954c3fa198e2a2d2a9"),
+        ("2..40", "3..40", "388ead5057d52709cb58048bed5e43339776f576d5e2264169dfdb1b1381a8c0"),
+    ])
+    def test_scan(self, runner, k, r, digest):
+        stdout = run(runner, "scan", "--k", k, "--r", r).stdout
+        assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
+    def test_bound(self, runner):
+        stdout = "".join(run(runner, "bound", "--k", k, "--r", r).stdout
+                         for k, r in (("2", "3"), ("5", "5"), ("12", "12")))
+        digest = "95f4d10119cd703333e52f7ee4248db82d918e45f8315b881a69dcc7a2a6b234"
+        assert hashlib.sha256(stdout.encode()).hexdigest() == digest

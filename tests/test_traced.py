@@ -3,7 +3,9 @@ the package: it patches ``formats.make_field``, ``formats.canonical_line``
 and ``verifier.union_incidence`` through their modules, reads
 ``field.element(scale)`` and ``cls.scale.value``, and calls the
 ``check_*(g, exhaustive)`` functions.  Each verify it runs must report the
-same checks, scopes and verdicts as ``qpack verify``."""
+same checks, scopes and verdicts as ``qpack verify``, and its ``bound`` and
+``scan``, which call ``compare``, ``to_json``, ``CSV_HEADER`` and ``csv_row``,
+must print exactly what the CLI prints."""
 
 import json
 import os
@@ -19,8 +21,8 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACED = ROOT / "perfbench" / "traced.py"
 
 
-def traced(tmp_path: Path, *args: str) -> list[dict]:
-    """Run the twin as a subprocess; its JSON lines, after a clean exit."""
+def traced_stdout(tmp_path: Path, *args: str) -> str:
+    """Run the twin as a subprocess; its stdout, after a clean exit."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     result = subprocess.run(
         [sys.executable, str(TRACED), "--spans", str(tmp_path / "spans.json"),
@@ -29,7 +31,11 @@ def traced(tmp_path: Path, *args: str) -> list[dict]:
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "spans.json").exists()
-    return [json.loads(row) for row in result.stdout.splitlines()]
+    return result.stdout
+
+
+def traced(tmp_path: Path, *args: str) -> list[dict]:
+    return [json.loads(row) for row in traced_stdout(tmp_path, *args).splitlines()]
 
 
 def verdicts(records: list[dict]) -> list[tuple]:
@@ -58,3 +64,10 @@ def test_traced_plain_verify_matches_the_cli(tmp_path):
     twin = verdicts(traced(tmp_path, "verify", str(path), *checks))
     assert twin == cli_verdicts(str(path), *checks)
     assert [verdict for _, _, verdict in twin] == ["violation"] * 3
+
+
+def test_traced_bound_and_scan_print_the_cli_stdout(tmp_path):
+    for args in (("bound", "--k", "12", "--r", "12"), ("scan", "--k", "2..4", "--r", "3..5")):
+        cli = CliRunner().invoke(main, list(args))
+        assert cli.exit_code == 0
+        assert traced_stdout(tmp_path, *args) == cli.stdout
