@@ -335,7 +335,9 @@ def cmd_exponent(alpha, orientation, do_scan, alpha_max, alpha_step):
         if not (math.isfinite(alpha_max) and math.isfinite(alpha_step)
                 and alpha_max >= 1 and alpha_step > 0):
             _fail_usage("scan needs a finite --alpha-max >= 1 and a finite --alpha-step > 0")
-        steps = (alpha_max - 1 + 1e-12) / alpha_step  # inf when the grid overflows a float
+        # a billionth of a step absorbs the division's rounding on grids up to
+        # MAX_SCAN_GRID points; inf when the grid overflows a float
+        steps = (alpha_max - 1) / alpha_step + 1e-9
         if steps >= MAX_SCAN_GRID:
             _fail_usage(f"scan grid from 1 to {alpha_max} in steps of {alpha_step} is above "
                         f"the limit of {MAX_SCAN_GRID} points")

@@ -11,6 +11,7 @@ lines remain verifiable.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from typing import Any, Optional
 
@@ -160,10 +161,18 @@ def loads_family(text: str) -> GeometryFamily:
 # plain incidence text
 # ---------------------------------------------------------------------------
 
+# A point count or id is written like a geometry JSON class key: 0 or an ASCII
+# decimal with no sign, underscore or leading zero.
+_PLAIN_ID = "0|[1-9][0-9]*"
+_PLAIN_COUNT = re.compile(_PLAIN_ID)
+_PLAIN_ROW = re.compile(rf"(?:{_PLAIN_ID})(?:\s+(?:{_PLAIN_ID}))*")  # one or more ids
+
+
 def parse_plain_incidence(text: str) -> GenericIncidence:
     """Parse the 'points N' header plus one whitespace-separated id line per
     geometry line.  N is at most ``MAX_FIELD_ORDER**3``, the largest point
-    set a geometry file may declare."""
+    set a geometry file may declare.  N and every id are canonical ASCII
+    decimals: ``int`` alone would also read ``-0``, ``1_0`` or ``\u0663``."""
     rows = [row.strip() for row in text.splitlines()]
     rows = [row for row in rows if row]
     if not rows:
@@ -177,13 +186,21 @@ def parse_plain_incidence(text: str) -> GenericIncidence:
         raise GeometryFormatError(f"bad point count {header[1]!r}") from exc
     if not 0 <= num_points <= MAX_FIELD_ORDER**3:
         raise GeometryFormatError(f"point count {num_points} outside [0, {MAX_FIELD_ORDER**3}]")
+    if not _PLAIN_COUNT.fullmatch(header[1]):
+        raise GeometryFormatError(
+            f"bad point count {header[1]!r} in row {rows[0]!r}: not a canonical ASCII decimal"
+        )
     lines = []
     for row in rows[1:]:
+        if not _PLAIN_ROW.fullmatch(row):
+            raise GeometryFormatError(
+                f"bad point id in row {row!r}: ids are canonical ASCII decimals"
+            )
         try:
-            ids = [int(tok) for tok in row.split()]
-        except ValueError as exc:
-            raise GeometryFormatError(f"bad point id in row {row!r}") from exc
-        if any(not 0 <= i < num_points for i in ids):
+            ids = sorted(map(int, row.split()))
+        except ValueError:  # more digits than int() reads, so out of range
+            ids = [num_points]
+        if ids[-1] >= num_points:
             raise GeometryFormatError(f"point id outside [0, {num_points}) in row {row!r}")
-        lines.append(tuple(sorted(ids)))
+        lines.append(tuple(ids))
     return GenericIncidence(num_points=num_points, lines=tuple(lines))

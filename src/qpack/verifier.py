@@ -13,7 +13,8 @@ collect every violation instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Any, Iterator, Optional, Union
 
 from .construction import GeometryFamily, LineClass
@@ -69,8 +70,9 @@ class GenericIncidence:
     """num_points point ids [0, num_points) and lines as sorted id tuples.
 
     The checks share one incidence index, built on first use and cached:
-    ``masks``, ``neighbours`` and ``through``.  Callers read it and never
-    mutate it.  Per-point tables are as long as the widest line mask.
+    ``masks``, ``neighbours``, ``neighbour_counts`` and ``through``.  Callers
+    read it and never mutate it.  Per-point tables are as long as the widest
+    line mask.
     """
 
     num_points: int
@@ -124,6 +126,11 @@ class GenericIncidence:
                 nbr[pt] = mask ^ (1 << pt)
         return nbr
 
+    @cached_property
+    def neighbour_counts(self) -> list[int]:
+        """The number of points in each point's ``neighbours`` mask."""
+        return [mask.bit_count() for mask in self.neighbours]
+
 
 def class_incidence(line_class: LineClass) -> GenericIncidence:
     """A line class over the dense point index of F_q^3."""
@@ -162,12 +169,12 @@ def check_pls(g: GenericIncidence, exhaustive: bool = False):
 
 
 def _pls_violations(g: GenericIncidence) -> Iterator[Witness]:
-    masks, nbr = g.masks, g.neighbours
-    others = [0] * len(nbr)
+    masks, counts = g.masks, g.neighbour_counts
+    others = [0] * len(counts)
     for line in g.lines:
         for pt in line:
             others[pt] += len(line) - 1
-    running = {a: 0 for a, mask in enumerate(nbr) if mask.bit_count() != others[a]}
+    running = {a: 0 for a, count in enumerate(counts) if count != others[a]}
     if not running:
         return
     for idx, (line, mask) in enumerate(zip(g.lines, masks)):
@@ -231,30 +238,52 @@ def _order_violations(g: GenericIncidence, degrees: list[int]) -> Iterator[Witne
 # exactly the same predicate, so their verdicts agree on arbitrary input.
 
 def check_triangle_free(g: GenericIncidence, exhaustive: bool = False):
-    """Point-pair driven triangle search behind a per-line mask test.
+    """Point-pair driven triangle search behind a per-line counting test.
 
     For each line and each point pair (x, y) on it, any common neighbour z of
     x and y off the line closes a triangle, provided the closing lines are
     distinct.  Such a z exists for some pair on the line exactly when the
-    off-line neighbour masks of its points overlap, which one running OR per
-    line decides in O(s+1) mask operations; only lines that fail it get the
-    pair scan, one bitmask intersection per pair.
+    off-line neighbour masks of its points overlap.  The neighbour mask of
+    each of the line's k points holds the other k-1 points of the line, so
+    the off-line masks are pairwise disjoint exactly when
+
+        popcount(OR of the k neighbour masks) - k
+            == sum of their ``neighbour_counts`` - k*(k-1),
+
+    which costs one OR per point and one popcount per line.  Only lines that
+    fail this test get the pair scan.  It walks only the points whose
+    off-line mask meets the line's shared mask, the off-line points that two
+    or more points of the line see, since no other pair has a common
+    neighbour off the line.  The closing lines through z are those of
+    ``through[z]``.
     """
     return _first_or_all(_triangle_violations(g), exhaustive)
 
 
 def _triangle_violations(g: GenericIncidence) -> Iterator[Witness]:
-    masks, nbr, through = g.masks, g.neighbours, g.through
+    masks, nbr, counts, through = g.masks, g.neighbours, g.neighbour_counts, g.through
     for idx, line in enumerate(g.lines):
-        off_line = ~masks[idx]
-        if not _overlapping(nbr[x] & off_line for x in line):
+        k = len(line)
+        if k < 2:
             continue
-        for i, x in enumerate(line):
-            for y in line[i + 1 :]:
-                for z in _bits(nbr[x] & nbr[y] & off_line):
-                    zbit = 1 << z
-                    via_x = [m for m in through[x] if masks[m] & zbit]
-                    via_y = [m for m in through[y] if masks[m] & zbit]
+        union = reduce(or_, map(nbr.__getitem__, line))
+        if union.bit_count() - k == sum(map(counts.__getitem__, line)) - k * (k - 1):
+            continue
+        off_line = ~masks[idx]
+        seen = shared = 0
+        offs = []
+        for x in line:
+            off = nbr[x] & off_line
+            shared |= seen & off
+            seen |= off
+            offs.append((x, off))
+        active = [(x, off & shared) for x, off in offs if off & shared]
+        for i, (x, off_x) in enumerate(active):
+            for y, off_y in active[i + 1 :]:
+                for z in _bits(off_x & off_y):
+                    via_z = set(through[z])
+                    via_x = [m for m in through[x] if m in via_z]
+                    via_y = [m for m in through[y] if m in via_z]
                     pick = _distinct_pair(via_x, via_y)
                     if pick is not None:
                         yield Witness(
@@ -262,16 +291,6 @@ def _triangle_violations(g: GenericIncidence) -> Iterator[Witness]:
                             {"lines": (idx, pick[0], pick[1]), "points": (x, y, z)},
                         )
                         break  # one witness per point pair is enough
-
-
-def _overlapping(masks: Iterator[int]) -> bool:
-    """Whether any two of the masks share a bit."""
-    running = 0
-    for mask in masks:
-        if running & mask:
-            return True
-        running |= mask
-    return False
 
 
 def _distinct_pair(first: list[int], second: list[int]) -> Optional[tuple[int, int]]:

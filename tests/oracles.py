@@ -1,5 +1,6 @@
 """Reference implementations that only the tests use: the brute-force
-triangle oracle, which shares no code with the fast scan it checks, and the
+triangle oracle, which shares no code with the fast scan it checks, the
+unfiltered triangle pair scan that fixes the order of its witnesses, and the
 writer of the plain incidence format."""
 
 from typing import Iterator, Optional
@@ -63,6 +64,32 @@ def _triangle_in_triple(sets, triple, meet_ij) -> Optional[Witness]:
                             TRIANGLE, {"lines": (base, s1, s2), "points": (x, y, z)}
                         )
     return None
+
+
+def triangle_pair_scan(g: GenericIncidence) -> list[Witness]:
+    """Reference triangle witnesses, in the fast scan's order: on every line,
+    every point pair (x, y) in line order and every common neighbour z of x
+    and y off the line, ascending, the first distinct closing lines through
+    x and z and through y and z, found by mask test; one witness per pair."""
+    masks, nbr, through = g.masks, g.neighbours, g.through
+    found = []
+    for idx, line in enumerate(g.lines):
+        off_line = ~masks[idx]
+        for i, x in enumerate(line):
+            for y in line[i + 1 :]:
+                common = nbr[x] & nbr[y] & off_line
+                for z in range(common.bit_length()):
+                    if not common >> z & 1:
+                        continue
+                    via_x = [m for m in through[x] if masks[m] >> z & 1]
+                    via_y = [m for m in through[y] if masks[m] >> z & 1]
+                    pick = next(((a, b) for a in via_x for b in via_y if a != b), None)
+                    if pick is not None:
+                        found.append(
+                            Witness(TRIANGLE, {"lines": (idx, *pick), "points": (x, y, z)})
+                        )
+                        break
+    return found
 
 
 def plain_incidence_to_text(g: GenericIncidence) -> str:

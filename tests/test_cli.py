@@ -4,12 +4,14 @@ import csv
 import hashlib
 import io
 import json
+import random
 import time
 
 import pytest
 from click.testing import CliRunner
 
-from qpack import bounds, cli
+from perfbench.workloads import inject_triangle, merge_lines
+from qpack import bounds, build_class, class_incidence, cli, make_field
 from qpack.cli import main
 from qpack.formats import loads_family, parse_plain_incidence
 from qpack.geometry import canonical_line
@@ -236,6 +238,11 @@ class TestVerify:
         path = tmp_path / "nested.json"
         path.write_text('{"a":' + "[" * 200_000)
         assert_usage_error(run(runner, "verify", str(path)))
+
+    def test_non_canonical_plain_id_exits_2(self, runner):
+        """``int`` would read these rows as the lines (0, 10) and (1, 3)."""
+        text = "points 20\n0 1_0\n+1 \u0663\n"
+        assert_usage_error(run(runner, "verify", "-", "--checks", "pls", input=text))
 
     def test_point_count_over_limit_exits_2(self, runner, tmp_path):
         path = tmp_path / "huge.txt"
@@ -491,11 +498,51 @@ class TestExponent:
         assert_usage_error(result)
         assert str(cli.MAX_SCAN_GRID) in result.stderr
 
+    @pytest.mark.parametrize("alpha_max,step,size", [("1", "1e-300", 1), ("10", "0.0001", 90001)])
+    def test_scan_grid_size(self, runner, alpha_max, step, size):
+        """The tolerance scales with the step: a step far below 1e-12 still
+        gives the one-point grid alpha = 1."""
+        result = run(runner, "exponent", "--scan", "--alpha-max", alpha_max, "--alpha-step", step)
+        assert result.exit_code == 0
+        assert json_lines(result.stdout) == [{"alpha": 1.0, "total_degree": 6.0, "grid_size": size}]
+
     def test_scan_grid_limit_is_inclusive(self, runner, monkeypatch):
         monkeypatch.setattr(cli, "MAX_SCAN_GRID", 201)
         result = run(runner, "exponent", "--scan", "--alpha-max", "3", "--alpha-step", "0.01")
         assert json_lines(result.stdout)[0]["grid_size"] == 201
         assert_usage_error(run(runner, "exponent", "--scan", "--alpha-max", "3.01"))
+
+
+def mutated_q11_text(mutate, seed: int) -> str:
+    """The plain incidence of the q=11 class of scale 2, mutated by one of
+    the benchmark's mutations with ``random.Random(seed)``."""
+    field = make_field(11)
+    g = class_incidence(build_class(field, field.element(2)))
+    lines = [list(line) for line in g.lines]
+    mutate(g.num_points, lines, random.Random(seed))
+    return "\n".join([f"points {g.num_points}", *(" ".join(map(str, ln)) for ln in lines)]) + "\n"
+
+
+class TestWitnessPathPinned:
+    """sha256 of ``verify --exhaustive``'s records, ``elapsed`` removed, on
+    the benchmark's two mutations at q=11, pinned from the output of the
+    release before the triangle scan's counting test and shared-point
+    filter."""
+
+    @pytest.mark.parametrize("mutate,kind,digest", [
+        (inject_triangle, "triangle", "1bfa27d9e093d1c81b42babc9c9424877eba0b1c2df7b16eabf5ac5ff766e4f6"),
+        (merge_lines, "pls_violation", "228b35d8ec8a69405bd92a143094d1225099058b2a505bf35c35ce3307d2a765"),
+    ], ids=["injected-triangle", "merged-lines"])
+    def test_records_are_pinned(self, runner, mutate, kind, digest):
+        text = mutated_q11_text(mutate, seed=9)
+        result = run(runner, "verify", "-", "--checks", "pls,order,triangle", "--exhaustive",
+                     input=text)
+        assert result.exit_code == 1
+        records = [{k: v for k, v in r.items() if k != "elapsed"}
+                   for r in json_lines(result.stdout)]
+        kinds = {w["kind"] for r in records for w in r.get("witness", {}).get("witnesses", [])}
+        assert kind in kinds
+        assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == digest
 
 
 class TestPinnedOutput:

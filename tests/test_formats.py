@@ -241,12 +241,26 @@ class TestPlainIncidence:
         "points 3\n0 7\n": r"point id outside \[0, 3\)",
         "points 3\n0 one\n": "bad point id in row",
         "points -1\n": "point count -1 outside",
+        # the count and every id are 0 or an ASCII decimal with no sign,
+        # underscore or leading zero; the error names the row
+        "points 20\n0 1_0\n": "bad point id in row '0 1_0'",
+        "points 20\n+1 3\n": r"bad point id in row '\+1 3'",
+        "points 20\n1 \u0663\n": "bad point id in row '1 \u0663'",
+        "points 20\n-0 1\n": "bad point id in row '-0 1'",
+        "points 20\n0 007\n": "bad point id in row '0 007'",
+        "points 020\n0 1\n": "bad point count '020' in row 'points 020'",
+        "points 1_0\n0 1\n": "bad point count '1_0' in row 'points 1_0'",
+        "points -0\n": "bad point count '-0' in row 'points -0'",
     }
 
     @pytest.mark.parametrize("text", list(MALFORMED))
     def test_rejects_malformed(self, text):
         with pytest.raises(GeometryFormatError, match=self.MALFORMED[text]):
             parse_plain_incidence(text)
+
+    def test_id_too_long_for_int_is_out_of_range(self):
+        with pytest.raises(GeometryFormatError, match=r"point id outside \[0, 3\)"):
+            parse_plain_incidence("points 3\n0 " + "1" * 5000 + "\n")
 
     def test_point_count_limit(self):
         limit = MAX_FIELD_ORDER**3

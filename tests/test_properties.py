@@ -1,17 +1,17 @@
 """Property tests: the pls, triangle and gq checks against independent
 oracles on random small incidences, including repeated lines and structures
-that are not partial linear spaces, with the pls witnesses in the reference
-pair scan's order; the neighbour table against ``neighbourhood`` on
-structures that declare points past their lines; both parsers on random and
-mutated input, which must either parse or raise :class:`GeometryFormatError`;
-and ``qpack verify`` on such input, which must exit 0, 1 or 2 without a
-traceback."""
+that are not partial linear spaces, with the pls and triangle witnesses in
+their reference pair scans' order; the neighbour table against
+``neighbourhood`` on structures that declare points past their lines; both
+parsers on random and mutated input, which must either parse or raise
+:class:`GeometryFormatError`; and ``qpack verify`` on such input, which must
+exit 0, 1 or 2 without a traceback."""
 
 import json
 from itertools import combinations
 
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpack import (
@@ -32,7 +32,7 @@ from qpack.formats import (
     parse_plain_incidence,
 )
 
-from oracles import brute_force_triangle_check
+from oracles import brute_force_triangle_check, triangle_pair_scan
 
 
 @st.composite
@@ -106,6 +106,20 @@ def declared_beyond_lines(draw) -> GenericIncidence:
     lines = draw(st.lists(line, min_size=1, max_size=8))
     widest = max(pt for ln in lines for pt in ln)
     return GenericIncidence.from_lines(widest + 1 + draw(st.integers(0, 50)), lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(incidences(), declared_beyond_lines()))
+@example(GenericIncidence.from_lines(4, [(0,), (0, 1), (3,), (1, 2), (0, 2)]))
+@example(GenericIncidence.from_lines(9, [(0, 8), (1, 8), (2, 8), (0, 1, 5), (1, 2), (3,)]))
+def test_triangle_witnesses_match_pair_scan(g):
+    """The counting test and the shared-point filter keep exactly the
+    unfiltered pair scan's witnesses, in its order.  The examples hold lines
+    of one and two points, and triangles through point 8, the top bit of the
+    widest neighbour masks."""
+    expected = triangle_pair_scan(g)
+    assert check_triangle_free(g, exhaustive=True) == expected
+    assert check_triangle_free(g) == (expected[0] if expected else None)
 
 
 @settings(max_examples=200, deadline=None)
