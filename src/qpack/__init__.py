@@ -12,20 +12,17 @@ from .gf import (
     make_field,
     next_prime_geq,
 )
-from .geometry import (
-    Line,
-    OrderParams,
-    ZeroSlopeError,
-    canonical_line,
-    canonical_slope,
-)
 from .construction import (
     CountOutOfRangeError,
     GeometryFamily,
+    Line,
     LineClass,
     ZeroScaleError,
+    ZeroSlopeError,
     build_class,
     build_family,
+    canonical_line,
+    canonical_slope,
     moment_curve,
 )
 from .verifier import (
@@ -34,6 +31,7 @@ from .verifier import (
     MalformedStructureError,
     NotTriangleFreeError,
     NotUniformError,
+    OrderParams,
     Witness,
     check_disjoint_classes,
     check_gq,

@@ -15,8 +15,7 @@ import re
 from collections import Counter
 from typing import Any, Optional
 
-from .construction import GeometryFamily, LineClass
-from .geometry import Line, canonical_line
+from .construction import GeometryFamily, Line, LineClass, canonical_line
 from .gf import FieldSpec, NotPrimePowerError, make_field
 from .verifier import GenericIncidence
 
@@ -150,7 +149,9 @@ def loads_family(text: str) -> GeometryFamily:
     since ``json.loads`` would silently keep only its last value."""
     try:
         obj = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except GeometryFormatError:
+        raise
+    except ValueError as exc:  # a decode error, or an integer too long for int
         raise GeometryFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise GeometryFormatError("JSON nested too deeply") from exc

@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Iterator, NamedTuple, Optional, Union
 
-from .construction import GeometryFamily, LineClass
-from .geometry import Line, OrderParams
+from .construction import GeometryFamily, Line, LineClass
 
 
 class MalformedStructureError(ValueError):
@@ -50,6 +49,14 @@ class Witness:
 
     def to_json(self) -> dict[str, Any]:
         return {"kind": self.kind, **self.items}
+
+
+class OrderParams(NamedTuple):
+    """Uniform incidence parameters: s_order+1 points per line, t_order+1
+    lines per point."""
+
+    s_order: int
+    t_order: int
 
 
 @dataclass(frozen=True)
@@ -415,28 +422,28 @@ def revalidate(target: Union[GenericIncidence, GeometryFamily], witness: Witness
     """Replay a witness against the structure it came from.
 
     Uses only direct membership tests, no shared code with the checks, so a
-    True here means the reported violation is real.
+    True here means the reported violation is real.  A witness that names a
+    line index or point id the structure does not have, or an index that is
+    not an int, replays False.
     """
     if witness.kind == CLASS_OVERLAP:
         return _revalidate_overlap(target, witness)
     g = target
+    items = witness.items
     if witness.kind == PLS_VIOLATION:
-        i, j = witness.items["lines"]
-        a, b = witness.items["points"]
-        if i == j or a == b:
-            return False
-        return all(a in g.lines[m] and b in g.lines[m] for m in (i, j))
+        (i, j), (a, b) = items["lines"], items["points"]
+        return _own(g, (i, j), (a, b)) and i != j and a != b and all(
+            a in g.lines[m] and b in g.lines[m] for m in (i, j))
     if witness.kind == ORDER_VIOLATION:
-        if witness.items["detail"] == "line_size":
-            i, j = witness.items["lines"]
-            return len(g.lines[i]) != len(g.lines[j])
-        u, v = witness.items["points"]
+        if items["detail"] == "line_size":
+            i, j = items["lines"]
+            return _own(g, (i, j), ()) and len(g.lines[i]) != len(g.lines[j])
+        u, v = items["points"]
         deg = lambda p: sum(1 for line in g.lines if p in line)
-        return deg(u) != deg(v)
+        return _own(g, (), (u, v)) and deg(u) != deg(v)
     if witness.kind == TRIANGLE:
-        l0, l1, l2 = witness.items["lines"]
-        x, y, z = witness.items["points"]
-        if len({l0, l1, l2}) != 3 or len({x, y, z}) != 3:
+        (l0, l1, l2), (x, y, z) = items["lines"], items["points"]
+        if not _own(g, (l0, l1, l2), (x, y, z)) or len({l0, l1, l2}) != 3 or len({x, y, z}) != 3:
             return False
         s0, s1, s2 = (set(g.lines[m]) for m in (l0, l1, l2))
         return (
@@ -444,13 +451,19 @@ def revalidate(target: Union[GenericIncidence, GeometryFamily], witness: Witness
             and z in s1 and z in s2 and z not in s0
         )
     if witness.kind == GQ_VIOLATION:
-        x = witness.items["point"]
-        line = set(g.lines[witness.items["line"]])
-        if x in line:
+        x, idx = items["point"], items["line"]
+        if not _own(g, (idx,), (x,)) or x in g.lines[idx]:
             return False
-        collinear = {pt for pt in line if pt in neighbourhood(g, x)}
-        return len(collinear) == witness.items["count"] != 1
+        collinear = neighbourhood(g, x).intersection(g.lines[idx])
+        return len(collinear) == items["count"] != 1
     raise ValueError(f"unknown witness kind {witness.kind!r}")
+
+
+def _own(g: GenericIncidence, lines: tuple, points: tuple) -> bool:
+    """Whether ``lines`` are all line indices of g and ``points`` all its
+    point ids: ints, not bools, in range."""
+    sized = [(m, len(g.lines)) for m in lines] + [(p, g.num_points) for p in points]
+    return all(type(v) is int and 0 <= v < n for v, n in sized)
 
 
 def _revalidate_overlap(family: GeometryFamily, witness: Witness) -> bool:

@@ -14,7 +14,7 @@ from perfbench.workloads import inject_triangle, merge_lines
 from qpack import bounds, build_class, class_incidence, cli, make_field
 from qpack.cli import main
 from qpack.formats import loads_family, parse_plain_incidence
-from qpack.geometry import canonical_line
+from qpack import canonical_line
 
 from geometry_helpers import intersect, line_points
 
@@ -238,6 +238,15 @@ class TestVerify:
         path = tmp_path / "nested.json"
         path.write_text('{"a":' + "[" * 200_000)
         assert_usage_error(run(runner, "verify", str(path)))
+
+    def test_over_long_integer_exits_2(self, runner, tmp_path):
+        """``json.loads`` raises a plain ValueError, not a JSONDecodeError,
+        for an integer with more digits than ``int`` converts."""
+        path = tmp_path / "long.json"
+        path.write_text('{"version":' + "9" * 5000 + "}")
+        result = run(runner, "verify", str(path))
+        assert_usage_error(result)
+        assert "not valid JSON" in result.stderr
 
     def test_non_canonical_plain_id_exits_2(self, runner):
         """``int`` would read these rows as the lines (0, 10) and (1, 3)."""
@@ -542,6 +551,32 @@ class TestWitnessPathPinned:
                    for r in json_lines(result.stdout)]
         kinds = {w["kind"] for r in records for w in r.get("witness", {}).get("witnesses", [])}
         assert kind in kinds
+        assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == digest
+
+
+class TestGeometryPathPinned:
+    """sha256 of ``verify --exhaustive``'s records on a geometry file, with
+    ``elapsed`` removed, pinned from the output of the release before lines
+    and line classes shared one module.  The q=5 family gets class 2's first
+    line appended to class 1 and class 3's first line repeated, so every
+    structure check and both family checks report."""
+
+    def test_records_are_pinned(self, runner, geo5):
+        obj = json.loads(geo5.read_text())
+        classes = obj["classes"]
+        classes["1"].append(classes["2"][0])
+        classes["3"].append(classes["3"][0])
+        result = run(runner, "verify", "-", "--checks",
+                     "pls,order,triangle,gq,counting,disjoint,union", "--exhaustive",
+                     input=json.dumps(obj))
+        assert result.exit_code == 1
+        records = [{k: v for k, v in r.items() if k != "elapsed"}
+                   for r in json_lines(result.stdout)]
+        kinds = {w["kind"] for r in records for w in r.get("witness", {}).get("witnesses", [])}
+        assert kinds == {"gq_violation", "order_violation", "triangle", "pls_violation",
+                         "class_overlap"}
+        assert {r["verdict"] for r in records} == {"ok", "violation", "inapplicable"}
+        digest = "53e17cb5d39de0ee499abc3648a3674120b00746151d3f377808f44f85dca974"
         assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == digest
 
 

@@ -2,7 +2,9 @@
 oracles on random small incidences, including repeated lines and structures
 that are not partial linear spaces, with the pls and triangle witnesses in
 their reference pair scans' order; the neighbour table against
-``neighbourhood`` on structures that declare points past their lines; both
+``neighbourhood`` on structures that declare points past their lines;
+``revalidate`` on witnesses that name lines or points the structure lacks,
+which must replay False without raising; both
 parsers on random and mutated input, which must either parse or raise
 :class:`GeometryFormatError`; and ``qpack verify`` on such input, which must
 exit 0, 1 or 2 without a traceback."""
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from qpack import (
     GenericIncidence,
+    Witness,
     build_family,
     check_gq,
     check_pls,
@@ -163,6 +166,45 @@ def test_gq_matches_collinearity_oracle(g):
     else:
         assert not expected
     assert all(revalidate(g, w) for w in [first, *every] if w is not None)
+
+
+@st.composite
+def foreign_witnesses(draw, g: GenericIncidence):
+    """A witness of any structure kind over g whose indices are drawn from
+    [-3, n+3] or are bools, with the line indices and point ids it names."""
+    line = st.one_of(st.integers(-3, len(g.lines) + 3), st.booleans())
+    point = st.one_of(st.integers(-3, g.num_points + 3), st.booleans())
+    kind = draw(st.sampled_from(["pls", "line_size", "point_degree", "triangle", "gq"]))
+    count = draw(st.integers(0, 3))
+    if kind == "pls":
+        lines, points = draw(st.tuples(line, line)), draw(st.tuples(point, point))
+        items = {"lines": lines, "points": points}
+    elif kind == "line_size":
+        lines, points = draw(st.tuples(line, line)), ()
+        items = {"detail": kind, "lines": lines, "sizes": (count, count)}
+    elif kind == "point_degree":
+        lines, points = (), draw(st.tuples(point, point))
+        items = {"detail": kind, "points": points, "degrees": (count, count)}
+    elif kind == "triangle":
+        lines, points = draw(st.tuples(line, line, line)), draw(st.tuples(point, point, point))
+        items = {"lines": lines, "points": points}
+    else:
+        lines, points = (draw(line),), (draw(point),)
+        items = {"point": points[0], "line": lines[0], "count": count, "collinear_on_line": ()}
+    name = {"pls": "pls_violation", "triangle": "triangle", "gq": "gq_violation"}
+    return Witness(name.get(kind, "order_violation"), items), lines, points
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_revalidate_never_raises_on_foreign_indices(data):
+    g = data.draw(incidences())
+    witness, lines, points = data.draw(foreign_witnesses(g))
+    replayed = revalidate(g, witness)
+    assert replayed in (True, False)
+    own = all(type(m) is int and 0 <= m < len(g.lines) for m in lines) and all(
+        type(p) is int and 0 <= p < g.num_points for p in points)
+    assert own or replayed is False
 
 
 def parses_or_rejects(parse, text: str):

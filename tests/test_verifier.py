@@ -369,3 +369,55 @@ def test_witnesses_are_pinned():
     digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
     assert digest[:16] == "5e57c698d47cd71e"
 
+
+
+class TestRevalidateForeignIndices:
+    """A witness naming a line or point the structure does not have replays
+    False, without raising."""
+
+    def test_negative_line_index_is_not_an_alias(self):
+        g = incidence(2, [(0, 1)])
+        assert not revalidate(g, Witness("pls_violation", {"lines": (-1, 0), "points": (0, 1)}))
+
+    def test_negative_point_id(self, path3):
+        w = Witness("order_violation",
+                    {"detail": "point_degree", "points": (-1, 1), "degrees": (1, 2)})
+        assert not revalidate(path3, w)
+
+    def test_line_index_past_the_end(self):
+        g = incidence(2, [(0, 1)])
+        assert not revalidate(g, Witness("pls_violation", {"lines": (0, 5), "points": (0, 1)}))
+
+    @pytest.mark.parametrize("lines,witness", [
+        ([(0, 1), (0, 1)], Witness("pls_violation", {"lines": (0, True), "points": (0, 1)})),
+        ([(0, 1), (1, 2)],
+         Witness("order_violation", {"detail": "line_size", "lines": (0, 2), "sizes": (2, 2)})),
+        ([(0, 1), (1, 2)],
+         Witness("order_violation",
+                 {"detail": "point_degree", "points": (0, 3), "degrees": (1, 0)})),
+        ([(0, 1), (1, 2)], Witness("triangle", {"lines": (0, 1, 3), "points": (0, 1, 2)})),
+        ([(0, 1), (1, 2), (2, 0)],
+         Witness("triangle", {"lines": (0, 2, 1), "points": (0, 1, 2.0)})),
+        ([(i, (i + 1) % 5) for i in range(5)],
+         Witness("gq_violation", {"point": 0, "line": -3, "count": 0, "collinear_on_line": ()})),
+        ([(0, 1), (1, 2)],
+         Witness("gq_violation", {"point": 3, "line": 0, "count": 0, "collinear_on_line": ()})),
+    ], ids=["bool-line", "line-size", "point-degree", "triangle-line", "float-point",
+            "gq-line", "gq-point"])
+    def test_out_of_structure_witnesses(self, lines, witness):
+        g = incidence(max(map(max, lines)) + 1, lines)
+        assert revalidate(g, witness) is False
+
+    def test_gq_replay_builds_one_neighbourhood(self, class5, monkeypatch):
+        from qpack import verifier
+
+        calls = []
+
+        def counting(g, x):
+            calls.append(x)
+            return neighbourhood(g, x)
+
+        witnesses = check_gq(class5, exhaustive=True)[:50]
+        monkeypatch.setattr(verifier, "neighbourhood", counting)
+        assert all(revalidate(class5, w) for w in witnesses)
+        assert calls == [w.items["point"] for w in witnesses]
