@@ -19,7 +19,6 @@ exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .gf import FieldElement, FieldSpec
@@ -96,13 +95,6 @@ class LineClass:
     @property
     def field(self) -> FieldSpec:
         return self.scale.field
-
-    @cached_property
-    def point_ids(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted point ids of each line, in line order; computed once and
-        shared by the class and union incidences."""
-        field = self.field
-        return tuple(line.point_ids(field) for line in self.lines)
 
     def __repr__(self):
         return f"LineClass(scale={self.scale.value}, lines={len(self.lines)})"

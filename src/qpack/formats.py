@@ -170,11 +170,12 @@ _PLAIN_ROW = re.compile(rf"(?:{_PLAIN_ID})(?:\s+(?:{_PLAIN_ID}))*")  # one or mo
 
 
 def parse_plain_incidence(text: str) -> GenericIncidence:
-    """Parse the 'points N' header plus one whitespace-separated id line per
-    geometry line.  N is at most ``MAX_FIELD_ORDER**3``, the largest point
-    set a geometry file may declare.  N and every id are canonical ASCII
-    decimals: ``int`` alone would also read ``-0``, ``1_0`` or ``\u0663``."""
-    rows = [row.strip() for row in text.splitlines()]
+    """Parse the 'points N' header plus one row of whitespace-separated ids
+    per geometry line; rows end only at ``\\n``.  N is at most
+    ``MAX_FIELD_ORDER**3``, the largest point set a geometry file may
+    declare.  N and every id are canonical ASCII decimals: ``int`` alone
+    would also read ``-0``, ``1_0`` or ``\u0663``."""
+    rows = [row.strip() for row in text.split("\n")]
     rows = [row for row in rows if row]
     if not rows:
         raise GeometryFormatError("empty incidence input")

@@ -100,19 +100,16 @@ def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return _trim(out)
 
 
-def _poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
-    rem = list(a)
-    _trim(rem)
-    quot = [0] * max(len(rem) - len(b) + 1, 0)
+def _poly_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    rem = _trim(list(a))
     inv_lead = pow(b[-1], p - 2, p)
     while len(rem) >= len(b):
         shift = len(rem) - len(b)
         factor = rem[-1] * inv_lead % p
-        quot[shift] = factor
         for i, c in enumerate(b):
             rem[shift + i] = (rem[shift + i] - factor * c) % p
         _trim(rem)
-    return _trim(quot), rem
+    return rem
 
 
 def _is_irreducible(poly: Sequence[int], p: int) -> bool:
@@ -121,8 +118,7 @@ def _is_irreducible(poly: Sequence[int], p: int) -> bool:
     for d in range(1, deg // 2 + 1):
         for idx in range(p**d):
             trial = [(idx // p**k) % p for k in range(d)] + [1]
-            _, rem = _poly_divmod(poly, trial, p)
-            if not rem:
+            if not _poly_mod(poly, trial, p):
                 return False
     return True
 
@@ -199,7 +195,7 @@ class FieldSpec:
         p, n, coeffs, index = self.p, self.n, self.coeff_table, self.coeff_index
 
         def product(a, b):
-            rem = _poly_divmod(_poly_mul(a, b, p), self.modulus, p)[1]
+            rem = _poly_mod(_poly_mul(a, b, p), self.modulus, p)
             return index[tuple(rem) + (0,) * (n - len(rem))]
 
         return tuple(tuple(product(a, b) for b in coeffs) for a in coeffs)

@@ -1,10 +1,11 @@
 """Exhaustive structural checks over abstract point-line incidence data.
 
-Every check consumes a :class:`GenericIncidence` (point ids plus lines as
-point-id tuples) rather than coordinate geometry, so handcrafted
-counterexamples, mutated structures and imported files are all first-class
-inputs.  A failed check returns a :class:`Witness` whose items, fed back to
-:func:`revalidate`, reproduce the violation directly against the structure.
+Every structure check consumes a :class:`GenericIncidence` (point ids plus
+lines as point-id tuples), so handcrafted counterexamples, mutated
+structures and imported files are all first-class inputs; the two family
+checks read a :class:`GeometryFamily`'s canonical lines.  A failed check
+returns a :class:`Witness` whose items, fed back to :func:`revalidate`,
+reproduce the violation directly against the structure.
 
 Checks stop at the first violation by default; pass ``exhaustive=True`` to
 collect every violation instead.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import combinations
 from operator import or_
 from typing import Any, Iterator, NamedTuple, Optional, Union
 
@@ -141,14 +143,16 @@ class GenericIncidence:
 
 def class_incidence(line_class: LineClass) -> GenericIncidence:
     """A line class over the dense point index of F_q^3."""
-    return GenericIncidence(num_points=line_class.field.q**3, lines=line_class.point_ids)
+    field = line_class.field
+    return GenericIncidence(field.q**3, tuple(line.point_ids(field) for line in line_class.lines))
 
 
 def union_incidence(family: GeometryFamily) -> GenericIncidence:
     """All classes of a family merged over the shared point set; line order is
-    class order, then in-class order."""
-    lines = tuple(ids for cls in family.classes for ids in cls.point_ids)
-    return GenericIncidence(num_points=family.field.q**3, lines=lines)
+    class order, then in-class order.  The tests' reference for
+    :func:`check_union_pls`."""
+    lines = tuple(ids for cls in family.classes for ids in class_incidence(cls).lines)
+    return GenericIncidence(family.field.q**3, lines)
 
 
 def _first_or_all(found: Iterator[Witness], exhaustive: bool):
@@ -313,6 +317,17 @@ def _distinct_pair(first: list[int], second: list[int]) -> Optional[tuple[int, i
 # family-level checks
 # ---------------------------------------------------------------------------
 
+def _repeated_lines(family: GeometryFamily) -> Iterator[tuple[Line, tuple, tuple]]:
+    """Each later copy of a line, in union order: the line, then the (union
+    index, class index) of its first copy and of this copy."""
+    first: dict[Line, tuple[int, int]] = {}
+    lines = ((cls_idx, line) for cls_idx, cls in enumerate(family.classes) for line in cls.lines)
+    for idx, (cls_idx, line) in enumerate(lines):
+        prior = first.setdefault(line, (idx, cls_idx))
+        if prior[0] != idx:
+            yield line, prior, (idx, cls_idx)
+
+
 def check_disjoint_classes(family: GeometryFamily, exhaustive: bool = False):
     """No canonical line in two classes; witness names both scales and the
     shared line."""
@@ -320,24 +335,30 @@ def check_disjoint_classes(family: GeometryFamily, exhaustive: bool = False):
 
 
 def _overlap_violations(family: GeometryFamily) -> Iterator[Witness]:
-    owner: dict[Line, int] = {}
-    for cls_idx, cls in enumerate(family.classes):
-        for line in cls.lines:
-            prior = owner.setdefault(line, cls_idx)
-            if prior != cls_idx:
-                yield Witness(
-                    CLASS_OVERLAP,
-                    {
-                        "scales": (family.classes[prior].scale.value, cls.scale.value),
-                        "slope": line.slope,
-                        "base": line.base,
-                    },
-                )
+    scales = [cls.scale.value for cls in family.classes]
+    for line, (_, first_cls), (_, cls_idx) in _repeated_lines(family):
+        if first_cls != cls_idx:
+            yield Witness(CLASS_OVERLAP, {"scales": (scales[first_cls], scales[cls_idx]),
+                                          "slope": line.slope, "base": line.base})
 
 
 def check_union_pls(family: GeometryFamily, exhaustive: bool = False):
-    """The union of all classes, checked as one partial linear space."""
-    return check_pls(union_incidence(family), exhaustive)
+    """The union of all classes, checked as one partial linear space.
+
+    Lines are canonical, so equal ``Line`` values are equal point sets, as
+    :func:`check_disjoint_classes` also assumes.  Two distinct affine lines
+    share at most one point, so the only violations are repeated lines: each
+    later copy j of a line first at union index i gives, per pair a < b of its
+    point ids, the witness (i, j), (a, b) that :func:`check_pls` gives on
+    :func:`union_incidence`, in the same order.
+    """
+    return _first_or_all(_union_violations(family), exhaustive)
+
+
+def _union_violations(family: GeometryFamily) -> Iterator[Witness]:
+    for line, (first, _), (idx, _) in _repeated_lines(family):
+        for pair in combinations(line.point_ids(family.field), 2):
+            yield Witness(PLS_VIOLATION, {"lines": (first, idx), "points": pair})
 
 
 # ---------------------------------------------------------------------------

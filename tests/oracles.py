@@ -1,11 +1,19 @@
 """Reference implementations that only the tests use: the brute-force
 triangle oracle, which shares no code with the fast scan it checks, the
-unfiltered triangle pair scan that fixes the order of its witnesses, and the
-writer of the plain incidence format."""
+unfiltered triangle pair scan that fixes the order of its witnesses, the
+owner-dict class overlap scan, and the writer of the plain incidence
+format."""
 
 from typing import Iterator, Optional
 
-from qpack.verifier import TRIANGLE, GenericIncidence, MalformedStructureError, Witness
+from qpack import GeometryFamily, Line
+from qpack.verifier import (
+    CLASS_OVERLAP,
+    TRIANGLE,
+    GenericIncidence,
+    MalformedStructureError,
+    Witness,
+)
 
 
 def _first_or_all(found: Iterator[Witness], exhaustive: bool):
@@ -90,6 +98,29 @@ def triangle_pair_scan(g: GenericIncidence) -> list[Witness]:
                         )
                         break
     return found
+
+
+def overlap_scan(family: GeometryFamily, exhaustive: bool = False):
+    """Reference for ``check_disjoint_classes``: each line remembers the
+    first class that held it, and a later class holding it names both
+    scales."""
+    return _first_or_all(_owner_overlaps(family), exhaustive)
+
+
+def _owner_overlaps(family: GeometryFamily) -> Iterator[Witness]:
+    owner: dict[Line, int] = {}
+    for cls_idx, cls in enumerate(family.classes):
+        for line in cls.lines:
+            prior = owner.setdefault(line, cls_idx)
+            if prior != cls_idx:
+                yield Witness(
+                    CLASS_OVERLAP,
+                    {
+                        "scales": (family.classes[prior].scale.value, cls.scale.value),
+                        "slope": line.slope,
+                        "base": line.base,
+                    },
+                )
 
 
 def plain_incidence_to_text(g: GenericIncidence) -> str:

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from perfbench.workloads import inject_triangle, merge_lines
-from qpack import bounds, build_class, class_incidence, cli, make_field
+from qpack import bounds, build_class, class_incidence, cli, make_field, verifier
 from qpack.cli import main
 from qpack.formats import loads_family, parse_plain_incidence
 from qpack import canonical_line
@@ -321,6 +321,18 @@ class TestVerify:
         records = json_lines(result.stdout)
         assert len(records) == 3 * (q - 1) + 2
         assert all(r["verdict"] == "ok" for r in records)
+
+    def test_union_builds_no_union_incidence(self, runner, geo5, monkeypatch):
+        """``union`` is decided from the family's repeated canonical lines;
+        the union incidence is only the tests' reference."""
+        def refuse(family):
+            raise AssertionError("verify built the union incidence")
+
+        monkeypatch.setattr(verifier, "union_incidence", refuse)
+        result = run(runner, "verify", str(geo5))
+        assert result.exit_code == 0
+        union = json_lines(result.stdout)[-1]
+        assert (union["check"], union["scope"], union["verdict"]) == ("union", "family", "ok")
 
     def test_jobs_option_is_gone(self, runner, geo5):
         assert run(runner, "verify", str(geo5), "--jobs", "2").exit_code == 2

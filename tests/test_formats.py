@@ -234,6 +234,16 @@ class TestPlainIncidence:
         g = parse_plain_incidence("\npoints 3\n\n0 1\n\n1 2\n")
         assert len(g.lines) == 2
 
+    @pytest.mark.parametrize("text,lines", [
+        *((f"points 4\n0 1{space}2 3\n", ((0, 1, 2, 3),))
+          for space in ("\f", "\v", "\x85", "\u2028")),
+        ("points 4\r\n0 1\r\n2 3\r\n", ((0, 1), (2, 3))),
+    ])
+    def test_rows_end_only_at_newline(self, text, lines):
+        """Other line breaks that ``str.splitlines`` honours are whitespace
+        inside a row; ``\\r\\n`` rows still end at their ``\\n``."""
+        assert parse_plain_incidence(text).lines == lines
+
     MALFORMED = {
         "": "empty incidence input",
         "vertices 3\n0 1\n": "expected 'points N' header",

@@ -1,7 +1,9 @@
 """Property tests: the pls, triangle and gq checks against independent
 oracles on random small incidences, including repeated lines and structures
 that are not partial linear spaces, with the pls and triangle witnesses in
-their reference pair scans' order; the neighbour table against
+their reference pair scans' order; the family checks against ``check_pls``
+on the union incidence and the owner-dict overlap scan, on families with
+copied lines; the neighbour table against
 ``neighbourhood`` on structures that declare points past their lines;
 ``revalidate`` on witnesses that name lines or points the structure lacks,
 which must replay False without raising; both
@@ -18,14 +20,19 @@ from hypothesis import strategies as st
 
 from qpack import (
     GenericIncidence,
+    GeometryFamily,
+    LineClass,
     Witness,
     build_family,
+    check_disjoint_classes,
     check_gq,
     check_pls,
     check_triangle_free,
+    check_union_pls,
     make_field,
     neighbourhood,
     revalidate,
+    union_incidence,
 )
 from qpack.cli import ALL_CHECKS, main
 from qpack.formats import (
@@ -35,7 +42,7 @@ from qpack.formats import (
     parse_plain_incidence,
 )
 
-from oracles import brute_force_triangle_check, triangle_pair_scan
+from oracles import brute_force_triangle_check, overlap_scan, triangle_pair_scan
 
 
 @st.composite
@@ -99,6 +106,40 @@ def test_triangle_matches_brute_force(g):
     if first is not None:
         assert first == every[0]
     assert all(revalidate(g, w) for w in [first, *every] if w is not None)
+
+
+FAMILIES = {q: build_family(make_field(q)) for q in (3, 4, 5, 7, 8, 9)}
+
+
+@st.composite
+def families_with_copies(draw) -> GeometryFamily:
+    """The first classes of a family over GF(q), q <= 9, with up to four
+    lines copied to random positions of random classes: into their own class
+    or another, ahead of or behind the original, copies of copies too."""
+    family = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))]
+    classes = family.classes[: draw(st.integers(1, len(family.classes)))]
+    lines = [list(cls.lines) for cls in classes]
+    for _ in range(draw(st.integers(0, 4))):
+        source = draw(st.sampled_from(lines))
+        line = source[draw(st.integers(0, len(source) - 1))]
+        target = draw(st.sampled_from(lines))
+        target.insert(draw(st.integers(0, len(target))), line)
+    return GeometryFamily(field=family.field, classes=tuple(
+        LineClass(scale=cls.scale, lines=tuple(ls)) for cls, ls in zip(classes, lines)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(families_with_copies())
+def test_family_checks_match_their_oracles(family):
+    """``union`` gives the mask scan's witnesses on the union incidence and
+    ``disjoint`` the owner-dict scan's, first and exhaustive, and every
+    witness replays."""
+    union = union_incidence(family)
+    for exhaustive in (False, True):
+        assert check_union_pls(family, exhaustive) == check_pls(union, exhaustive)
+        assert check_disjoint_classes(family, exhaustive) == overlap_scan(family, exhaustive)
+    assert all(revalidate(union, w) for w in check_union_pls(family, exhaustive=True))
+    assert all(revalidate(family, w) for w in check_disjoint_classes(family, exhaustive=True))
 
 
 @st.composite
