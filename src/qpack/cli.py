@@ -202,7 +202,8 @@ def cmd_verify(input_path: str, checks_option: str, exhaustive: bool):
     """Verify a geometry JSON file or a plain 'points N' incidence file.
 
     Prints one JSON line per executed check.  Exits 0 when every selected
-    check passes, 1 when any check fails, 2 on unreadable or malformed input.
+    check passes, 1 when any check fails, 2 on unreadable or malformed input
+    and on plain input when every selected check needs a geometry family.
     """
     checks = tuple(c.strip() for c in checks_option.split(",") if c.strip())
     unknown = [c for c in checks if c not in ALL_CHECKS]
@@ -225,12 +226,17 @@ def cmd_verify(input_path: str, checks_option: str, exhaustive: bool):
 
     structure_checks = [(c, STRUCTURE_CHECKS[c]) for c in checks if c in STRUCTURE_CHECKS]
     family_checks = [(c, FAMILY_CHECKS[c]) for c in checks if c in FAMILY_CHECKS]
+    if structure is not None and not structure_checks:
+        _fail_usage("plain incidence input has no geometry family for the checks "
+                    + ",".join(c for c, _ in family_checks))
     results: list[dict] = []
 
     if family is not None:
-        for cls in family.classes:
-            results.extend(_run_checks(f"class:{cls.scale.value}", verifier.class_incidence(cls),
-                                       structure_checks, exhaustive))
+        if structure_checks:  # no check reads the class indexes otherwise
+            for cls in family.classes:
+                results.extend(_run_checks(f"class:{cls.scale.value}",
+                                           verifier.class_incidence(cls),
+                                           structure_checks, exhaustive))
         results.extend(_run_checks("family", family, family_checks, exhaustive))
     else:
         results.extend(_run_checks("structure", structure, structure_checks, exhaustive))

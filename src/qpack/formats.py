@@ -10,9 +10,11 @@ lines remain verifiable.
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 from collections import Counter
+from functools import partial
 from typing import Any, Optional
 
 from .construction import GeometryFamily, Line, LineClass, canonical_line
@@ -116,24 +118,27 @@ def family_from_json(obj: Any) -> GeometryFamily:
 
 
 def dumps_family(family: GeometryFamily, metadata: Optional[dict[str, Any]] = None) -> str:
-    """The geometry JSON text; each element is written as its row of
-    ``field.coeff_table``, which ``json.dumps`` spells as an array."""
+    """The geometry JSON text, written in order.  Each element is spelled
+    once, as ``json.dumps`` writes its row of ``field.coeff_table``, and each
+    line fills one template with six of those spellings."""
     field = family.field
-    coeffs = field.coeff_table
-    obj: dict[str, Any] = {
-        "version": FORMAT_VERSION,
-        "field": field_to_json(field),
-        "classes": {
-            str(cls.scale.value): [
-                {"slope": [coeffs[c] for c in slope], "base": [coeffs[c] for c in base]}
-                for slope, base in cls.lines
-            ]
-            for cls in family.classes
-        },
-    }
-    if metadata:
-        obj["metadata"] = metadata
-    return json.dumps(obj, separators=(",", ":"))
+    dumps = partial(json.dumps, separators=(",", ":"))
+    element = [dumps(row) for row in field.coeff_table]
+    template = '{"slope":[%s,%s,%s],"base":[%s,%s,%s]}'
+    # keyed as a dict keys them: a repeated scale keeps its first place and its last lines
+    classes = {str(cls.scale.value): cls.lines for cls in family.classes}
+    body = ",".join(
+        f'"{key}":['
+        + ",".join([
+            template % (element[s0], element[s1], element[s2], element[b0], element[b1], element[b2])
+            for (s0, s1, s2), (b0, b1, b2) in lines
+        ])
+        + "]"
+        for key, lines in classes.items()
+    )
+    tail = f',"metadata":{dumps(metadata)}' if metadata else ""
+    return (f'{{"version":{dumps(FORMAT_VERSION)},"field":{dumps(field_to_json(field))},'
+            f'"classes":{{{body}}}{tail}}}')
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -146,16 +151,25 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 
 def loads_family(text: str) -> GeometryFamily:
     """Parse geometry JSON; a repeated key in any object is a format error,
-    since ``json.loads`` would silently keep only its last value."""
+    since ``json.loads`` would silently keep only its last value.  The cyclic
+    GC is paused while the document and its lines are built: none of those
+    objects can form a cycle, and a large file would otherwise trigger full
+    collections that find nothing.  It is re-enabled only if it was enabled."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        obj = json.loads(text, object_pairs_hook=_unique_keys)
-    except GeometryFormatError:
-        raise
-    except ValueError as exc:  # a decode error, or an integer too long for int
-        raise GeometryFormatError(f"not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise GeometryFormatError("JSON nested too deeply") from exc
-    return family_from_json(obj)
+        try:
+            obj = json.loads(text, object_pairs_hook=_unique_keys)
+        except GeometryFormatError:
+            raise
+        except ValueError as exc:  # a decode error, or an integer too long for int
+            raise GeometryFormatError(f"not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise GeometryFormatError("JSON nested too deeply") from exc
+        return family_from_json(obj)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Reference implementations that only the tests use: the brute-force
 triangle oracle, which shares no code with the fast scan it checks, the
 unfiltered triangle pair scan that fixes the order of its witnesses, the
-owner-dict class overlap scan, and the writer of the plain incidence
-format."""
+owner-dict class overlap scan, the object-tree geometry JSON writer, and
+the writer of the plain incidence format."""
 
-from typing import Iterator, Optional
+import json
+from typing import Any, Iterator, Optional
 
 from qpack import GeometryFamily, Line
+from qpack.formats import FORMAT_VERSION, field_to_json
 from qpack.verifier import (
     CLASS_OVERLAP,
     TRIANGLE,
@@ -121,6 +123,29 @@ def _owner_overlaps(family: GeometryFamily) -> Iterator[Witness]:
                         "base": line.base,
                     },
                 )
+
+
+def object_tree_dumps_family(family: GeometryFamily,
+                             metadata: Optional[dict[str, Any]] = None) -> str:
+    """Reference for ``dumps_family``: the whole document as one tree of
+    dicts and lists, each element its row of ``field.coeff_table``, spelled
+    by a single ``json.dumps``."""
+    field = family.field
+    coeffs = field.coeff_table
+    obj: dict[str, Any] = {
+        "version": FORMAT_VERSION,
+        "field": field_to_json(field),
+        "classes": {
+            str(cls.scale.value): [
+                {"slope": [coeffs[c] for c in slope], "base": [coeffs[c] for c in base]}
+                for slope, base in cls.lines
+            ]
+            for cls in family.classes
+        },
+    }
+    if metadata:
+        obj["metadata"] = metadata
+    return json.dumps(obj, separators=(",", ":"))
 
 
 def plain_incidence_to_text(g: GenericIncidence) -> str:

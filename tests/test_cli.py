@@ -94,6 +94,14 @@ class TestConstruct:
     def test_bad_count_exits_2(self, runner):
         assert run(runner, "construct", "--q", "5", "--count", "5").exit_code == 2
 
+    def test_q16_file_is_pinned(self, runner, tmp_path):
+        """The benchmark's geometry gate: the q=16 file as written before
+        elements were spelled once per file."""
+        path = tmp_path / "g16.json"
+        assert run(runner, "construct", "--q", "16", "--out", str(path)).exit_code == 0
+        digest = "c10012a3937eeff11c1ac0fd3ffc977162c929f9c4876daea20605d68baf649b"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_stdout_mode(self, runner):
         result = run(runner, "construct", "--q", "3")
         assert result.exit_code == 0
@@ -169,6 +177,26 @@ class TestVerify:
         verdicts = {r["check"]: r["verdict"] for r in json_lines(result.stdout)}
         assert verdicts["disjoint"] == "skipped"
         assert verdicts["union"] == "skipped"
+
+    @pytest.mark.parametrize("checks", ["disjoint,union", "union"])
+    def test_only_family_checks_on_plain_input_exits_2(self, runner, tmp_path, checks):
+        """Nothing would be checked, so this is a usage error, not 0/0 ok."""
+        path = tmp_path / "c4.txt"
+        path.write_text("points 4\n0 1\n1 2\n2 3\n3 0\n")
+        result = run(runner, "verify", str(path), "--checks", checks)
+        assert_usage_error(result)
+        assert result.stderr == ("error: plain incidence input has no geometry family "
+                                 f"for the checks {checks}\n")
+
+    def test_family_checks_build_no_class_incidence(self, runner, geo5, monkeypatch):
+        def refuse(cls):
+            raise AssertionError("verify built a class incidence")
+
+        monkeypatch.setattr(verifier, "class_incidence", refuse)
+        result = run(runner, "verify", str(geo5), "--checks", "disjoint,union")
+        assert result.exit_code == 0
+        assert [(r["check"], r["scope"], r["verdict"]) for r in json_lines(result.stdout)] == [
+            ("disjoint", "family", "ok"), ("union", "family", "ok")]
 
     def test_malformed_json_exits_2(self, runner, tmp_path):
         path = tmp_path / "broken.json"

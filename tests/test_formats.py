@@ -1,12 +1,22 @@
 """Geometry JSON and plain incidence formats: round trips and strictness."""
 
+import gc
 import hashlib
 import itertools
 import json
 
 import pytest
 
-from qpack import GenericIncidence, build_class, build_family, make_field
+from qpack import (
+    GenericIncidence,
+    GeometryFamily,
+    LineClass,
+    build_class,
+    build_family,
+    canonical_line,
+    formats,
+    make_field,
+)
 from qpack.formats import (
     MAX_FIELD_ORDER,
     GeometryFormatError,
@@ -20,7 +30,7 @@ from qpack.formats import (
     parse_plain_incidence,
 )
 
-from oracles import plain_incidence_to_text
+from oracles import object_tree_dumps_family, plain_incidence_to_text
 
 
 def document(field, count=None):
@@ -200,6 +210,82 @@ class TestFamilyJson:
     def test_rejects_deep_nesting(self):
         with pytest.raises(GeometryFormatError, match="nested"):
             loads_family('{"a":' + "[" * 200_000)
+
+
+class TestWriterOracle:
+    """``dumps_family`` spells each element once and fills a line template;
+    the object-tree writer gives the same bytes."""
+
+    METADATA = {"q": 0, "tool": "qpack test", "note": "\u00e9 \u2713", "more": [1, 2.5, None, True]}
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13, 16])
+    def test_matches_object_tree(self, q):
+        field = make_field(q)
+        for family in (build_family(field), build_family(field, 1)):
+            for metadata in (None, {}, self.METADATA):
+                assert dumps_family(family, metadata) == object_tree_dumps_family(family, metadata)
+
+    def test_matches_object_tree_on_recanonicalised_edit(self, f5):
+        """A hand-edited file: classes out of order, a line moved to another
+        class, and a line written with a scaled slope and a base off the
+        origin plane, all re-canonicalised on load."""
+        obj = document(f5)
+        classes = obj["classes"]
+        classes["3"].append(classes["1"].pop(0))
+        classes["2"].insert(0, {"slope": [[2], [4], [1]], "base": [[3], [1], [4]]})
+        obj["classes"] = {key: classes[key] for key in ("4", "2", "1", "3")}
+        family = loads_family(json.dumps(obj))
+        assert family.classes[1].lines[0] == canonical_line(f5, (2, 4, 1), (3, 1, 4))
+        text = dumps_family(family, self.METADATA)
+        assert text == object_tree_dumps_family(family, self.METADATA)
+        assert loads_family(text) == family
+
+    def test_repeated_scale_is_keyed_as_a_dict(self, f5):
+        """A family built by hand with a repeated scale: the class keeps its
+        first place and its last lines, as a dict would key it."""
+        one, two = build_family(f5, 2).classes
+        again = LineClass(scale=one.scale, lines=one.lines[:3])
+        family = GeometryFamily(field=f5, classes=(one, two, again))
+        assert dumps_family(family) == object_tree_dumps_family(family)
+
+
+class TestLoaderGc:
+    """``loads_family`` pauses the cyclic GC and leaves it as it found it,
+    on success and on each error path."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+    def gc_on_entry(self, request):
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda text: text, None),
+        (lambda text: text.replace('"2":', '"1":', 1), "repeated key '1'"),
+        (lambda text: text.replace('"slope":[[1]', '"slope":[[7]', 1), "not an element"),
+        (lambda text: '{"a":' + "[" * 200_000, "JSON nested too deeply"),
+    ], ids=["success", "repeated-key", "bad-element", "nested-too-deeply"])
+    def test_state_restored(self, f3, gc_on_entry, edit, error):
+        text = edit(dumps_family(build_family(f3)))
+        if error is None:
+            assert loads_family(text) == build_family(f3)
+        else:
+            with pytest.raises(GeometryFormatError, match=error):
+                loads_family(text)
+        assert gc.isenabled() is gc_on_entry
+
+    def test_paused_while_lines_are_built(self, f3, gc_on_entry, monkeypatch):
+        seen = set()
+
+        def spy(*args):
+            seen.add(gc.isenabled())
+            return canonical_line(*args)
+
+        monkeypatch.setattr(formats, "canonical_line", spy)
+        loads_family(dumps_family(build_family(f3)))
+        assert seen == {False}
+        assert gc.isenabled() is gc_on_entry
 
 
 # sha256 prefixes of dumps_family(build_family(make_field(q))) as written
