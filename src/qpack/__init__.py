@@ -17,6 +17,7 @@ from .construction import (
     GeometryFamily,
     Line,
     LineClass,
+    RepeatedScaleError,
     ZeroScaleError,
     ZeroSlopeError,
     build_class,
@@ -39,8 +40,10 @@ from .verifier import (
     check_pls,
     check_triangle_free,
     check_union_pls,
+    certify_class,
     class_incidence,
     counting_bound,
+    dependent_slopes,
     neighbourhood,
     revalidate,
     union_incidence,

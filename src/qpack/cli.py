@@ -172,6 +172,28 @@ def _run_checks(scope: str, target, checks: list, exhaustive: bool) -> list[dict
     return results
 
 
+def _class_records(cls, checks: list, exhaustive: bool) -> list[dict]:
+    """The structure checks' records for one class of a geometry file.
+
+    A class that :func:`verifier.certify_class` certifies passes ``pls`` and
+    ``triangle`` and has the certificate's order, which is what the scans
+    would report.  Its incidence is built only when another check (``gq``,
+    ``counting``) reads it; an uncertified class gets every scan, and so
+    every witness.
+    """
+    order = verifier.certify_class(cls)
+    known = {} if order is None else {"pls": None, "order": order, "triangle": None}
+    scans = [name for name, _ in checks if name not in known]
+    target = verifier.class_incidence(cls) if scans else None
+    checks = [(name, _decided(known[name]) if name in known else check) for name, check in checks]
+    return _run_checks(f"class:{cls.scale.value}", target, checks, exhaustive)
+
+
+def _decided(outcome):
+    """A check whose outcome is already known."""
+    return lambda target, exhaustive: outcome
+
+
 def _record_outcome(record: dict, outcome):
     if outcome is None or (isinstance(outcome, list) and not outcome):
         record["verdict"] = "ok"
@@ -232,11 +254,9 @@ def cmd_verify(input_path: str, checks_option: str, exhaustive: bool):
     results: list[dict] = []
 
     if family is not None:
-        if structure_checks:  # no check reads the class indexes otherwise
+        if structure_checks:
             for cls in family.classes:
-                results.extend(_run_checks(f"class:{cls.scale.value}",
-                                           verifier.class_incidence(cls),
-                                           structure_checks, exhaustive))
+                results.extend(_class_records(cls, structure_checks, exhaustive))
         results.extend(_run_checks("family", family, family_checks, exhaustive))
     else:
         results.extend(_run_checks("structure", structure, structure_checks, exhaustive))

@@ -38,6 +38,10 @@ class CountOutOfRangeError(ValueError):
     """A family has between 1 and q-1 classes."""
 
 
+class RepeatedScaleError(ValueError):
+    """A family has one class per scale."""
+
+
 class Line(NamedTuple):
     """An affine line {beta*slope + base} in canonical form, as two value
     triples; equality is point-set equality."""
@@ -102,10 +106,18 @@ class LineClass:
 
 @dataclass(frozen=True)
 class GeometryFamily:
-    """Line classes for distinct nonzero scales, in canonical scale order."""
+    """Line classes for distinct nonzero scales, in canonical scale order; a
+    repeated scale raises :class:`RepeatedScaleError`."""
 
     field: FieldSpec
     classes: tuple[LineClass, ...]
+
+    def __post_init__(self):
+        seen = set()
+        for cls in self.classes:
+            if cls.scale.value in seen:
+                raise RepeatedScaleError(f"scale {cls.scale.value} names more than one class")
+            seen.add(cls.scale.value)
 
     def __repr__(self):
         return f"GeometryFamily(field={self.field!r}, classes={len(self.classes)})"

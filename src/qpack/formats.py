@@ -125,16 +125,14 @@ def dumps_family(family: GeometryFamily, metadata: Optional[dict[str, Any]] = No
     dumps = partial(json.dumps, separators=(",", ":"))
     element = [dumps(row) for row in field.coeff_table]
     template = '{"slope":[%s,%s,%s],"base":[%s,%s,%s]}'
-    # keyed as a dict keys them: a repeated scale keeps its first place and its last lines
-    classes = {str(cls.scale.value): cls.lines for cls in family.classes}
     body = ",".join(
-        f'"{key}":['
+        f'"{cls.scale.value}":['
         + ",".join([
             template % (element[s0], element[s1], element[s2], element[b0], element[b1], element[b2])
-            for (s0, s1, s2), (b0, b1, b2) in lines
+            for (s0, s1, s2), (b0, b1, b2) in cls.lines
         ])
         + "]"
-        for key, lines in classes.items()
+        for cls in family.classes
     )
     tail = f',"metadata":{dumps(metadata)}' if metadata else ""
     return (f'{{"version":{dumps(FORMAT_VERSION)},"field":{dumps(field_to_json(field))},'

@@ -3,7 +3,9 @@
 Every structure check consumes a :class:`GenericIncidence` (point ids plus
 lines as point-id tuples), so handcrafted counterexamples, mutated
 structures and imported files are all first-class inputs; the two family
-checks read a :class:`GeometryFamily`'s canonical lines.  A failed check
+checks read a :class:`GeometryFamily`'s canonical lines, and
+:func:`certify_class` decides a class that holds every line of its slopes
+from the slope set alone.  A failed check
 returns a :class:`Witness` whose items, fed back to :func:`revalidate`,
 reproduce the violation directly against the structure.
 
@@ -17,9 +19,10 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
 from operator import or_
-from typing import Any, Iterator, NamedTuple, Optional, Union
+from typing import Any, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .construction import GeometryFamily, Line, LineClass
+from .construction import GeometryFamily, Line, LineClass, Triple, canonical_slope
+from .gf import FieldSpec
 
 
 class MalformedStructureError(ValueError):
@@ -359,6 +362,66 @@ def _union_violations(family: GeometryFamily) -> Iterator[Witness]:
     for line, (first, _), (idx, _) in _repeated_lines(family):
         for pair in combinations(line.point_ids(family.field), 2):
             yield Witness(PLS_VIOLATION, {"lines": (first, idx), "points": pair})
+
+
+# ---------------------------------------------------------------------------
+# slope certificates
+# ---------------------------------------------------------------------------
+#
+# Distinct affine lines meet in at most one point, so a class of distinct
+# canonical lines is a partial linear space.  The three sides of a triangle
+# have distinct slopes (two lines of one slope that meet are equal) whose
+# differences of corners sum to zero, so the slopes are linearly dependent.
+# Conversely, if a*d1 + b*d2 + c*d3 = 0 with a, b, c nonzero, the points 0,
+# a*d1 and a*d1 + b*d2 span a triangle whose sides have those slopes.  A class
+# holding every line of each of its slopes is therefore triangle-free exactly
+# when its slopes are an arc: no three of them linearly dependent.
+
+def dependent_slopes(field: FieldSpec,
+                     slopes: Sequence[Triple]) -> Optional[tuple[Triple, Triple, Triple]]:
+    """The first three linearly dependent slopes, or None for an arc.
+
+    ``slopes`` are distinct canonical slopes, so no two are proportional.
+    For each pivot u, two later slopes v and w are dependent with u exactly
+    when the cross products u x v and u x w are proportional, so the
+    canonicalised cross products of u with the later slopes are hashed and
+    the first repeat closes the triple (u, v, w), v before w.  Only the
+    field's tables are used.
+    """
+    mul, add, neg = field.mul_table, field.add_table, field.neg_table
+    for i, (u0, u1, u2) in enumerate(slopes[:-2]):
+        r0, r1, r2 = mul[u0], mul[u1], mul[u2]
+        seen: dict[Triple, int] = {}
+        for j in range(i + 1, len(slopes)):
+            v0, v1, v2 = slopes[j]
+            normal = canonical_slope(field, (add[r1[v2]][neg[r2[v1]]],
+                                             add[r2[v0]][neg[r0[v2]]],
+                                             add[r0[v1]][neg[r1[v0]]]))
+            k = seen.setdefault(normal, j)
+            if k != j:
+                return slopes[i], slopes[k], slopes[j]
+    return None
+
+
+def certify_class(line_class: LineClass) -> Optional[OrderParams]:
+    """The class's order (q-1, |S|-1) when it is certified from its slope
+    set S alone, else None.
+
+    Certified means: the class is non-empty, its lines are distinct and
+    number |S|*q^2, and :func:`dependent_slopes` finds no dependent triple
+    in S.  Lines are canonical (loaded and built lines always are), so each
+    slope has exactly q^2 lines and the count makes the class complete on
+    S.  A certified class passes :func:`check_pls`, :func:`check_order` and
+    :func:`check_triangle_free` on its incidence; a class of distinct lines
+    complete on S that is not certified has a triangle.
+    """
+    lines, field = line_class.lines, line_class.field
+    slopes = list(dict.fromkeys(line.slope for line in lines))
+    if not lines or len(lines) != len(slopes) * field.q**2 or len(set(lines)) != len(lines):
+        return None
+    if dependent_slopes(field, slopes) is not None:
+        return None
+    return OrderParams(s_order=field.q - 1, t_order=len(slopes) - 1)
 
 
 # ---------------------------------------------------------------------------

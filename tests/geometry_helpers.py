@@ -1,13 +1,15 @@
 """Point and intersection helpers for tests of the integer geometry.
 
 The library works on point ids and value triples; these helpers go between
-the two and solve line intersections exactly by Cramer's rule over the
-field's operation tables.
+the two, solve line intersections exactly by Cramer's rule over the
+field's operation tables, build a class from any slope set, and take
+determinants.
 """
 
+from itertools import product
 from typing import Optional
 
-from qpack import FieldSpec, Line
+from qpack import FieldSpec, Line, LineClass, canonical_line
 
 
 def point_index(field: FieldSpec, point) -> int:
@@ -56,3 +58,23 @@ def intersect(field: FieldSpec, first: Line, second: Line) -> Optional[tuple[int
                 return None
             return tuple(add[v][mul[beta][s]] for v, s in zip(base, s1))
     raise AssertionError("distinct canonical slopes cannot be proportional")
+
+
+def slope_class(field: FieldSpec, slopes) -> LineClass:
+    """Every affine line with a slope in ``slopes``, found by canonicalising
+    the line through each point, as a class of scale 1."""
+    q = field.q
+    lines = {canonical_line(field, slope, point)
+             for slope in slopes for point in product(range(q), repeat=3)}
+    return LineClass(scale=field.element(1), lines=tuple(sorted(lines)))
+
+
+def determinant(field: FieldSpec, u, v, w) -> int:
+    """det(u, v, w) over the field, by the Leibniz expansion."""
+    add, mul, neg = field.add_table, field.mul_table, field.neg_table
+    total = 0
+    for (i, j, k), sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                            ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
+        term = mul[mul[u[i]][v[j]]][w[k]]
+        total = add[total][term if sign > 0 else neg[term]]
+    return total

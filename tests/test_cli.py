@@ -620,6 +620,84 @@ class TestGeometryPathPinned:
         assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == digest
 
 
+def _records(result) -> list[dict]:
+    return [{k: v for k, v in r.items() if k != "elapsed"} for r in json_lines(result.stdout)]
+
+
+def _sweep_mutants(obj: dict):
+    """The geometry document and five mutants of it, by name: one slope's
+    lines dropped from class 1, one line dropped from class 1, one line of
+    class 2 repeated, one line moved from class 1 to class 2, and the line
+    lists of classes 1 and 2 swapped."""
+    def edited(edit):
+        classes = {key: list(lines) for key, lines in obj["classes"].items()}
+        edit(classes)
+        return json.dumps({**obj, "classes": classes})
+
+    def drop_slope(c):
+        c["1"] = [ln for ln in c["1"] if ln["slope"] != c["1"][0]["slope"]]
+
+    def swap(c):
+        c["1"], c["2"] = c["2"], c["1"]
+
+    return {
+        "clean": json.dumps(obj),
+        "slope-dropped": edited(drop_slope),
+        "line-dropped": edited(lambda c: c["1"].pop(len(c["1"]) // 2)),
+        "line-duplicated": edited(lambda c: c["2"].append(c["2"][5])),
+        "line-moved": edited(lambda c: c["2"].append(c["1"].pop(3))),
+        "classes-swapped": edited(swap),
+    }
+
+
+class TestCertificatePath:
+    """``verify`` decides a certified class's pls, order and triangle from
+    its slope set; the records must be the scans' records.  The sweep takes
+    full families up to q=9 and three classes above: the scans of the six
+    full q=19 files alone take about 40 s."""
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19])
+    def test_records_match_the_scans(self, runner, tmp_path, monkeypatch, q):
+        path = tmp_path / "geo.json"
+        count = q - 1 if q <= 9 else 3
+        assert run(runner, "construct", "--q", str(q), "--count", str(count),
+                   "--out", str(path)).exit_code == 0
+        certify = verifier.certify_class
+        for name, text in _sweep_mutants(json.loads(path.read_text())).items():
+            certified = []
+            monkeypatch.setattr(verifier, "certify_class",
+                                lambda cls: certified.append(certify(cls)) or certified[-1])
+            fast = run(runner, "verify", "-", "--exhaustive", input=text)
+            monkeypatch.setattr(verifier, "certify_class", lambda cls: None)
+            scans = run(runner, "verify", "-", "--exhaustive", input=text)
+            assert (fast.exit_code, _records(fast)) == (scans.exit_code, _records(scans)), name
+            assert fast.exit_code == (0 if name in ("clean", "slope-dropped", "classes-swapped")
+                                      else 1), name
+            assert len(certified) == count and certified[2:] == [(q - 1, q - 2)] * (count - 2)
+            if name == "clean":
+                assert all(order == (q - 1, q - 2) for order in certified)
+
+    def test_default_checks_build_no_class_incidence(self, runner, geo5, monkeypatch):
+        def refuse(cls):
+            raise AssertionError("verify built a class incidence")
+
+        monkeypatch.setattr(verifier, "class_incidence", refuse)
+        result = run(runner, "verify", str(geo5))
+        assert result.exit_code == 0
+        records = json_lines(result.stdout)
+        assert len(records) == 14 and all(r["verdict"] == "ok" for r in records)
+
+    @pytest.mark.parametrize("checks", ["gq", "counting", "pls,order,triangle,gq"])
+    def test_gq_and_counting_build_the_class_incidence(self, runner, geo5, monkeypatch, checks):
+        built = []
+        class_incidence = verifier.class_incidence
+        monkeypatch.setattr(verifier, "class_incidence",
+                            lambda cls: built.append(cls.scale.value) or class_incidence(cls))
+        result = run(runner, "verify", str(geo5), "--checks", checks)
+        assert result.exit_code == (0 if checks == "counting" else 1)
+        assert built == [1, 2, 3, 4]
+
+
 class TestPinnedOutput:
     """sha256 of stdout, pinned from the output of the release before the bound
     record's JSON keys and CSV columns were read from one set of names."""

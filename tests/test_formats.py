@@ -11,6 +11,7 @@ from qpack import (
     GenericIncidence,
     GeometryFamily,
     LineClass,
+    RepeatedScaleError,
     build_class,
     build_family,
     canonical_line,
@@ -240,13 +241,15 @@ class TestWriterOracle:
         assert text == object_tree_dumps_family(family, self.METADATA)
         assert loads_family(text) == family
 
-    def test_repeated_scale_is_keyed_as_a_dict(self, f5):
-        """A family built by hand with a repeated scale: the class keeps its
-        first place and its last lines, as a dict would key it."""
+    def test_repeated_scale_is_rejected(self, f5):
+        """A family built by hand with a repeated scale never reaches the
+        writer, which keys classes by scale and would drop one class's
+        lines."""
         one, two = build_family(f5, 2).classes
         again = LineClass(scale=one.scale, lines=one.lines[:3])
-        family = GeometryFamily(field=f5, classes=(one, two, again))
-        assert dumps_family(family) == object_tree_dumps_family(family)
+        with pytest.raises(RepeatedScaleError, match="scale 1 names more than one class"):
+            GeometryFamily(field=f5, classes=(one, two, again))
+        assert issubclass(RepeatedScaleError, ValueError)
 
 
 class TestLoaderGc:

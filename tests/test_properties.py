@@ -3,7 +3,9 @@ oracles on random small incidences, including repeated lines and structures
 that are not partial linear spaces, with the pls and triangle witnesses in
 their reference pair scans' order; the family checks against ``check_pls``
 on the union incidence and the owner-dict overlap scan, on families with
-copied lines; the neighbour table against
+copied lines; the slope certificate against the pls, order and triangle
+scans on classes that hold every line of their slopes, arcs or not; the
+neighbour table against
 ``neighbourhood`` on structures that declare points past their lines;
 ``revalidate`` on witnesses that name lines or points the structure lacks,
 which must replay False without raising; both
@@ -12,24 +14,31 @@ parsers on random and mutated input, which must either parse or raise
 exit 0, 1 or 2 without a traceback."""
 
 import json
-from itertools import combinations
+from itertools import combinations, product
 
 from click.testing import CliRunner
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from qpack import (
     GenericIncidence,
     GeometryFamily,
     LineClass,
+    OrderParams,
     Witness,
     build_family,
+    canonical_slope,
+    certify_class,
     check_disjoint_classes,
     check_gq,
+    check_order,
     check_pls,
     check_triangle_free,
     check_union_pls,
+    class_incidence,
+    dependent_slopes,
     make_field,
+    moment_curve,
     neighbourhood,
     revalidate,
     union_incidence,
@@ -42,6 +51,7 @@ from qpack.formats import (
     parse_plain_incidence,
 )
 
+from geometry_helpers import determinant, slope_class
 from oracles import brute_force_triangle_check, overlap_scan, triangle_pair_scan
 
 
@@ -140,6 +150,43 @@ def test_family_checks_match_their_oracles(family):
         assert check_disjoint_classes(family, exhaustive) == overlap_scan(family, exhaustive)
     assert all(revalidate(union, w) for w in check_union_pls(family, exhaustive=True))
     assert all(revalidate(family, w) for w in check_disjoint_classes(family, exhaustive=True))
+
+
+@st.composite
+def slope_complete_classes(draw) -> tuple:
+    """A field of order q <= 9 and a class holding every line of its slopes:
+    some points of one scaled moment curve, an arc, plus up to four random
+    slopes, which often make three of them dependent."""
+    field = make_field(draw(st.sampled_from((3, 4, 5, 7, 8, 9))))
+    q = field.q
+    curve = moment_curve(field, field.element(draw(st.integers(1, q - 1))))
+    slopes = draw(st.lists(st.sampled_from(curve), max_size=q - 1, unique=True))
+    every = sorted({canonical_slope(field, d) for d in product(range(q), repeat=3) if any(d)})
+    slopes += draw(st.lists(st.sampled_from(every), max_size=4))
+    slopes = list(dict.fromkeys(slopes)) or [curve[0]]
+    return field, slopes, slope_class(field, slopes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(slope_complete_classes())
+def test_certificate_matches_the_scans(drawn):
+    """``certify_class`` is non-None exactly when ``pls``, ``order`` and
+    ``triangle`` all pass on the class incidence, with the same order, and
+    a dependent triple is three of the slopes with determinant 0."""
+    field, slopes, cls = drawn
+    g = class_incidence(cls)
+    pls, order, triangle = check_pls(g), check_order(g), check_triangle_free(g)
+    certificate = certify_class(cls)
+    passes = pls is None and isinstance(order, OrderParams) and triangle is None
+    assert (certificate is not None) == passes
+    if passes:
+        assert certificate == order
+    triple = dependent_slopes(field, slopes)
+    event("arc" if triple is None else "not an arc")
+    assert (triple is None) == (triangle is None)
+    if triple is not None:
+        assert len(set(triple)) == 3 and set(triple) <= set(slopes)
+        assert determinant(field, *triple) == 0
 
 
 @st.composite

@@ -12,6 +12,7 @@ import pytest
 
 from qpack import (
     GenericIncidence,
+    LineClass,
     MalformedStructureError,
     NotTriangleFreeError,
     NotUniformError,
@@ -19,6 +20,7 @@ from qpack import (
     Witness,
     build_class,
     build_family,
+    certify_class,
     check_disjoint_classes,
     check_gq,
     check_order,
@@ -27,12 +29,14 @@ from qpack import (
     check_union_pls,
     class_incidence,
     counting_bound,
+    dependent_slopes,
     make_field,
     neighbourhood,
     revalidate,
     union_incidence,
 )
 
+from geometry_helpers import slope_class
 from oracles import brute_force_triangle_check
 
 
@@ -308,8 +312,9 @@ class TestFamilyChecks:
     def test_duplicated_class_overlaps(self, f3):
         from qpack import GeometryFamily
 
-        family = build_family(f3, count=1)
-        doubled = GeometryFamily(field=f3, classes=family.classes * 2)
+        (one,) = build_family(f3, count=1).classes
+        copy = LineClass(scale=f3.element(2), lines=one.lines)
+        doubled = GeometryFamily(field=f3, classes=(one, copy))
         w = check_disjoint_classes(doubled)
         assert w.kind == "class_overlap"
         assert revalidate(doubled, w)
@@ -324,6 +329,60 @@ class TestFamilyChecks:
         union = union_incidence(family)
         assert union.num_points == 27
         assert len(union.lines) == 36
+
+
+@pytest.fixture(scope="module")
+def line_class5():
+    field = make_field(5)
+    return build_class(field, field.element(1))
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 16])
+    def test_constructed_classes_are_certified(self, q):
+        field = make_field(q)
+        for cls in build_family(field).classes:
+            assert certify_class(cls) == OrderParams(q - 1, q - 2)
+
+    def test_one_slope_dropped_is_certified_with_its_order(self, line_class5):
+        slope = line_class5.lines[0].slope
+        cls = LineClass(line_class5.scale,
+                        tuple(ln for ln in line_class5.lines if ln.slope != slope))
+        order = certify_class(cls)
+        assert order == OrderParams(4, 2) == check_order(class_incidence(cls))
+
+    @pytest.mark.parametrize("edit", ["empty", "dropped", "duplicated", "copied over", "foreign"])
+    def test_incomplete_or_repeated_lines_are_not_certified(self, line_class5, f5, edit):
+        lines = list(line_class5.lines)
+        if edit == "empty":
+            lines = []
+        elif edit == "dropped":
+            del lines[7]
+        elif edit == "duplicated":
+            lines.append(lines[7])
+        elif edit == "copied over":  # the count still matches
+            lines[7] = lines[8]
+        else:
+            lines.append(build_class(f5, f5.element(2)).lines[0])
+        assert certify_class(LineClass(line_class5.scale, tuple(lines))) is None
+
+    def test_non_arc_is_not_certified(self, f3):
+        slopes = [(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0)]
+        assert dependent_slopes(f3, slopes) == ((0, 0, 1), (0, 1, 0), (0, 1, 1))
+        cls = slope_class(f3, slopes)
+        assert certify_class(cls) is None
+        assert check_triangle_free(class_incidence(cls)) is not None
+
+    def test_fewer_than_three_slopes_are_an_arc(self, f3):
+        assert dependent_slopes(f3, []) is None
+        assert dependent_slopes(f3, [(0, 0, 1), (0, 1, 0)]) is None
+
+    def test_triple_closes_at_the_first_repeat(self, f5):
+        """For pivot u, the later slopes v, w with u x v proportional to
+        u x w, v before w; the lowest pivot wins."""
+        slopes = [(1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1), (1, 1, 0)]
+        assert dependent_slopes(f5, slopes) == ((1, 0, 0), (0, 1, 0), (1, 1, 0))
+        assert dependent_slopes(f5, slopes[1:]) == ((1, 1, 1), (0, 0, 1), (1, 1, 0))
 
 
 def _pin_mutant(g: GenericIncidence, rng: random.Random) -> GenericIncidence:
