@@ -44,6 +44,7 @@ FAMILY_CHECKS = {
     "union": verifier.check_union_pls,
 }
 ALL_CHECKS = (*STRUCTURE_CHECKS, *FAMILY_CHECKS)
+CERTIFIED_CHECKS = ("pls", "order", "triangle")  # what a slope certificate decides
 DEFAULT_CHECKS = ("pls", "order", "triangle", "disjoint", "union")
 MAX_SCAN_GRID = 10**6
 
@@ -179,14 +180,23 @@ def _class_records(cls, checks: list, exhaustive: bool) -> list[dict]:
     ``triangle`` and has the certificate's order, which is what the scans
     would report.  Its incidence is built only when another check (``gq``,
     ``counting``) reads it; an uncertified class gets every scan, and so
-    every witness.
+    every witness.  The certificate is sought only when one of the checks it
+    decides is selected, and its time, whether or not it certifies the
+    class, is added to the ``elapsed`` of the first such record.
     """
-    order = verifier.certify_class(cls)
+    decidable = [i for i, (name, _) in enumerate(checks) if name in CERTIFIED_CHECKS]
+    start = time.perf_counter()
+    order = verifier.certify_class(cls) if decidable else None
+    certify_s = time.perf_counter() - start
     known = {} if order is None else {"pls": None, "order": order, "triangle": None}
     scans = [name for name, _ in checks if name not in known]
     target = verifier.class_incidence(cls) if scans else None
     checks = [(name, _decided(known[name]) if name in known else check) for name, check in checks]
-    return _run_checks(f"class:{cls.scale.value}", target, checks, exhaustive)
+    records = _run_checks(f"class:{cls.scale.value}", target, checks, exhaustive)
+    if decidable:
+        record = records[decidable[0]]
+        record["elapsed"] = round(record["elapsed"] + certify_s, 6)
+    return records
 
 
 def _decided(outcome):

@@ -19,6 +19,7 @@ exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .gf import FieldElement, FieldSpec
@@ -121,6 +122,21 @@ class GeometryFamily:
 
     def __repr__(self):
         return f"GeometryFamily(field={self.field!r}, classes={len(self.classes)})"
+
+    @cached_property
+    def repeats(self) -> list[tuple[Line, tuple[int, int], tuple[int, int]]]:
+        """Each later copy of a line, in union order (the classes in order,
+        each in line order): the line, then the (union index, class index)
+        of its first copy and of this copy.  Found in one pass on first use,
+        so the family checks share it."""
+        first: dict[Line, tuple[int, int]] = {}
+        found = []
+        lines = ((cls_idx, line) for cls_idx, cls in enumerate(self.classes) for line in cls.lines)
+        for idx, (cls_idx, line) in enumerate(lines):
+            prior = first.setdefault(line, (idx, cls_idx))
+            if prior[0] != idx:
+                found.append((line, prior, (idx, cls_idx)))
+        return found
 
 
 def moment_curve(field: FieldSpec, scale: FieldElement) -> list[Triple]:

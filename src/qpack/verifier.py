@@ -21,7 +21,7 @@ from itertools import combinations
 from operator import or_
 from typing import Any, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .construction import GeometryFamily, Line, LineClass, Triple, canonical_slope
+from .construction import GeometryFamily, LineClass, Triple, canonical_slope
 from .gf import FieldSpec
 
 
@@ -320,17 +320,6 @@ def _distinct_pair(first: list[int], second: list[int]) -> Optional[tuple[int, i
 # family-level checks
 # ---------------------------------------------------------------------------
 
-def _repeated_lines(family: GeometryFamily) -> Iterator[tuple[Line, tuple, tuple]]:
-    """Each later copy of a line, in union order: the line, then the (union
-    index, class index) of its first copy and of this copy."""
-    first: dict[Line, tuple[int, int]] = {}
-    lines = ((cls_idx, line) for cls_idx, cls in enumerate(family.classes) for line in cls.lines)
-    for idx, (cls_idx, line) in enumerate(lines):
-        prior = first.setdefault(line, (idx, cls_idx))
-        if prior[0] != idx:
-            yield line, prior, (idx, cls_idx)
-
-
 def check_disjoint_classes(family: GeometryFamily, exhaustive: bool = False):
     """No canonical line in two classes; witness names both scales and the
     shared line."""
@@ -339,7 +328,7 @@ def check_disjoint_classes(family: GeometryFamily, exhaustive: bool = False):
 
 def _overlap_violations(family: GeometryFamily) -> Iterator[Witness]:
     scales = [cls.scale.value for cls in family.classes]
-    for line, (_, first_cls), (_, cls_idx) in _repeated_lines(family):
+    for line, (_, first_cls), (_, cls_idx) in family.repeats:
         if first_cls != cls_idx:
             yield Witness(CLASS_OVERLAP, {"scales": (scales[first_cls], scales[cls_idx]),
                                           "slope": line.slope, "base": line.base})
@@ -359,7 +348,7 @@ def check_union_pls(family: GeometryFamily, exhaustive: bool = False):
 
 
 def _union_violations(family: GeometryFamily) -> Iterator[Witness]:
-    for line, (first, _), (idx, _) in _repeated_lines(family):
+    for line, (first, _), (idx, _) in family.repeats:
         for pair in combinations(line.point_ids(family.field), 2):
             yield Witness(PLS_VIOLATION, {"lines": (first, idx), "points": pair})
 

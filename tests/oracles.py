@@ -1,14 +1,16 @@
 """Reference implementations that only the tests use: the brute-force
 triangle oracle, which shares no code with the fast scan it checks, the
 unfiltered triangle pair scan that fixes the order of its witnesses, the
-owner-dict class overlap scan, the object-tree geometry JSON writer, and
-the writer of the plain incidence format."""
+owner-dict class overlap scan, the object-tree geometry JSON writer, the
+object-by-object geometry JSON loader, and the writer of the plain incidence
+format."""
 
 import json
+from collections import Counter
 from typing import Any, Iterator, Optional
 
-from qpack import GeometryFamily, Line
-from qpack.formats import FORMAT_VERSION, field_to_json
+from qpack import FieldSpec, GeometryFamily, Line, LineClass, canonical_line
+from qpack.formats import FORMAT_VERSION, GeometryFormatError, field_from_json, field_to_json
 from qpack.verifier import (
     CLASS_OVERLAP,
     TRIANGLE,
@@ -146,6 +148,89 @@ def object_tree_dumps_family(family: GeometryFamily,
     if metadata:
         obj["metadata"] = metadata
     return json.dumps(obj, separators=(",", ":"))
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        key = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+        raise GeometryFormatError(f"repeated key {key!r}")
+    return obj
+
+
+def element_from_json(field: FieldSpec, obj: Any) -> int:
+    """The value of an element given as its coefficient list: a list of ints
+    (not bools, floats or strings) that is a row of ``field.coeff_table``."""
+    if not isinstance(obj, list):
+        raise GeometryFormatError(f"element must be a list of {field.n} coefficients")
+    for c in obj:
+        if type(c) is not int:
+            raise GeometryFormatError(f"bad element coefficients {obj!r}: not all integers")
+    try:
+        return field.coeff_index[tuple(obj)]
+    except KeyError:
+        raise GeometryFormatError(f"{obj} is not an element of {field!r}") from None
+
+
+def line_from_json(field: FieldSpec, obj: Any) -> Line:
+    if not isinstance(obj, dict) or not {"slope", "base"} <= obj.keys():
+        raise GeometryFormatError("line must be an object with slope and base")
+    slope, base = obj["slope"], obj["base"]
+    if not (isinstance(slope, list) and isinstance(base, list) and len(slope) == len(base) == 3):
+        raise GeometryFormatError("slope and base must be coordinate triples")
+    direction = [element_from_json(field, c) for c in slope]
+    anchor = [element_from_json(field, c) for c in base]
+    if not any(direction):
+        raise GeometryFormatError("line slope is the zero vector")
+    return canonical_line(field, direction, anchor)
+
+
+def family_from_json(obj: Any) -> GeometryFamily:
+    if not isinstance(obj, dict):
+        raise GeometryFormatError("geometry file must be a JSON object")
+    version = obj.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise GeometryFormatError(f"unsupported format version {version!r}")
+    field = field_from_json(obj.get("field"))
+    classes_obj = obj.get("classes")
+    if not isinstance(classes_obj, dict) or not classes_obj:
+        raise GeometryFormatError("geometry file needs a non-empty classes map")
+    scales = {str(s): s for s in range(1, field.q)}
+    classes = []
+    for key, lines_obj in classes_obj.items():
+        if key not in scales:
+            raise GeometryFormatError(
+                f"class key {key!r} is not the decimal form of a scale in [1, {field.q})"
+            )
+        if not isinstance(lines_obj, list):
+            raise GeometryFormatError(f"class {key!r} must map to a list of lines")
+        scale = field.element(scales[key])
+        lines = tuple(line_from_json(field, entry) for entry in lines_obj)
+        classes.append(LineClass(scale=scale, lines=lines))
+    return GeometryFamily(field=field, classes=tuple(classes))
+
+
+def reference_loads_family(text: str) -> GeometryFamily:
+    """Reference for ``loads_family``: the whole document as one tree of
+    dicts and lists, then each line object decoded on its own, element by
+    element, through ``canonical_line``."""
+    try:
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
+    except GeometryFormatError:
+        raise
+    except ValueError as exc:
+        raise GeometryFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise GeometryFormatError("JSON nested too deeply") from exc
+    return family_from_json(obj)
+
+
+def load_outcome(load, text: str):
+    """The family ``load`` reads from ``text``, or its format error's message."""
+    try:
+        return load(text)
+    except GeometryFormatError as exc:
+        return str(exc)
 
 
 def plain_incidence_to_text(g: GenericIncidence) -> str:

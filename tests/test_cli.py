@@ -687,6 +687,37 @@ class TestCertificatePath:
         records = json_lines(result.stdout)
         assert len(records) == 14 and all(r["verdict"] == "ok" for r in records)
 
+    @pytest.mark.parametrize("certifies", [True, False], ids=["certified", "uncertified"])
+    @pytest.mark.parametrize("checks, timed", [
+        ("pls,order,triangle,disjoint,union", "pls"),
+        ("counting,triangle,pls", "triangle"),
+        ("order", "order"),
+    ])
+    def test_certificate_time_is_in_the_first_record_it_decides(
+            self, runner, geo5, monkeypatch, checks, timed, certifies):
+        """The certificate's time goes into the first pls, order or triangle
+        record of its class, whether or not it certifies the class."""
+        certify, pause = verifier.certify_class, 0.25
+
+        def slow(cls):
+            time.sleep(pause)
+            return certify(cls) if certifies else None
+
+        monkeypatch.setattr(verifier, "certify_class", slow)
+        records = json_lines(run(runner, "verify", str(geo5), "--checks", checks).stdout)
+        assert [r["scope"] for r in records if r["elapsed"] >= pause] == [
+            f"class:{scale}" for scale in (1, 2, 3, 4)]
+        assert {r["check"] for r in records if r["elapsed"] >= pause} == {timed}
+
+    def test_no_certificate_without_a_check_it_decides(self, runner, geo5, monkeypatch):
+        def refuse(cls):
+            raise AssertionError("verify sought a certificate that decides no selected check")
+
+        monkeypatch.setattr(verifier, "certify_class", refuse)
+        result = run(runner, "verify", str(geo5), "--checks", "gq,counting,disjoint")
+        assert result.exit_code == 1
+        assert {r["check"] for r in json_lines(result.stdout)} == {"gq", "counting", "disjoint"}
+
     @pytest.mark.parametrize("checks", ["gq", "counting", "pls,order,triangle,gq"])
     def test_gq_and_counting_build_the_class_incidence(self, runner, geo5, monkeypatch, checks):
         built = []

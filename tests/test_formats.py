@@ -22,21 +22,32 @@ from qpack.formats import (
     MAX_FIELD_ORDER,
     GeometryFormatError,
     dumps_family,
-    element_from_json,
-    family_from_json,
     field_from_json,
     field_to_json,
-    line_from_json,
     loads_family,
     parse_plain_incidence,
 )
 
-from oracles import object_tree_dumps_family, plain_incidence_to_text
+from oracles import (
+    element_from_json,
+    line_from_json,
+    load_outcome,
+    object_tree_dumps_family,
+    plain_incidence_to_text,
+    reference_loads_family,
+)
 
 
 def document(field, count=None):
     """The geometry JSON of a family as parsed JSON values, ready to mutate."""
     return json.loads(dumps_family(build_family(field, count)))
+
+
+def one_line_text(field, slope, base) -> str:
+    """A geometry file whose one class holds the one line written as
+    ``{"slope": slope, "base": base}``."""
+    line = {"slope": slope, "base": base}
+    return json.dumps({"version": 1, "field": field_to_json(field), "classes": {"1": [line]}})
 
 
 class TestFieldJson:
@@ -68,9 +79,16 @@ class TestFieldJson:
 
 
 class TestElementJson:
+    """The reference loader's element decode, and ``loads_family`` against
+    it on a file whose one line has the element as its last base
+    coordinate."""
+
     def test_roundtrip(self, f9):
+        one, zero = list(f9.coeff_table[1]), list(f9.coeff_table[0])
         for v in range(9):
             assert element_from_json(f9, list(f9.coeff_table[v])) == v
+            text = one_line_text(f9, [one, zero, zero], [zero, zero, list(f9.coeff_table[v])])
+            assert loads_family(text).classes[0].lines[0].base == (0, 0, v)
 
     def test_rejects_unreduced(self, f9):
         with pytest.raises(GeometryFormatError, match=r"^\[3, 0\] is not an element of GF\(9\)"):
@@ -95,34 +113,40 @@ class TestElementJson:
                   for c in itertools.product(range(-1, p + 1), repeat=size)]
         inputs += [[0] * slot + [bad] + [0] * (size - slot - 1)
                    for bad in (True, 1.0, "1") for size in range(1, n + 2) for slot in range(size)]
+        one, zero = list(field.coeff_table[1]), list(field.coeff_table[0])
         for coeffs in inputs:
             ints = all(type(c) is int for c in coeffs)
+            text = one_line_text(field, [one, zero, zero], [zero, zero, coeffs])
             if ints and len(coeffs) == n and all(0 <= c < p for c in coeffs):
                 value = sum(c * p**i for i, c in enumerate(coeffs))
                 assert element_from_json(field, coeffs) == value
+                assert loads_family(text).classes[0].lines[0].base == (0, 0, value)
             else:
                 message = "is not an element" if ints else "not all integers"
-                with pytest.raises(GeometryFormatError, match=message):
+                with pytest.raises(GeometryFormatError, match=message) as caught:
                     element_from_json(field, coeffs)
+                assert load_outcome(loads_family, text) == str(caught.value)
 
 
 class TestLineJson:
     def test_roundtrip(self, f5):
-        lines_obj = document(f5, count=1)["classes"]["1"]
-        for line, entry in zip(build_class(f5, f5.element(1)).lines[:20], lines_obj):
+        lines = build_class(f5, f5.element(1)).lines
+        for line, entry in zip(lines[:20], document(f5, count=1)["classes"]["1"]):
             assert line_from_json(f5, entry) == line
+        assert loads_family(dumps_family(build_family(f5, 1))).classes[0].lines == lines
 
     def test_non_canonical_input_is_recanonicalized(self, f3):
         # slope (0, 2, 1) scales to (0, 1, 2); anchor (0, 2, 1) is on the
         # line through the origin
-        obj = {"slope": [[0], [2], [1]], "base": [[0], [2], [1]]}
-        line = line_from_json(f3, obj)
+        text = one_line_text(f3, [[0], [2], [1]], [[0], [2], [1]])
+        (line,) = loads_family(text).classes[0].lines
         assert line.slope == (0, 1, 2)
         assert line.base == (0, 0, 0)
+        assert line == line_from_json(f3, json.loads(text)["classes"]["1"][0])
 
     def test_zero_slope_rejected(self, f3):
-        with pytest.raises(GeometryFormatError, match="zero vector"):
-            line_from_json(f3, {"slope": [[0], [0], [0]], "base": [[0], [0], [0]]})
+        with pytest.raises(GeometryFormatError, match="^line slope is the zero vector$"):
+            loads_family(one_line_text(f3, [[0], [0], [0]], [[0], [0], [0]]))
 
 
 class TestFamilyJson:
@@ -150,14 +174,14 @@ class TestFamilyJson:
         obj["classes"]["0"] = obj["classes"].pop("1")
         message = r"^class key '0' is not the decimal form of a scale in \[1, 3\)$"
         with pytest.raises(GeometryFormatError, match=message):
-            family_from_json(obj)
+            loads_family(json.dumps(obj))
 
     @pytest.mark.parametrize("key", ["01", "+1", " 1", "0_1"])
     def test_rejects_non_canonical_scale_key(self, f3, key):
         obj = document(f3, count=1)
         obj["classes"][key] = obj["classes"]["1"]
         with pytest.raises(GeometryFormatError, match="is not the decimal form of a scale"):
-            family_from_json(obj)
+            loads_family(json.dumps(obj))
 
     @pytest.mark.parametrize("coeff", [1.9, "1", True])
     def test_rejects_non_integer_coefficient_in_file(self, f3, coeff):
@@ -175,20 +199,20 @@ class TestFamilyJson:
         obj = document(f3)
         obj["field"] = field
         with pytest.raises(GeometryFormatError, match="field spec values must be integers"):
-            family_from_json(obj)
+            loads_family(json.dumps(obj))
 
     @pytest.mark.parametrize("version", [99, True, 1.0, "1"])
     def test_rejects_bad_version(self, f3, version):
         obj = document(f3)
         obj["version"] = version
         with pytest.raises(GeometryFormatError, match="unsupported format version"):
-            family_from_json(obj)
+            loads_family(json.dumps(obj))
 
     def test_rejects_empty_classes(self, f3):
         obj = document(f3)
         obj["classes"] = {}
         with pytest.raises(GeometryFormatError, match="non-empty classes map"):
-            family_from_json(obj)
+            loads_family(json.dumps(obj))
 
     def test_rejects_garbage(self):
         with pytest.raises(GeometryFormatError, match="not valid JSON"):
@@ -208,9 +232,63 @@ class TestFamilyJson:
         with pytest.raises(GeometryFormatError, match=f"^repeated key '{key}'$"):
             loads_family(text.replace(old, new, 1))
 
+    @pytest.mark.parametrize("old, new", [
+        ('"version":1', '"version":%s'),
+        ('"base":[[0]', '"base":[[%s]'),
+    ], ids=["version", "coefficient"])
+    def test_names_a_deeply_nested_value_as_written(self, f3, old, new):
+        """A value nested deeper than Python recursion goes holds no decoded
+        line, so the message shows it as the reference loader does."""
+        text = dumps_family(build_family(f3, 1))
+        assert old in text
+        text = text.replace(old, new % ("[" * 600 + "]" * 600), 1)
+        message = load_outcome(reference_loads_family, text)
+        assert message.startswith(("unsupported format version [[[", "bad element coefficients"))
+        assert load_outcome(loads_family, text) == message
+
     def test_rejects_deep_nesting(self):
         with pytest.raises(GeometryFormatError, match="nested"):
             loads_family('{"a":' + "[" * 200_000)
+
+
+LINE_OBJECTS = {
+    "slope-first": lambda s, b: {"slope": s, "base": b},
+    "base-first": lambda s, b: {"base": b, "slope": s},
+    "extra-key": lambda s, b: {"slope": s, "note": [1.5, None], "base": b},
+}
+
+
+# Edits that write ``line`` into a parsed document where the file holds no
+# line; after the last three the file still loads.
+OUT_OF_PLACE = {
+    "version": lambda obj, line: obj.update(version=line),
+    "version-nested": lambda obj, line: obj.update(version={"v": [line]}),
+    "field": lambda obj, line: obj.update(field=line),
+    "modulus": lambda obj, line: obj["field"].update(modulus=line),
+    "classes": lambda obj, line: obj.update(classes=line),
+    "class-keys": lambda obj, line: obj.update(classes={**line, **obj["classes"]}),
+    "class-lines": lambda obj, line: obj["classes"].update({"1": line}),
+    "row": lambda obj, line: obj["classes"]["1"][0]["base"].__setitem__(0, line),
+    "coefficient": lambda obj, line: obj["classes"]["1"][0]["base"].__setitem__(0, [0, line]),
+    "field-keys": lambda obj, line: obj["field"].update(line),
+    "top-keys": lambda obj, line: obj.update(line),
+    "metadata": lambda obj, line: obj.update(metadata=[line]),
+}
+
+
+class TestLineObjectsOutOfPlace:
+    """``loads_family`` decodes a line object wherever it stands; written
+    where the file holds no line, it must read as the object it was."""
+
+    @pytest.mark.parametrize("shape", list(LINE_OBJECTS))
+    @pytest.mark.parametrize("where", list(OUT_OF_PLACE))
+    def test_matches_reference(self, f3, where, shape):
+        obj = document(f3, count=1)
+        OUT_OF_PLACE[where](obj, LINE_OBJECTS[shape]([[1], [0], [0]], [[0], [2], [0]]))
+        text = json.dumps(obj)
+        outcome = load_outcome(loads_family, text)
+        assert outcome == load_outcome(reference_loads_family, text)
+        assert isinstance(outcome, str) == (where not in list(OUT_OF_PLACE)[-3:])
 
 
 class TestWriterOracle:
@@ -280,12 +358,13 @@ class TestLoaderGc:
 
     def test_paused_while_lines_are_built(self, f3, gc_on_entry, monkeypatch):
         seen = set()
+        line_type = formats.Line
 
         def spy(*args):
             seen.add(gc.isenabled())
-            return canonical_line(*args)
+            return line_type(*args)
 
-        monkeypatch.setattr(formats, "canonical_line", spy)
+        monkeypatch.setattr(formats, "Line", spy)
         loads_family(dumps_family(build_family(f3)))
         assert seen == {False}
         assert gc.isenabled() is gc_on_entry

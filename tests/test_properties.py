@@ -8,10 +8,12 @@ scans on classes that hold every line of their slopes, arcs or not; the
 neighbour table against
 ``neighbourhood`` on structures that declare points past their lines;
 ``revalidate`` on witnesses that name lines or points the structure lacks,
-which must replay False without raising; both
-parsers on random and mutated input, which must either parse or raise
-:class:`GeometryFormatError`; and ``qpack verify`` on such input, which must
-exit 0, 1 or 2 without a traceback."""
+which must replay False without raising; the
+plain parser on random input, which must either parse or raise
+:class:`GeometryFormatError`; ``loads_family`` on mutated and hand-edited
+geometry files, which must give the reference loader's family or message;
+and ``qpack verify`` on such input, which must exit 0, 1 or 2 without a
+traceback."""
 
 import json
 from itertools import combinations, product
@@ -47,12 +49,19 @@ from qpack.cli import ALL_CHECKS, main
 from qpack.formats import (
     GeometryFormatError,
     dumps_family,
+    field_to_json,
     loads_family,
     parse_plain_incidence,
 )
 
 from geometry_helpers import determinant, slope_class
-from oracles import brute_force_triangle_check, overlap_scan, triangle_pair_scan
+from oracles import (
+    brute_force_triangle_check,
+    load_outcome,
+    overlap_scan,
+    reference_loads_family,
+    triangle_pair_scan,
+)
 
 
 @st.composite
@@ -342,17 +351,155 @@ def mutated_q3_texts(draw) -> str:
     return json.dumps(obj)
 
 
+def loads_like_reference(text: str):
+    """``loads_family`` gives the reference loader's family, or its error
+    message; any other exception fails the test."""
+    outcome = load_outcome(loads_family, text)
+    event("rejected" if isinstance(outcome, str) else "loaded")
+    assert outcome == load_outcome(reference_loads_family, text)
+
+
 @settings(max_examples=150, deadline=None)
 @given(mutated_q3_texts())
 def test_geometry_parser_rejects_mutated_values(text):
-    parses_or_rejects(loads_family, text)
+    loads_like_reference(text)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, len(Q3_TEXT) - 1), st.integers(0, 8), st.text(alphabet='[]{}",:0123-e.tn', max_size=4))
 def test_geometry_parser_rejects_mutated_text(at, cut, insert):
     """Splice random JSON characters into a valid q=3 file."""
-    parses_or_rejects(loads_family, Q3_TEXT[:at] + insert + Q3_TEXT[at + cut:])
+    loads_like_reference(Q3_TEXT[:at] + insert + Q3_TEXT[at + cut:])
+
+
+class Pairs(dict):
+    """A JSON object written as exactly these key-value pairs, in order and
+    with any repeated key: ``json.dumps`` writes a dict from ``items()``."""
+
+    def __init__(self, pairs):
+        self.pairs = [tuple(pair) for pair in pairs]
+        super().__init__(self.pairs)
+
+    def items(self):
+        return self.pairs
+
+
+class LinePairs(list):
+    """The key-value pairs of a line object, while it is being edited."""
+
+
+# Edits of one line of a geometry file.  The first five keep the file valid:
+# a nonzero multiple of the slope, another point of the line as its base,
+# "base" written before "slope", an extra key, and the line moved to the
+# front of another class.  Each of the others makes the line a format error.
+LINE_EDITS = ("scale", "move", "base_first", "extra_key", "move_class",
+              "bool", "float", "string", "line_in_row", "long_row", "short_row", "non_element",
+              "zero_slope", "row_not_list", "slope_not_list", "line_not_object",
+              "repeated_key")
+
+
+@st.composite
+def edited_geometry_texts(draw) -> str:
+    """The file of a family over GF(q), q <= 9, edited by hand: a few lines
+    edited as in ``LINE_EDITS``; ``indent=2`` or compact whitespace;
+    ``"classes"`` before ``"field"``; metadata holding line objects, valid
+    or not; "slope" and "base" keys added to the top-level object or to the
+    field spec; and a line object, in either key order, written as the
+    version, the field spec, the classes map, a row or a coefficient."""
+    field = make_field(draw(st.sampled_from([3, 4, 5, 7, 8, 9])))
+    q, mul, add = field.q, field.mul_table, field.add_table
+    p = field.p
+
+    def rows(values):
+        return [list(field.coeff_table[v]) for v in values]
+
+    line_keys = [("slope", rows([1, 0, 0])), ("base", rows([0, 0, 0]))]
+
+    def stray_line():
+        """A valid line object, in either key order, perhaps with an extra key."""
+        pairs = draw(st.permutations(line_keys)) + draw(st.sampled_from([[], [("note", 0)]]))
+        return Pairs(draw(st.permutations(pairs)))
+
+    family = build_family(field, draw(st.integers(1, 2)))
+    values = [[[list(line.slope), list(line.base)] for line in cls.lines] for cls in family.classes]
+    kinds = LINE_EDITS if draw(st.booleans()) else LINE_EDITS[:5]
+    edits = draw(st.lists(st.tuples(st.sampled_from(kinds), st.integers(0, 1),
+                                    st.integers(0, 3 * q), st.integers(1, q - 1),
+                                    st.integers(0, 5)), max_size=6))
+    for kind, cls, idx, t, _ in edits:
+        slope, base = values[cls % len(values)][idx]
+        if kind == "scale":
+            slope[:] = [mul[t][c] for c in slope]
+        elif kind == "move":
+            base[:] = [add[b][mul[t][c]] for b, c in zip(base, slope)]
+    classes = [[LinePairs([["slope", rows(slope)], ["base", rows(base)]]) for slope, base in lines]
+               for lines in values]
+    for kind, cls, idx, t, slot in edits:
+        lines = classes[cls % len(classes)]
+        pairs = lines[idx]
+        if not isinstance(pairs, LinePairs):
+            continue  # replaced by an earlier edit
+        slope, base = pairs[0][1], pairs[-1][1]
+        cells = slope + base if isinstance(slope, list) and isinstance(base, list) else []
+        row = cells[slot % len(cells)] if cells else None
+        if kind == "base_first":
+            pairs.reverse()
+        elif kind == "extra_key":
+            pairs.insert(t % 3, ["note", draw(JSON_VALUES)])
+        elif kind == "move_class":
+            classes[(cls + 1) % len(classes)].insert(0, lines.pop(idx))
+        elif kind in ("bool", "float", "string", "line_in_row", "long_row", "short_row",
+                      "non_element"):
+            if isinstance(row, list) and row:
+                if kind == "long_row":
+                    row.append(0)
+                elif kind == "short_row":
+                    row.pop()
+                elif kind == "line_in_row":
+                    row[t % len(row)] = stray_line()
+                else:
+                    row[t % len(row)] = {"bool": True, "float": float(row[0]), "string": "1",
+                                         "non_element": p}[kind]
+        elif kind == "zero_slope":
+            pairs[0][1] = rows([0, 0, 0])
+        elif kind == "row_not_list" and isinstance(slope, list):
+            slope[t % 3] = stray_line() if t % 2 else draw(st.sampled_from([0, "x", None, {"x": 1}]))
+        elif kind == "slope_not_list":
+            pairs[0][1] = draw(st.sampled_from([{"x": 1}, "abc", 3, None, rows([1, 0, 0])[:2]]))
+        elif kind == "line_not_object":
+            lines[idx] = draw(st.sampled_from([[], 7, "line", rows([1, 0, 0])]))
+        elif kind == "repeated_key":
+            pairs.append(list(pairs[t % len(pairs)]))
+    entries = {str(cls.scale.value): [Pairs(line) if isinstance(line, LinePairs) else line
+                                      for line in lines]
+               for cls, lines in zip(family.classes, classes)}
+    spec = list(field_to_json(field).items())
+    if draw(st.booleans()):
+        spec += line_keys
+    top = [("version", 1), ("field", Pairs(spec)), ("classes", entries)]
+    if draw(st.booleans()):
+        top[1], top[2] = top[2], top[1]
+    metadata = draw(st.sampled_from([None, "lines", "bad lines"]))
+    if metadata:
+        shown = Pairs(line_keys) if metadata == "lines" else {"slope": [[1.5]], "base": []}
+        top.append(("metadata", {"q": q, "examples": [shown, {"inner": shown}]}))
+    if draw(st.booleans()):
+        top += line_keys
+    misplaced = draw(st.sampled_from([None, 0, 1, 2]))
+    if misplaced is not None:
+        top[misplaced] = (top[misplaced][0], stray_line())
+    indent = draw(st.sampled_from([None, 2]))
+    separators = (",", ":") if indent is None and draw(st.booleans()) else None
+    return json.dumps(Pairs(top), indent=indent, separators=separators)
+
+
+@settings(max_examples=120, deadline=None)
+@given(edited_geometry_texts())
+def test_loader_matches_reference_on_edited_files(text):
+    """``loads_family`` decodes each line inside the parser; on hand-edited
+    files it gives the family, or the first format error with its message,
+    that decoding each line object on its own gives."""
+    loads_like_reference(text)
 
 
 @st.composite
