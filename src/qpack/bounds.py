@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import asdict, dataclass, fields
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 from .gf import next_prime_geq
 
@@ -33,7 +33,7 @@ class ConditionsFailedError(ValueError):
 ORIENTATION_HIGH_T = "high-t"  # order (q, q^alpha): more lines per point
 ORIENTATION_HIGH_S = "high-s"  # order (q^alpha, q): more points per line
 ORIENTATIONS = (ORIENTATION_HIGH_T, ORIENTATION_HIGH_S)
-# below 2**53, so ceil(threshold) is exact; trial division takes seconds here
+# below 2**53, so ceil(threshold) is exact
 MAX_THRESHOLD = 10**15
 
 
@@ -134,7 +134,12 @@ def threshold(k: int, r: int) -> float:
 
 def find_q(k: int, r: int) -> int:
     """Smallest prime >= threshold(k, r)."""
-    q = next_prime_geq(math.ceil(threshold(k, r)))
+    return _find_q(k, r, threshold(k, r))
+
+
+def _find_q(k: int, r: int, floor: float) -> int:
+    """:func:`find_q` from its already computed ``floor`` = threshold(k, r)."""
+    q = next_prime_geq(math.ceil(floor))
     assert q <= 8.0 * k * r * math.log(k), f"q={q} escaped the Bertrand cap at k={k}, r={r}"
     assert r <= q - 1, f"not enough classes: r={r} > q-1={q - 1}"
     return q
@@ -154,12 +159,18 @@ def lemma_conditions(q: int, k: int, r: int) -> LemmaConditions:
 
 def bound_main(k: int, r: int) -> MainBound:
     """q^3 for the selected prime, after confirming the lemma hypotheses."""
-    q = find_q(k, r)
+    return _bound_main(k, r, threshold(k, r))[0]
+
+
+def _bound_main(k: int, r: int, floor: float) -> tuple[MainBound, LemmaConditions]:
+    """:func:`bound_main` from its ``floor`` = threshold(k, r), with the lemma
+    verdicts it confirmed."""
+    q = _find_q(k, r, floor)
     conditions = lemma_conditions(q, k, r)
     if not conditions.all_ok():
         raise ConditionsFailedError(f"hypotheses failed at q={q}, k={k}, r={r}: {conditions}")
     cap = (8.0 * k * r * math.log(k)) ** 3
-    return MainBound(q=q, value=q**3, cap=cap)
+    return MainBound(q=q, value=q**3, cap=cap), conditions
 
 
 def bound_fglps(k: int, r: int) -> int:
@@ -219,14 +230,15 @@ def compare(
 ) -> BoundReport:
     """Full report at (k, r); only the two fully specified bounds compete for
     the winner slot."""
-    main = bound_main(k, r)
+    floor = threshold(k, r)
+    main, conditions = _bound_main(k, r, floor)
     fglps = bound_fglps(k, r)
     hrs, hrs_applicable = bound_hrs(k, r, hrs_constant)
     eq1_lower, eq1_upper = eq1_range(k, r, eq1_lower_constant, eq1_upper_constant)
     return BoundReport(
         k=k,
         r=r,
-        threshold=threshold(k, r),
+        threshold=floor,
         q=main.q,
         bound_main=main.value,
         cap_main=main.cap,
@@ -236,23 +248,27 @@ def compare(
         bound_bbl=bound_bbl(k, r, bbl_constant),
         eq1_lower=eq1_lower,
         eq1_upper=eq1_upper,
-        conditions_ok=lemma_conditions(main.q, k, r),
+        conditions_ok=conditions,
         winner="fglps" if fglps < main.value else "main",
     )
+
+
+def _exponents(alpha: float, orientation: str) -> tuple[float, float]:
+    """The k and r exponents of an order-(q, q^alpha) or (q^alpha, q)
+    packing."""
+    if not 1 <= alpha < math.inf:
+        raise AlphaOutOfRangeError(f"need a finite alpha >= 1, got {alpha}")
+    if orientation == ORIENTATION_HIGH_T:
+        return 2.0 + alpha, 2.0 + alpha
+    if orientation == ORIENTATION_HIGH_S:
+        return 2.0 * alpha + 1.0, 2.0 + 1.0 / alpha
+    raise ValueError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
 
 
 def exponent_analysis(alpha: float, orientation: str) -> ExponentReport:
     """Point-count exponents in k and r forced by an order-(q, q^alpha) or
     (q^alpha, q) packing."""
-    if not 1 <= alpha < math.inf:
-        raise AlphaOutOfRangeError(f"need a finite alpha >= 1, got {alpha}")
-    if orientation == ORIENTATION_HIGH_T:
-        k_exp = r_exp = 2.0 + alpha
-    elif orientation == ORIENTATION_HIGH_S:
-        k_exp = 2.0 * alpha + 1.0
-        r_exp = 2.0 + 1.0 / alpha
-    else:
-        raise ValueError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
+    k_exp, r_exp = _exponents(alpha, orientation)
     return ExponentReport(
         alpha=alpha,
         orientation=orientation,
@@ -264,19 +280,20 @@ def exponent_analysis(alpha: float, orientation: str) -> ExponentReport:
 
 def min_total_degree(grid: Iterable[float]) -> tuple[float, float]:
     """Minimum total degree over both orientations across an alpha grid that
-    must include 1."""
+    must include 1, and the first alpha, in ascending order, that reaches it."""
     alphas = sorted(set(grid))
     if not alphas or alphas[0] < 1:
         raise AlphaOutOfRangeError("grid must lie in [1, inf)")
     if 1.0 not in alphas:
         raise ValueError("grid must include alpha = 1")
-    best: Optional[tuple[float, float]] = None
+    best_alpha, best_degree = None, math.inf
     for alpha in alphas:
         for orientation in ORIENTATIONS:
-            degree = exponent_analysis(alpha, orientation).total_degree
-            if best is None or degree < best[1]:
-                best = (alpha, degree)
-    return best
+            k_exp, r_exp = _exponents(alpha, orientation)
+            degree = k_exp + r_exp
+            if degree < best_degree:
+                best_alpha, best_degree = alpha, degree
+    return best_alpha, best_degree
 
 
 CSV_COLUMNS = ("k", "r", "threshold", "q", "bound_main", "cap_main", "bound_fglps",

@@ -1,5 +1,6 @@
 """Exact arithmetic in GF(p^n) as dense integer tables, plus the primality
-helpers used by the bound calculator.
+helpers used by the bound calculator: deterministic Miller-Rabin, and the
+search for the smallest prime at or above a floor.
 
 Fields are constructed through :func:`make_field`, which factors the order,
 picks a deterministic irreducible modulus and returns an immutable
@@ -12,6 +13,8 @@ canonical form.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
@@ -25,21 +28,48 @@ class NotPrimePowerError(ValueError):
 # primes
 # ---------------------------------------------------------------------------
 
+# OEIS A014233: the smallest odd composite that is a strong probable prime to
+# each of the first n prime bases, for n = 1..13 (Jaeschke 1993; Sorenson and
+# Webster 2017).  Below entry n, the first n primes decide primality exactly.
+_STRONG_PSEUDOPRIMES = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SMALL_PRIMES = frozenset(_BASES[:12])  # 2..37
+_PRIMORIAL = math.prod(_SMALL_PRIMES)
+
+
 def is_prime(m: int) -> bool:
-    """Deterministic trial division, O(sqrt(m)): quick for field orders; a
-    prime near ``bounds.MAX_THRESHOLD`` = 10^15, the largest floor the bound's
-    prime search accepts, takes seconds."""
+    """Deterministic Miller-Rabin, exact for every m below
+    3,317,044,064,679,887,385,961,981; larger m raise ValueError.
+
+    One gcd with the product of the primes 2..37 screens out their
+    multiples.  Any other m is a strong probable prime test to the first n
+    prime bases, with n the fewest that the table of smallest strong
+    pseudoprimes proves enough for m: {2, 3} below 1,373,653, the first 9
+    primes below 3.8 * 10^18, which covers every prime the bound searches.
+    """
+    if m >= _STRONG_PSEUDOPRIMES[-1]:
+        raise ValueError(f"is_prime is proven only below {_STRONG_PSEUDOPRIMES[-1]}, got {m}")
     if m < 2:
         return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
+    if math.gcd(m, _PRIMORIAL) != 1:
+        return m in _SMALL_PRIMES
+    minus_one = m - 1
+    shift = (minus_one & -minus_one).bit_length() - 1
+    odd = minus_one >> shift
+    for base in _BASES[:bisect_right(_STRONG_PSEUDOPRIMES, m) + 1]:
+        x = pow(base, odd, m)
+        if x == 1 or x == minus_one:
+            continue
+        for _ in range(shift - 1):
+            x = x * x % m
+            if x == minus_one:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -51,9 +81,9 @@ def next_prime_geq(m: int) -> int:
     """
     if m < 2:
         raise ValueError(f"next_prime_geq needs m >= 2, got {m}")
-    p = m
+    p = m | 1 if m > 2 else 2  # no even number above 2 is prime
     while not is_prime(p):
-        p += 1
+        p += 2
     assert p < 2 * m, f"prime search left the Bertrand window: {p} >= 2*{m}"
     return p
 

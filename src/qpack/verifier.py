@@ -215,13 +215,19 @@ def check_order(g: GenericIncidence, exhaustive: bool = False):
     for idx, line in enumerate(g.lines):
         if len(line) < 2:
             raise MalformedStructureError(f"line {idx} has fewer than 2 points")
+    _require_no_isolated_point(g)
+    through = g.through
+    degrees = [len(through[pt]) for pt in range(g.num_points)]
+    found = _first_or_all(_order_violations(g, degrees), exhaustive)
+    return found or OrderParams(s_order=len(g.lines[0]) - 1, t_order=degrees[0] - 1)
+
+
+def _require_no_isolated_point(g: GenericIncidence):
+    """Raise for the first point that lies on no line."""
     through = g.through
     if len(through) < g.num_points:
         pt = next(pt for pt in range(g.num_points) if pt not in through)
         raise MalformedStructureError(f"point {pt} lies on no line")
-    degrees = [len(through[pt]) for pt in range(g.num_points)]
-    found = _first_or_all(_order_violations(g, degrees), exhaustive)
-    return found or OrderParams(s_order=len(g.lines[0]) - 1, t_order=degrees[0] - 1)
 
 
 def _order_violations(g: GenericIncidence, degrees: list[int]) -> Iterator[Witness]:
@@ -431,7 +437,15 @@ def neighbourhood(g: GenericIncidence, x: int) -> frozenset[int]:
 
 def check_gq(g: GenericIncidence, exhaustive: bool = False):
     """Every non-incident point-line pair sees exactly one collinear point on
-    the line.  Assumes the structure already passed check_pls."""
+    the line.  Assumes the structure already passed check_pls.
+
+    A point on no line sees no point of any line, so it fails with every
+    line; ``exhaustive`` refuses such a structure as malformed, as
+    :func:`check_order` does, rather than list one witness per line for
+    each of what may be millions of declared points.
+    """
+    if exhaustive:
+        _require_no_isolated_point(g)
     return _first_or_all(_gq_violations(g), exhaustive)
 
 

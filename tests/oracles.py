@@ -2,14 +2,24 @@
 triangle oracle, which shares no code with the fast scan it checks, the
 unfiltered triangle pair scan that fixes the order of its witnesses, the
 owner-dict class overlap scan, the object-tree geometry JSON writer, the
-object-by-object geometry JSON loader, and the writer of the plain incidence
-format."""
+object-by-object geometry JSON loader, the writer of the plain incidence
+format, trial-division primality, and the exponent scan that builds one
+report per alpha and orientation."""
 
 import json
 from collections import Counter
-from typing import Any, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
-from qpack import FieldSpec, GeometryFamily, Line, LineClass, canonical_line
+from qpack import (
+    AlphaOutOfRangeError,
+    FieldSpec,
+    GeometryFamily,
+    Line,
+    LineClass,
+    canonical_line,
+    exponent_analysis,
+)
+from qpack.bounds import ORIENTATIONS
 from qpack.formats import FORMAT_VERSION, GeometryFormatError, field_from_json, field_to_json
 from qpack.verifier import (
     CLASS_OVERLAP,
@@ -237,3 +247,36 @@ def plain_incidence_to_text(g: GenericIncidence) -> str:
     rows = [f"points {g.num_points}"]
     rows.extend(" ".join(str(i) for i in line) for line in g.lines)
     return "\n".join(rows) + "\n"
+
+
+def trial_division_is_prime(m: int) -> bool:
+    """Reference for ``is_prime``: divide by 2 and every odd d with d*d <= m."""
+    if m < 2:
+        return False
+    if m < 4:
+        return True
+    if m % 2 == 0:
+        return False
+    d = 3
+    while d * d <= m:
+        if m % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def report_min_total_degree(grid: Iterable[float]) -> tuple[float, float]:
+    """Reference for ``min_total_degree``: one ``exponent_analysis`` report
+    per alpha and orientation, keeping the first strictly smaller degree."""
+    alphas = sorted(set(grid))
+    if not alphas or alphas[0] < 1:
+        raise AlphaOutOfRangeError("grid must lie in [1, inf)")
+    if 1.0 not in alphas:
+        raise ValueError("grid must include alpha = 1")
+    best: Optional[tuple[float, float]] = None
+    for alpha in alphas:
+        for orientation in ORIENTATIONS:
+            degree = exponent_analysis(alpha, orientation).total_degree
+            if best is None or degree < best[1]:
+                best = (alpha, degree)
+    return best

@@ -321,6 +321,23 @@ class TestVerify:
         g = parse_plain_incidence(text)
         assert len(g.neighbours) == 2
 
+    @pytest.mark.parametrize("points", [5, 16777216])
+    def test_exhaustive_gq_refuses_isolated_points(self, runner, points):
+        """Each point on no line would give one witness per line: at the
+        point-count cap that printed nothing within 30 s.  The exhaustive
+        check is refused with check_order's record instead."""
+        result = run(runner, "verify", "-", "--checks", "gq", "--exhaustive",
+                     input=f"points {points}\n0 1\n")
+        assert result.exit_code == 2
+        (record,) = json_lines(result.stdout)
+        assert {k: v for k, v in record.items() if k != "elapsed"} == {
+            "check": "gq", "scope": "structure", "verdict": "malformed",
+            "reason": "point 2 lies on no line"}
+        first = json_lines(run(runner, "verify", "-", "--checks", "gq",
+                               input=f"points {points}\n0 1\n").stdout)
+        assert first[0]["witness"] == {"kind": "gq_violation", "point": 2, "line": 0,
+                                       "count": 0, "collinear_on_line": []}
+
     def test_missing_file_exits_2(self, runner):
         assert run(runner, "verify", "no-such-file.json").exit_code == 2
 
@@ -391,6 +408,15 @@ class TestBound:
         result = run(runner, "bound", "--k", "1000000000000", "--r", "3")
         assert result.exit_code == 0
         assert json_lines(result.stdout)[0]["q"] == 331572253391161
+
+    def test_prime_search_near_the_limit(self, runner):
+        """The floor is 998131940006321.2, just under 10^15; trial division
+        took about 5 s to find the prime above it."""
+        start = time.perf_counter()
+        result = run(runner, "bound", "--k", "2", "--r", "180000000000000")
+        assert result.exit_code == 0
+        assert json_lines(result.stdout)[0]["q"] == 998131940006381
+        assert time.perf_counter() - start < 2
 
     def test_hrs_applicability(self, runner):
         report = json_lines(run(runner, "bound", "--k", "3", "--r", "8").stdout)[0]

@@ -2,12 +2,15 @@
 
 Expected values are frozen from independent oracles: an in-test irreducible
 scan for moduli, exhaustive multiplication tables for inverses, sha256 pins
-of the operation tables, and a trial-division prime scan.
+of the operation tables, a sieve and trial division for primes, and the
+published smallest strong pseudoprimes, with their factors, for the bases of
+the Miller-Rabin test.
 """
 
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -20,6 +23,8 @@ from qpack import (
     next_prime_geq,
 )
 from qpack.gf import prime_power_decomposition
+
+from oracles import trial_division_is_prime
 
 
 # --- oracle: scan monic degree-n polynomials over GF(p), constant term least
@@ -249,3 +254,79 @@ class TestPrimes:
     def test_requires_m_at_least_two(self):
         with pytest.raises(ValueError):
             next_prime_geq(1)
+
+
+# OEIS A014233 with a factorisation of each entry: entry n is the smallest
+# odd composite that is a strong probable prime to each of the first n prime
+# bases, so a Miller-Rabin test that stops one base short calls it prime.
+STRONG_PSEUDOPRIMES = {
+    2047: (23, 89),
+    1373653: (829, 1657),
+    25326001: (2251, 11251),
+    3215031751: (151, 751, 28351),
+    2152302898747: (6763, 10627, 29947),
+    3474749660383: (1303, 16927, 157543),
+    341550071728321: (10670053, 32010157),
+    3825123056546413051: (149491, 747451, 34233211),
+    318665857834031151167461: (399165290221, 798330580441),
+}
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+BASES_FOOLED = (1, 2, 3, 4, 5, 6, 8, 11, 12)  # how many first bases each one fools
+PRIMALITY_LIMIT = 3317044064679887385961981  # entry 13: fools 2..41
+
+
+def _strong_probable_prime(m: int, base: int) -> bool:
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(base, d, m)
+    return x in (1, m - 1) or any(pow(x, 2**i, m) == m - 1 for i in range(1, s))
+
+
+class TestMillerRabin:
+    def test_matches_sieve_below_two_million(self):
+        limit = 2 * 10**6
+        sieve = bytearray([1]) * limit
+        sieve[0] = sieve[1] = 0
+        for d in range(2, math.isqrt(limit) + 1):
+            if sieve[d]:
+                sieve[d * d::d] = bytes(len(range(d * d, limit, d)))
+        assert [m for m in range(limit) if is_prime(m)] == [m for m in range(limit) if sieve[m]]
+
+    def test_matches_trial_division_on_larger_numbers(self):
+        rng = random.Random(15)
+        for m in [rng.randrange(2 * 10**6, 10**10) for _ in range(150)]:
+            assert is_prime(m) == trial_division_is_prime(m), m
+            p = next_prime_geq(m)
+            assert trial_division_is_prime(p)
+            assert not any(trial_division_is_prime(c) for c in range(m, p))
+
+    @pytest.mark.parametrize("m", sorted(STRONG_PSEUDOPRIMES))
+    def test_smallest_strong_pseudoprimes_are_composite(self, m):
+        assert math.prod(STRONG_PSEUDOPRIMES[m]) == m
+        fooled = BASES_FOOLED[sorted(STRONG_PSEUDOPRIMES).index(m)]
+        assert all(_strong_probable_prime(m, b) for b in PRIME_BASES[:fooled])
+        assert not is_prime(m)
+
+    @pytest.mark.parametrize("m", [561, 1105, 1729, 41041, 825265])
+    def test_carmichael_numbers_are_composite(self, m):
+        assert all(pow(b, m - 1, m) == 1 for b in range(2, 50) if math.gcd(b, m) == 1)
+        assert not is_prime(m)
+
+    def test_small_primes_and_their_products(self):
+        assert [m for m in range(42) if is_prime(m)] == [
+            2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+        assert not is_prime(math.prod(PRIME_BASES))
+
+    def test_next_prime_above_ten_to_the_fifteen(self):
+        assert next_prime_geq(10**15) == 10**15 + 37
+
+    def test_large_mersenne_numbers(self):
+        assert 193707721 * 761838257287 == 2**67 - 1  # Cole, 1903
+        assert is_prime(2**61 - 1) and not is_prime(2**67 - 1)
+        assert not is_prime((2**61 - 1) * (2**13 - 1))
+
+    @pytest.mark.parametrize("m", [PRIMALITY_LIMIT, PRIMALITY_LIMIT + 1, 10**25, 2**100])
+    def test_unproven_sizes_raise(self, m):
+        with pytest.raises(ValueError, match="proven only below"):
+            is_prime(m)

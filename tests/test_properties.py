@@ -12,12 +12,15 @@ which must replay False without raising; the
 plain parser on random input, which must either parse or raise
 :class:`GeometryFormatError`; ``loads_family`` on mutated and hand-edited
 geometry files, which must give the reference loader's family or message;
-and ``qpack verify`` on such input, which must exit 0, 1 or 2 without a
-traceback."""
+``qpack verify`` on such input, which must exit 0, 1 or 2 without a
+traceback; and the exponent scan against the one-report-per-point loop on
+grids with repeated alphas, ties and out-of-range values."""
 
 import json
+import math
 from itertools import combinations, product
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -26,6 +29,7 @@ from qpack import (
     GenericIncidence,
     GeometryFamily,
     LineClass,
+    MalformedStructureError,
     OrderParams,
     Witness,
     build_family,
@@ -40,6 +44,7 @@ from qpack import (
     class_incidence,
     dependent_slopes,
     make_field,
+    min_total_degree,
     moment_curve,
     neighbourhood,
     revalidate,
@@ -60,6 +65,7 @@ from oracles import (
     load_outcome,
     overlap_scan,
     reference_loads_family,
+    report_min_total_degree,
     triangle_pair_scan,
 )
 
@@ -252,16 +258,28 @@ def gq_oracle(g: GenericIncidence) -> list[tuple[int, int, int]]:
 
 
 @settings(max_examples=200, deadline=None)
-@given(incidences())
+@given(st.one_of(incidences(), declared_beyond_lines()))
 def test_gq_matches_collinearity_oracle(g):
+    """The first witness is the oracle's first, and the exhaustive list is
+    the oracle's; when some point lies on no line, the exhaustive check is
+    refused instead, naming the first such point."""
+    triple = lambda w: (w.items["point"], w.items["line"], w.items["count"])
     first = check_gq(g)
-    every = check_gq(g, exhaustive=True)
     expected = gq_oracle(g)
-    assert [(w.items["point"], w.items["line"], w.items["count"]) for w in every] == expected
-    if first is not None:
-        assert first == every[0]
-    else:
+    if first is None:
         assert not expected
+    else:
+        assert triple(first) == expected[0]
+    isolated = sorted(set(range(g.num_points)).difference(*g.lines))
+    if isolated:
+        with pytest.raises(MalformedStructureError,
+                           match=f"^point {isolated[0]} lies on no line$"):
+            check_gq(g, exhaustive=True)
+        every = []
+    else:
+        every = check_gq(g, exhaustive=True)
+        assert [triple(w) for w in every] == expected
+        assert every[:1] == ([first] if first is not None else [])
     assert all(revalidate(g, w) for w in [first, *every] if w is not None)
 
 
@@ -522,3 +540,39 @@ def test_verify_exits_cleanly(text):
                                 input=text)
     assert result.exit_code in (0, 1, 2)
     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@st.composite
+def alpha_grids(draw) -> list:
+    """Alphas from a few exact values, 1 spelled as an int, a float and a
+    bool (equal, so a tie that the set keeps in grid order), and any floats
+    in [1, 1e308], whose degree can overflow; now and then one value out of
+    range.  Some values repeat, and the grid is shuffled."""
+    value = st.one_of(st.sampled_from([1, 1.0, True, 1.5, 2, 2.0, 3.25]),
+                      st.floats(min_value=1, max_value=1e308))
+    pool = draw(st.lists(value, min_size=1, max_size=10))
+    if draw(st.booleans()):
+        pool.append(draw(st.sampled_from([1, 1.0, True])))
+    if draw(st.integers(0, 9)) == 0:
+        pool.append(draw(st.sampled_from([0.5, 0.0, -1, math.inf, math.nan])))
+    grid = pool + draw(st.lists(st.sampled_from(pool), max_size=6))
+    return draw(st.permutations(grid))
+
+
+def _scan_outcome(scan, grid):
+    """The alpha, its type and the degree ``scan`` finds, or its error."""
+    try:
+        alpha, degree = scan(grid)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return type(alpha), alpha, degree
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha_grids())
+@example([round(1 + i * 0.01, 12) for i in range(201)])
+@example([3.25, 1.0, True, 1, 2.0, 2])
+def test_min_total_degree_matches_report_loop(grid):
+    expected = _scan_outcome(report_min_total_degree, grid)
+    event("refused" if len(expected) == 2 else "scanned")
+    assert _scan_outcome(min_total_degree, grid) == expected
