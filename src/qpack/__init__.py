@@ -30,12 +30,12 @@ from .verifier import (
     CountingReport,
     GenericIncidence,
     MalformedStructureError,
+    NotPartialLinearSpaceError,
     NotTriangleFreeError,
     NotUniformError,
     OrderParams,
     Witness,
     check_disjoint_classes,
-    check_gq,
     check_order,
     check_pls,
     check_triangle_free,
@@ -43,8 +43,8 @@ from .verifier import (
     certify_class,
     class_incidence,
     counting_bound,
+    counting_report,
     dependent_slopes,
-    neighbourhood,
     revalidate,
     union_incidence,
 )

@@ -36,7 +36,6 @@ STRUCTURE_CHECKS = {
     "pls": verifier.check_pls,
     "order": verifier.check_order,
     "triangle": verifier.check_triangle_free,
-    "gq": verifier.check_gq,
     "counting": lambda g, exhaustive: verifier.counting_bound(g),
 }
 FAMILY_CHECKS = {
@@ -44,7 +43,6 @@ FAMILY_CHECKS = {
     "union": verifier.check_union_pls,
 }
 ALL_CHECKS = (*STRUCTURE_CHECKS, *FAMILY_CHECKS)
-CERTIFIED_CHECKS = ("pls", "order", "triangle")  # what a slope certificate decides
 DEFAULT_CHECKS = ("pls", "order", "triangle", "disjoint", "union")
 MAX_SCAN_GRID = 10**6
 
@@ -164,7 +162,8 @@ def _run_checks(scope: str, target, checks: list, exhaustive: bool) -> list[dict
             outcome = check(target, exhaustive)
         except MalformedStructureError as exc:
             record.update(verdict="malformed", reason=str(exc))
-        except (verifier.NotUniformError, verifier.NotTriangleFreeError) as exc:
+        except (verifier.NotUniformError, verifier.NotTriangleFreeError,
+                verifier.NotPartialLinearSpaceError) as exc:
             record.update(verdict="inapplicable", reason=str(exc))
         else:
             _record_outcome(record, outcome)
@@ -177,25 +176,25 @@ def _class_records(cls, checks: list, exhaustive: bool) -> list[dict]:
     """The structure checks' records for one class of a geometry file.
 
     A class that :func:`verifier.certify_class` certifies passes ``pls`` and
-    ``triangle`` and has the certificate's order, which is what the scans
-    would report.  Its incidence is built only when another check (``gq``,
-    ``counting``) reads it; an uncertified class gets every scan, and so
-    every witness.  The certificate is sought only when one of the checks it
-    decides is selected, and its time, whether or not it certifies the
-    class, is added to the ``elapsed`` of the first such record.
+    ``triangle``, has the certificate's order and the counting report of q^3
+    points at that order, which is what the scans would report; every record
+    is printed from the certificate, with no incidence built.  An
+    uncertified class gets its incidence and every scan, and so every
+    witness.  The certificate's time, whether or not it certifies the class,
+    is added to the ``elapsed`` of the class's first record.
     """
-    decidable = [i for i, (name, _) in enumerate(checks) if name in CERTIFIED_CHECKS]
     start = time.perf_counter()
-    order = verifier.certify_class(cls) if decidable else None
+    order = verifier.certify_class(cls)
     certify_s = time.perf_counter() - start
-    known = {} if order is None else {"pls": None, "order": order, "triangle": None}
-    scans = [name for name, _ in checks if name not in known]
-    target = verifier.class_incidence(cls) if scans else None
-    checks = [(name, _decided(known[name]) if name in known else check) for name, check in checks]
+    if order is None:
+        target = verifier.class_incidence(cls)
+    else:
+        target = None
+        known = {"pls": None, "order": order, "triangle": None,
+                 "counting": verifier.counting_report(cls.field.q**3, order)}
+        checks = [(name, _decided(known[name])) for name, _ in checks]
     records = _run_checks(f"class:{cls.scale.value}", target, checks, exhaustive)
-    if decidable:
-        record = records[decidable[0]]
-        record["elapsed"] = round(record["elapsed"] + certify_s, 6)
+    records[0]["elapsed"] = round(records[0]["elapsed"] + certify_s, 6)
     return records
 
 
@@ -241,6 +240,9 @@ def cmd_verify(input_path: str, checks_option: str, exhaustive: bool):
     unknown = [c for c in checks if c not in ALL_CHECKS]
     if unknown or not checks:
         _fail_usage(f"unknown checks {unknown}; valid: {','.join(ALL_CHECKS)}")
+    repeated = sorted({c for c in checks if checks.count(c) > 1})
+    if repeated:
+        _fail_usage(f"repeated checks {repeated}")
 
     text = _read_input(input_path)
     stripped = text.lstrip()

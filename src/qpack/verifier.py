@@ -38,11 +38,14 @@ class NotTriangleFreeError(ValueError):
     """A hypothesis required a triangle-free structure."""
 
 
+class NotPartialLinearSpaceError(ValueError):
+    """A hypothesis required a partial linear space."""
+
+
 PLS_VIOLATION = "pls_violation"
 ORDER_VIOLATION = "order_violation"
 TRIANGLE = "triangle"
 CLASS_OVERLAP = "class_overlap"
-GQ_VIOLATION = "gq_violation"
 
 
 @dataclass(frozen=True)
@@ -66,8 +69,8 @@ class OrderParams(NamedTuple):
 
 @dataclass(frozen=True)
 class CountingReport:
-    """Point count of a uniform triangle-free structure against the
-    (s*t+1)*(s+1) floor."""
+    """Point count of a uniform triangle-free partial linear space against
+    the (s*t+1)*(s+1) floor."""
 
     num_points: int
     s_order: int
@@ -164,6 +167,15 @@ def _first_or_all(found: Iterator[Witness], exhaustive: bool):
     return next(found, None)
 
 
+def _bits(mask: int) -> tuple[int, ...]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # partial linear space axiom
 # ---------------------------------------------------------------------------
@@ -215,19 +227,13 @@ def check_order(g: GenericIncidence, exhaustive: bool = False):
     for idx, line in enumerate(g.lines):
         if len(line) < 2:
             raise MalformedStructureError(f"line {idx} has fewer than 2 points")
-    _require_no_isolated_point(g)
-    through = g.through
-    degrees = [len(through[pt]) for pt in range(g.num_points)]
-    found = _first_or_all(_order_violations(g, degrees), exhaustive)
-    return found or OrderParams(s_order=len(g.lines[0]) - 1, t_order=degrees[0] - 1)
-
-
-def _require_no_isolated_point(g: GenericIncidence):
-    """Raise for the first point that lies on no line."""
     through = g.through
     if len(through) < g.num_points:
         pt = next(pt for pt in range(g.num_points) if pt not in through)
         raise MalformedStructureError(f"point {pt} lies on no line")
+    degrees = [len(through[pt]) for pt in range(g.num_points)]
+    found = _first_or_all(_order_violations(g, degrees), exhaustive)
+    return found or OrderParams(s_order=len(g.lines[0]) - 1, t_order=degrees[0] - 1)
 
 
 def _order_violations(g: GenericIncidence, degrees: list[int]) -> Iterator[Witness]:
@@ -407,8 +413,9 @@ def certify_class(line_class: LineClass) -> Optional[OrderParams]:
     in S.  Lines are canonical (loaded and built lines always are), so each
     slope has exactly q^2 lines and the count makes the class complete on
     S.  A certified class passes :func:`check_pls`, :func:`check_order` and
-    :func:`check_triangle_free` on its incidence; a class of distinct lines
-    complete on S that is not certified has a triangle.
+    :func:`check_triangle_free` on its incidence, where
+    :func:`counting_bound` gives ``counting_report(q**3, order)``; a class
+    of distinct lines complete on S that is not certified has a triangle.
     """
     lines, field = line_class.lines, line_class.field
     slopes = list(dict.fromkeys(line.slope for line in lines))
@@ -420,85 +427,37 @@ def certify_class(line_class: LineClass) -> Optional[OrderParams]:
 
 
 # ---------------------------------------------------------------------------
-# neighbourhoods, generalized-quadrangle axiom, point count
+# point count
 # ---------------------------------------------------------------------------
-
-def neighbourhood(g: GenericIncidence, x: int) -> frozenset[int]:
-    """All points collinear with x, excluding x itself."""
-    if not 0 <= x < g.num_points:
-        raise ValueError(f"point {x} outside [0, {g.num_points})")
-    out: set[int] = set()
-    for line in g.lines:
-        if x in line:
-            out.update(line)
-    out.discard(x)
-    return frozenset(out)
-
-
-def check_gq(g: GenericIncidence, exhaustive: bool = False):
-    """Every non-incident point-line pair sees exactly one collinear point on
-    the line.  Assumes the structure already passed check_pls.
-
-    A point on no line sees no point of any line, so it fails with every
-    line; ``exhaustive`` refuses such a structure as malformed, as
-    :func:`check_order` does, rather than list one witness per line for
-    each of what may be millions of declared points.
-    """
-    if exhaustive:
-        _require_no_isolated_point(g)
-    return _first_or_all(_gq_violations(g), exhaustive)
-
-
-def _gq_violations(g: GenericIncidence) -> Iterator[Witness]:
-    masks, nbr = g.masks, g.neighbours
-    for x in range(g.num_points):
-        xbit = 1 << x
-        reach = nbr[x] if x < len(nbr) else 0
-        for idx, mask in enumerate(masks):
-            if mask & xbit:
-                continue
-            hits = reach & mask
-            count = hits.bit_count()
-            if count != 1:
-                yield Witness(
-                    GQ_VIOLATION,
-                    {
-                        "point": x,
-                        "line": idx,
-                        "count": count,
-                        "collinear_on_line": _bits(hits),
-                    },
-                )
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
 
 def counting_bound(g: GenericIncidence) -> CountingReport:
     """Check num_points >= (s*t+1)*(s+1), the floor every uniform
-    triangle-free structure obeys; the hypotheses are enforced first."""
+    triangle-free partial linear space obeys; the hypotheses are enforced
+    first, the partial linear space last."""
     order = check_order(g)
     if isinstance(order, Witness):
         raise NotUniformError(f"structure has no uniform order: {order.items}")
     tri = check_triangle_free(g)
     if tri is not None:
         raise NotTriangleFreeError(f"structure contains a triangle: {tri.items}")
+    pls = check_pls(g)
+    if pls is not None:
+        raise NotPartialLinearSpaceError(f"structure is not a partial linear space: {pls.items}")
+    return counting_report(g.num_points, order)
+
+
+def counting_report(num_points: int, order: OrderParams) -> CountingReport:
+    """num_points against the floor (s*t+1)*(s+1) of order (s, t).
+
+    The points collinear with some point of a line number exactly the floor
+    in a triangle-free partial linear space, so ``equality`` holds exactly
+    when every point off a line is collinear with one of its points: when
+    the structure is a generalized quadrangle.
+    """
     s, t = order
     bound = (s * t + 1) * (s + 1)
-    return CountingReport(
-        num_points=g.num_points,
-        s_order=s,
-        t_order=t,
-        bound=bound,
-        holds=g.num_points >= bound,
-        equality=g.num_points == bound,
-    )
+    return CountingReport(num_points=num_points, s_order=s, t_order=t, bound=bound,
+                          holds=num_points >= bound, equality=num_points == bound)
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +496,6 @@ def revalidate(target: Union[GenericIncidence, GeometryFamily], witness: Witness
             x in s0 and y in s0 and x in s1 and y in s2
             and z in s1 and z in s2 and z not in s0
         )
-    if witness.kind == GQ_VIOLATION:
-        x, idx = items["point"], items["line"]
-        if not _own(g, (idx,), (x,)) or x in g.lines[idx]:
-            return False
-        collinear = neighbourhood(g, x).intersection(g.lines[idx])
-        return len(collinear) == items["count"] != 1
     raise ValueError(f"unknown witness kind {witness.kind!r}")
 
 

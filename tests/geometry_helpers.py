@@ -2,8 +2,8 @@
 
 The library works on point ids and value triples; these helpers go between
 the two, solve line intersections exactly by Cramer's rule over the
-field's operation tables, build a class from any slope set, and take
-determinants.
+field's operation tables, build a class from any slope set or from a
+hyperoval, and take determinants.
 """
 
 from itertools import product
@@ -67,6 +67,14 @@ def slope_class(field: FieldSpec, slopes) -> LineClass:
     lines = {canonical_line(field, slope, point)
              for slope in slopes for point in product(range(q), repeat=3)}
     return LineClass(scale=field.element(1), lines=tuple(sorted(lines)))
+
+
+def hyperoval_class(field: FieldSpec) -> LineClass:
+    """Over GF(q), q even, the class of the q+2 slopes (1, t, t^2) and
+    (0, 0, 1), (0, 1, 0), a hyperoval of PG(2, q): no three dependent, and
+    the class is the generalized quadrangle T2*(O) of order (q-1, q+1)."""
+    mul = field.mul_table
+    return slope_class(field, [(1, t, mul[t][t]) for t in range(field.q)] + [(0, 0, 1), (0, 1, 0)])
 
 
 def determinant(field: FieldSpec, u, v, w) -> int:

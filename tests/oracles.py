@@ -1,7 +1,8 @@
 """Reference implementations that only the tests use: the brute-force
 triangle oracle, which shares no code with the fast scan it checks, the
 unfiltered triangle pair scan that fixes the order of its witnesses, the
-owner-dict class overlap scan, the object-tree geometry JSON writer, the
+collinearity scans of a point's neighbourhood and of the
+generalized-quadrangle axiom, the owner-dict class overlap scan, the object-tree geometry JSON writer, the
 object-by-object geometry JSON loader, the writer of the plain incidence
 format, trial-division primality, and the exponent scan that builds one
 report per alpha and orientation."""
@@ -112,6 +113,38 @@ def triangle_pair_scan(g: GenericIncidence) -> list[Witness]:
                         )
                         break
     return found
+
+
+def neighbourhood(g: GenericIncidence, x: int) -> frozenset[int]:
+    """All points collinear with x, excluding x itself."""
+    if not 0 <= x < g.num_points:
+        raise ValueError(f"point {x} outside [0, {g.num_points})")
+    out: set[int] = set()
+    for line in g.lines:
+        if x in line:
+            out.update(line)
+    out.discard(x)
+    return frozenset(out)
+
+
+def gq_oracle(g: GenericIncidence, exhaustive: bool = False):
+    """The generalized-quadrangle axiom: (point, line, count) for a point x
+    and a line L not through x where the number of points of L collinear
+    with x is not 1; the first in point order, then line order, or None,
+    or with ``exhaustive`` all of them."""
+    return _first_or_all(_gq_violations(g), exhaustive)
+
+
+def _gq_violations(g: GenericIncidence) -> Iterator[tuple[int, int, int]]:
+    lines = [set(line) for line in g.lines]
+    collinear = [set() for _ in range(g.num_points)]
+    for line in lines:
+        for x in line:
+            collinear[x] |= line - {x}
+    for x in range(g.num_points):
+        for idx, line in enumerate(lines):
+            if x not in line and len(line & collinear[x]) != 1:
+                yield x, idx, len(line & collinear[x])
 
 
 def overlap_scan(family: GeometryFamily, exhaustive: bool = False):

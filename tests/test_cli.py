@@ -13,10 +13,10 @@ from click.testing import CliRunner
 from perfbench.workloads import inject_triangle, merge_lines
 from qpack import bounds, build_class, class_incidence, cli, make_field, verifier
 from qpack.cli import main
-from qpack.formats import loads_family, parse_plain_incidence
-from qpack import canonical_line
+from qpack.formats import dumps_family, loads_family, parse_plain_incidence
+from qpack import GeometryFamily, canonical_line
 
-from geometry_helpers import intersect, line_points
+from geometry_helpers import hyperoval_class, intersect, line_points
 
 
 @pytest.fixture
@@ -121,12 +121,17 @@ class TestVerify:
         order_records = [r for r in records if r["check"] == "order"]
         assert all((r["s"], r["t"]) == (4, 3) for r in order_records)
 
-    def test_gq_check_fails_with_witness(self, runner, geo5):
+    def test_gq_check_is_unknown(self, runner, geo5):
+        """A quadrangle is what ``counting`` reports as equality, so there is
+        no separate ``gq`` check."""
         result = run(runner, "verify", str(geo5), "--checks", "gq")
-        assert result.exit_code == 1
-        records = json_lines(result.stdout)
-        assert all(r["verdict"] == "violation" for r in records)
-        assert all(r["witness"]["kind"] == "gq_violation" for r in records)
+        assert_usage_error(result)
+        assert result.stderr.startswith("error: unknown checks ['gq']")
+
+    def test_repeated_check_exits_2(self, runner, geo5):
+        result = run(runner, "verify", str(geo5), "--checks", "pls,order, pls")
+        assert_usage_error(result)
+        assert result.stderr == "error: repeated checks ['pls']\n"
 
     def test_counting_check_reports(self, runner, geo5):
         result = run(runner, "verify", str(geo5), "--checks", "counting")
@@ -134,6 +139,16 @@ class TestVerify:
         records = json_lines(result.stdout)
         assert all(r["bound"] == 65 and r["points"] == 125 for r in records)
         assert all(r["equality"] is False for r in records)
+
+    def test_counting_needs_a_partial_linear_space(self, runner):
+        """A repeated line has order (1, 1) and no triangle, but the floor
+        has no claim on it: 2 points against a bound of 4 is no violation."""
+        result = run(runner, "verify", "-", "--checks", "counting", input="points 2\n0 1\n0 1\n")
+        assert result.exit_code == 1
+        (record,) = json_lines(result.stdout)
+        assert (record["check"], record["verdict"]) == ("counting", "inapplicable")
+        assert record["reason"] == ("structure is not a partial linear space: "
+                                    "{'lines': (0, 1), 'points': (0, 1)}")
 
     def test_injected_triangle_detected(self, runner, tmp_path, geo5):
         family = loads_family(geo5.read_text())
@@ -162,12 +177,12 @@ class TestVerify:
     def test_plain_incidence_input(self, runner, tmp_path):
         path = tmp_path / "c5.txt"
         path.write_text("points 5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
-        result = run(runner, "verify", str(path), "--checks", "pls,order,gq")
-        assert result.exit_code == 1
+        result = run(runner, "verify", str(path), "--checks", "pls,order,counting")
+        assert result.exit_code == 0
         by_check = {r["check"]: r for r in json_lines(result.stdout)}
         assert by_check["pls"]["verdict"] == "ok"
         assert (by_check["order"]["s"], by_check["order"]["t"]) == (1, 1)
-        assert by_check["gq"]["verdict"] == "violation"
+        assert (by_check["counting"]["bound"], by_check["counting"]["equality"]) == (4, False)
 
     def test_family_checks_skipped_on_plain_input(self, runner, tmp_path):
         path = tmp_path / "c4.txt"
@@ -320,23 +335,6 @@ class TestVerify:
         ]
         g = parse_plain_incidence(text)
         assert len(g.neighbours) == 2
-
-    @pytest.mark.parametrize("points", [5, 16777216])
-    def test_exhaustive_gq_refuses_isolated_points(self, runner, points):
-        """Each point on no line would give one witness per line: at the
-        point-count cap that printed nothing within 30 s.  The exhaustive
-        check is refused with check_order's record instead."""
-        result = run(runner, "verify", "-", "--checks", "gq", "--exhaustive",
-                     input=f"points {points}\n0 1\n")
-        assert result.exit_code == 2
-        (record,) = json_lines(result.stdout)
-        assert {k: v for k, v in record.items() if k != "elapsed"} == {
-            "check": "gq", "scope": "structure", "verdict": "malformed",
-            "reason": "point 2 lies on no line"}
-        first = json_lines(run(runner, "verify", "-", "--checks", "gq",
-                               input=f"points {points}\n0 1\n").stdout)
-        assert first[0]["witness"] == {"kind": "gq_violation", "point": 2, "line": 0,
-                                       "count": 0, "collinear_on_line": []}
 
     def test_missing_file_exits_2(self, runner):
         assert run(runner, "verify", "no-such-file.json").exit_code == 2
@@ -622,10 +620,11 @@ class TestWitnessPathPinned:
 
 class TestGeometryPathPinned:
     """sha256 of ``verify --exhaustive``'s records on a geometry file, with
-    ``elapsed`` removed, pinned from the output of the release before lines
-    and line classes shared one module.  The q=5 family gets class 2's first
-    line appended to class 1 and class 3's first line repeated, so every
-    structure check and both family checks report."""
+    ``elapsed`` removed, pinned from the output of the release before the
+    slope certificate decided ``counting`` (then run with no ``gq`` in
+    ``--checks``).  The q=5 family gets class 2's first line appended to
+    class 1 and class 3's first line repeated, so every structure check and
+    both family checks report."""
 
     def test_records_are_pinned(self, runner, geo5):
         obj = json.loads(geo5.read_text())
@@ -633,16 +632,15 @@ class TestGeometryPathPinned:
         classes["1"].append(classes["2"][0])
         classes["3"].append(classes["3"][0])
         result = run(runner, "verify", "-", "--checks",
-                     "pls,order,triangle,gq,counting,disjoint,union", "--exhaustive",
+                     "pls,order,triangle,counting,disjoint,union", "--exhaustive",
                      input=json.dumps(obj))
         assert result.exit_code == 1
         records = [{k: v for k, v in r.items() if k != "elapsed"}
                    for r in json_lines(result.stdout)]
         kinds = {w["kind"] for r in records for w in r.get("witness", {}).get("witnesses", [])}
-        assert kinds == {"gq_violation", "order_violation", "triangle", "pls_violation",
-                         "class_overlap"}
+        assert kinds == {"order_violation", "triangle", "pls_violation", "class_overlap"}
         assert {r["verdict"] for r in records} == {"ok", "violation", "inapplicable"}
-        digest = "53e17cb5d39de0ee499abc3648a3674120b00746151d3f377808f44f85dca974"
+        digest = "371f7b61ac3bade14b8b6857f91f8ed9d140f83c2ea89802744c26c00a765562"
         assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == digest
 
 
@@ -677,10 +675,10 @@ def _sweep_mutants(obj: dict):
 
 
 class TestCertificatePath:
-    """``verify`` decides a certified class's pls, order and triangle from
+    """``verify`` decides every structure record of a certified class from
     its slope set; the records must be the scans' records.  The sweep takes
-    full families up to q=9 and three classes above: the scans of the six
-    full q=19 files alone take about 40 s."""
+    full families up to q=9 and three classes above, with ``counting`` up to
+    q=13: the scans of the six full q=19 files alone take about 40 s."""
 
     @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19])
     def test_records_match_the_scans(self, runner, tmp_path, monkeypatch, q):
@@ -688,14 +686,15 @@ class TestCertificatePath:
         count = q - 1 if q <= 9 else 3
         assert run(runner, "construct", "--q", str(q), "--count", str(count),
                    "--out", str(path)).exit_code == 0
+        checks = ["--checks", "pls,order,triangle,counting,disjoint,union"] if q <= 13 else []
         certify = verifier.certify_class
         for name, text in _sweep_mutants(json.loads(path.read_text())).items():
             certified = []
             monkeypatch.setattr(verifier, "certify_class",
                                 lambda cls: certified.append(certify(cls)) or certified[-1])
-            fast = run(runner, "verify", "-", "--exhaustive", input=text)
+            fast = run(runner, "verify", "-", "--exhaustive", *checks, input=text)
             monkeypatch.setattr(verifier, "certify_class", lambda cls: None)
-            scans = run(runner, "verify", "-", "--exhaustive", input=text)
+            scans = run(runner, "verify", "-", "--exhaustive", *checks, input=text)
             assert (fast.exit_code, _records(fast)) == (scans.exit_code, _records(scans)), name
             assert fast.exit_code == (0 if name in ("clean", "slope-dropped", "classes-swapped")
                                       else 1), name
@@ -716,13 +715,13 @@ class TestCertificatePath:
     @pytest.mark.parametrize("certifies", [True, False], ids=["certified", "uncertified"])
     @pytest.mark.parametrize("checks, timed", [
         ("pls,order,triangle,disjoint,union", "pls"),
-        ("counting,triangle,pls", "triangle"),
+        ("counting,triangle,pls", "counting"),
         ("order", "order"),
     ])
     def test_certificate_time_is_in_the_first_record_it_decides(
             self, runner, geo5, monkeypatch, checks, timed, certifies):
-        """The certificate's time goes into the first pls, order or triangle
-        record of its class, whether or not it certifies the class."""
+        """The certificate's time goes into the first record of its class,
+        whether or not it certifies the class."""
         certify, pause = verifier.certify_class, 0.25
 
         def slow(cls):
@@ -740,19 +739,41 @@ class TestCertificatePath:
             raise AssertionError("verify sought a certificate that decides no selected check")
 
         monkeypatch.setattr(verifier, "certify_class", refuse)
-        result = run(runner, "verify", str(geo5), "--checks", "gq,counting,disjoint")
-        assert result.exit_code == 1
-        assert {r["check"] for r in json_lines(result.stdout)} == {"gq", "counting", "disjoint"}
+        result = run(runner, "verify", str(geo5), "--checks", "disjoint,union")
+        assert result.exit_code == 0
+        assert [r["check"] for r in json_lines(result.stdout)] == ["disjoint", "union"]
 
-    @pytest.mark.parametrize("checks", ["gq", "counting", "pls,order,triangle,gq"])
-    def test_gq_and_counting_build_the_class_incidence(self, runner, geo5, monkeypatch, checks):
+    @pytest.mark.parametrize("mutated", [False, True], ids=["clean", "mutated"])
+    @pytest.mark.parametrize("checks", [(), ("--checks", "counting"),
+                                        ("--checks", "pls,order,triangle,counting")],
+                             ids=["default", "counting", "pls,order,triangle,counting"])
+    def test_incidence_only_for_uncertified_classes(self, runner, geo5, monkeypatch,
+                                                    checks, mutated):
+        """Whatever the checks, exactly the classes that are not certified
+        get their incidence built: here class 2, with one line dropped."""
+        obj = json.loads(geo5.read_text())
+        if mutated:
+            obj["classes"]["2"].pop(7)
         built = []
         class_incidence = verifier.class_incidence
         monkeypatch.setattr(verifier, "class_incidence",
                             lambda cls: built.append(cls.scale.value) or class_incidence(cls))
-        result = run(runner, "verify", str(geo5), "--checks", checks)
-        assert result.exit_code == (0 if checks == "counting" else 1)
-        assert built == [1, 2, 3, 4]
+        result = run(runner, "verify", "-", *checks, input=json.dumps(obj))
+        assert result.exit_code == (1 if mutated else 0)
+        assert built == ([2] if mutated else [])
+
+    def test_hyperoval_class_meets_the_floor(self, runner, f4, monkeypatch):
+        """The q=4 class of the six hyperoval slopes is the generalized
+        quadrangle T2*(O): the certificate reports ``equality``, as the scans
+        do."""
+        text = dumps_family(GeometryFamily(f4, (hyperoval_class(f4),)), {"q": 4})
+        fast = run(runner, "verify", "-", "--checks", "counting", input=text)
+        monkeypatch.setattr(verifier, "certify_class", lambda cls: None)
+        scans = run(runner, "verify", "-", "--checks", "counting", input=text)
+        assert fast.exit_code == scans.exit_code == 0
+        assert _records(fast) == _records(scans) == [
+            {"check": "counting", "scope": "class:1", "verdict": "ok", "points": 64,
+             "s": 3, "t": 5, "bound": 64, "equality": True}]
 
 
 class TestPinnedOutput:

@@ -1,11 +1,13 @@
-"""Property tests: the pls, triangle and gq checks against independent
-oracles on random small incidences, including repeated lines and structures
-that are not partial linear spaces, with the pls and triangle witnesses in
-their reference pair scans' order; the family checks against ``check_pls``
+"""Property tests: the pls and triangle checks against independent oracles
+on random small incidences, including repeated lines and structures that
+are not partial linear spaces, with the pls and triangle witnesses in their
+reference pair scans' order; ``counting`` against the collinearity oracle
+of the generalized-quadrangle axiom, on those and on relabelled structures
+of uniform order; the family checks against ``check_pls``
 on the union incidence and the owner-dict overlap scan, on families with
-copied lines; the slope certificate against the pls, order and triangle
-scans on classes that hold every line of their slopes, arcs or not; the
-neighbour table against
+copied lines; the slope certificate against the pls, order, triangle and
+counting scans on classes that hold every line of their slopes, arcs or
+not; the neighbour table against
 ``neighbourhood`` on structures that declare points past their lines;
 ``revalidate`` on witnesses that name lines or points the structure lacks,
 which must replay False without raising; the
@@ -30,23 +32,26 @@ from qpack import (
     GeometryFamily,
     LineClass,
     MalformedStructureError,
+    NotPartialLinearSpaceError,
+    NotTriangleFreeError,
+    NotUniformError,
     OrderParams,
     Witness,
     build_family,
     canonical_slope,
     certify_class,
     check_disjoint_classes,
-    check_gq,
     check_order,
     check_pls,
     check_triangle_free,
     check_union_pls,
     class_incidence,
+    counting_bound,
+    counting_report,
     dependent_slopes,
     make_field,
     min_total_degree,
     moment_curve,
-    neighbourhood,
     revalidate,
     union_incidence,
 )
@@ -59,10 +64,12 @@ from qpack.formats import (
     parse_plain_incidence,
 )
 
-from geometry_helpers import determinant, slope_class
+from geometry_helpers import determinant, hyperoval_class, slope_class
 from oracles import (
     brute_force_triangle_check,
+    gq_oracle,
     load_outcome,
+    neighbourhood,
     overlap_scan,
     reference_loads_family,
     report_min_total_degree,
@@ -186,8 +193,9 @@ def slope_complete_classes(draw) -> tuple:
 @given(slope_complete_classes())
 def test_certificate_matches_the_scans(drawn):
     """``certify_class`` is non-None exactly when ``pls``, ``order`` and
-    ``triangle`` all pass on the class incidence, with the same order, and
-    a dependent triple is three of the slopes with determinant 0."""
+    ``triangle`` all pass on the class incidence, with the same order and
+    the same counting report, and a dependent triple is three of the slopes
+    with determinant 0."""
     field, slopes, cls = drawn
     g = class_incidence(cls)
     pls, order, triangle = check_pls(g), check_order(g), check_triangle_free(g)
@@ -196,6 +204,7 @@ def test_certificate_matches_the_scans(drawn):
     assert (certificate is not None) == passes
     if passes:
         assert certificate == order
+        assert counting_report(field.q**3, certificate) == counting_bound(g)
     triple = dependent_slopes(field, slopes)
     event("arc" if triple is None else "not an arc")
     assert (triple is None) == (triangle is None)
@@ -240,47 +249,80 @@ def test_neighbours_end_at_the_widest_mask(g):
         assert {b for b in range(mask.bit_length()) if mask >> b & 1} == neighbourhood(g, x)
 
 
-def gq_oracle(g: GenericIncidence) -> list[tuple[int, int, int]]:
-    """(point, line, count) for every point x and line L not through x where
-    the number of points of L collinear with x is not 1, in point order,
-    then line order."""
-    lines = [set(line) for line in g.lines]
-    collinear = [set() for _ in range(g.num_points)]
-    for line in lines:
-        for x in line:
-            collinear[x] |= line - {x}
-    found = []
-    for x in range(g.num_points):
-        for idx, line in enumerate(lines):
-            if x not in line and len(line & collinear[x]) != 1:
-                found.append((x, idx, len(line & collinear[x])))
-    return found
+def doily() -> GenericIncidence:
+    """The generalized quadrangle of order (2, 2): the 15 pairs from
+    {0, ..., 5} as points, the 15 splits of {0, ..., 5} into three pairs as
+    lines."""
+    pairs = list(combinations(range(6), 2))
+    return GenericIncidence.from_lines(15, [
+        [pairs.index(pair) for pair in split] for split in combinations(pairs, 3)
+        if len({pt for pair in split for pt in pair}) == 6])
+
+
+def grid(s: int, dual: bool) -> GenericIncidence:
+    """The (s+1)x(s+1) grid of order (s, 1), or its dual of order (1, s),
+    the lines of the complete bipartite graph on s+1 and s+1 points; both
+    are generalized quadrangles."""
+    n = s + 1
+    if dual:
+        return GenericIncidence.from_lines(2 * n, [(i, n + j) for i in range(n) for j in range(n)])
+    return GenericIncidence.from_lines(n * n, [range(i * n, i * n + n) for i in range(n)]
+                                       + [range(j, n * n, n) for j in range(n)])
+
+
+UNIFORM = {
+    **{f"{n}-cycle": GenericIncidence.from_lines(n, [(i, (i + 1) % n) for i in range(n)])
+       for n in range(3, 9)},
+    **{f"grid {s}": grid(s, False) for s in range(1, 5)},
+    **{f"dual grid {s}": grid(s, True) for s in range(2, 5)},
+    **{f"K_{m},{m} less a matching": GenericIncidence.from_lines(
+        2 * m, [(i, m + j) for i in range(m) for j in range(m) if i != j]) for m in (4, 5)},
+    "doily": doily(),
+    "hyperoval q=4": class_incidence(hyperoval_class(make_field(4))),
+    **{f"class q={cls.field.q} scale {cls.scale.value}": class_incidence(cls)
+       for q in (3, 4) for cls in FAMILIES[q].classes},
+}
+
+
+@st.composite
+def uniform_incidences(draw) -> GenericIncidence:
+    """A structure of uniform order from ``UNIFORM``, quadrangles or not,
+    with its points relabelled and its lines shuffled; now and then every
+    line is doubled, which keeps the order uniform and no triangle but is
+    no partial linear space."""
+    name = draw(st.sampled_from(sorted(UNIFORM)))
+    event(name)
+    g = UNIFORM[name]
+    label = draw(st.permutations(range(g.num_points)))
+    lines = [[label[pt] for pt in line] for line in g.lines]
+    if draw(st.integers(0, 4)) == 0:
+        lines += lines
+    return GenericIncidence.from_lines(g.num_points, draw(st.permutations(lines)))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(incidences(), declared_beyond_lines()))
+@given(st.one_of(incidences(), uniform_incidences()))
+@example(UNIFORM["doily"])
+@example(GenericIncidence.from_lines(4, [(0, 1), (1, 2), (2, 3), (3, 0)] * 2))
 def test_gq_matches_collinearity_oracle(g):
-    """The first witness is the oracle's first, and the exhaustive list is
-    the oracle's; when some point lies on no line, the exhaustive check is
-    refused instead, naming the first such point."""
-    triple = lambda w: (w.items["point"], w.items["line"], w.items["count"])
-    first = check_gq(g)
-    expected = gq_oracle(g)
-    if first is None:
-        assert not expected
-    else:
-        assert triple(first) == expected[0]
-    isolated = sorted(set(range(g.num_points)).difference(*g.lines))
-    if isolated:
-        with pytest.raises(MalformedStructureError,
-                           match=f"^point {isolated[0]} lies on no line$"):
-            check_gq(g, exhaustive=True)
-        every = []
-    else:
-        every = check_gq(g, exhaustive=True)
-        assert [triple(w) for w in every] == expected
-        assert every[:1] == ([first] if first is not None else [])
-    assert all(revalidate(g, w) for w in [first, *every] if w is not None)
+    """``counting_bound`` refuses exactly the structures that fail ``order``,
+    ``triangle`` or ``pls``; on every other one it reports equality exactly
+    when the collinearity oracle finds the generalized-quadrangle axiom
+    holding."""
+    try:
+        applicable = (isinstance(check_order(g), OrderParams)
+                      and check_triangle_free(g) is None and check_pls(g) is None)
+    except MalformedStructureError:
+        applicable = False
+    event("applicable" if applicable else "refused")
+    if not applicable:
+        with pytest.raises((MalformedStructureError, NotUniformError, NotTriangleFreeError,
+                            NotPartialLinearSpaceError)):
+            counting_bound(g)
+        return
+    equality = counting_bound(g).equality
+    event(f"equality {equality}")
+    assert equality == (gq_oracle(g) is None)
 
 
 @st.composite
@@ -289,7 +331,7 @@ def foreign_witnesses(draw, g: GenericIncidence):
     [-3, n+3] or are bools, with the line indices and point ids it names."""
     line = st.one_of(st.integers(-3, len(g.lines) + 3), st.booleans())
     point = st.one_of(st.integers(-3, g.num_points + 3), st.booleans())
-    kind = draw(st.sampled_from(["pls", "line_size", "point_degree", "triangle", "gq"]))
+    kind = draw(st.sampled_from(["pls", "line_size", "point_degree", "triangle"]))
     count = draw(st.integers(0, 3))
     if kind == "pls":
         lines, points = draw(st.tuples(line, line)), draw(st.tuples(point, point))
@@ -300,13 +342,10 @@ def foreign_witnesses(draw, g: GenericIncidence):
     elif kind == "point_degree":
         lines, points = (), draw(st.tuples(point, point))
         items = {"detail": kind, "points": points, "degrees": (count, count)}
-    elif kind == "triangle":
+    else:
         lines, points = draw(st.tuples(line, line, line)), draw(st.tuples(point, point, point))
         items = {"lines": lines, "points": points}
-    else:
-        lines, points = (draw(line),), (draw(point),)
-        items = {"point": points[0], "line": lines[0], "count": count, "collinear_on_line": ()}
-    name = {"pls": "pls_violation", "triangle": "triangle", "gq": "gq_violation"}
+    name = {"pls": "pls_violation", "triangle": "triangle"}
     return Witness(name.get(kind, "order_violation"), items), lines, points
 
 

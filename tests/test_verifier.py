@@ -14,6 +14,7 @@ from qpack import (
     GenericIncidence,
     LineClass,
     MalformedStructureError,
+    NotPartialLinearSpaceError,
     NotTriangleFreeError,
     NotUniformError,
     OrderParams,
@@ -22,22 +23,21 @@ from qpack import (
     build_family,
     certify_class,
     check_disjoint_classes,
-    check_gq,
     check_order,
     check_pls,
     check_triangle_free,
     check_union_pls,
     class_incidence,
     counting_bound,
+    counting_report,
     dependent_slopes,
     make_field,
-    neighbourhood,
     revalidate,
     union_incidence,
 )
 
-from geometry_helpers import slope_class
-from oracles import brute_force_triangle_check
+from geometry_helpers import hyperoval_class, slope_class
+from oracles import brute_force_triangle_check, gq_oracle, neighbourhood
 
 
 def incidence(num_points, lines):
@@ -76,7 +76,7 @@ class TestCheckPls:
     def test_empty_line_list(self):
         assert check_pls(incidence(5, [])) is None
 
-    @pytest.mark.parametrize("check", [check_pls, check_order, check_triangle_free, check_gq,
+    @pytest.mark.parametrize("check", [check_pls, check_order, check_triangle_free,
                                        counting_bound, brute_force_triangle_check])
     def test_duplicate_point_in_line_is_malformed(self, check):
         with pytest.raises(MalformedStructureError, match="^line 0 repeats point 1$"):
@@ -242,29 +242,26 @@ class TestNeighbourhood:
 
 
 class TestCheckGq:
+    """The generalized-quadrangle axiom, read off the collinearity oracle,
+    and the counting equality that decides it."""
+
     def test_four_cycle_is_quadrangle(self, c4):
-        assert check_gq(c4) is None
+        assert gq_oracle(c4) is None and counting_bound(c4).equality
 
     def test_five_cycle_fails(self, c5):
-        w = check_gq(c5)
-        assert w.kind == "gq_violation"
-        assert w.items["point"] == 0 and w.items["count"] == 0
-        assert set(c5.lines[w.items["line"]]) == {2, 3}
-        assert revalidate(c5, w)
+        x, line, count = gq_oracle(c5)
+        assert (x, count) == (0, 0) and set(c5.lines[line]) == {2, 3}
+        assert not counting_bound(c5).equality
 
     def test_grid_is_quadrangle(self, grid33):
-        assert check_gq(grid33) is None
+        assert gq_oracle(grid33) is None and counting_bound(grid33).equality
 
     def test_constructed_class_is_not(self, class5):
-        w = check_gq(class5)
-        assert w is not None and w.kind == "gq_violation"
-        assert revalidate(class5, w)
+        assert gq_oracle(class5) is not None and not counting_bound(class5).equality
 
     def test_exhaustive_on_c5(self, c5):
-        witnesses = check_gq(c5, exhaustive=True)
         # every vertex misses exactly one non-incident edge
-        assert len(witnesses) == 5
-        assert all(revalidate(c5, w) for w in witnesses)
+        assert [x for x, _, _ in gq_oracle(c5, exhaustive=True)] == [0, 1, 2, 3, 4]
 
 
 class TestCountingBound:
@@ -294,10 +291,16 @@ class TestCountingBound:
         with pytest.raises(NotTriangleFreeError):
             counting_bound(triangle_toy)
 
+    def test_needs_partial_linear_space(self):
+        """A repeated line: uniform order (1, 1), no triangle, 2 points."""
+        with pytest.raises(NotPartialLinearSpaceError,
+                           match=r"^structure is not a partial linear space: "):
+            counting_bound(incidence(2, [(0, 1), (0, 1)]))
+
     def test_equality_iff_quadrangle(self, c4, c5, grid33, class5):
         for g in (c4, c5, grid33, class5):
             report = counting_bound(g)
-            assert report.equality == (check_gq(g) is None)
+            assert report.equality == (gq_oracle(g) is None)
 
 
 class TestFamilyChecks:
@@ -372,6 +375,17 @@ class TestCertificate:
         cls = slope_class(f3, slopes)
         assert certify_class(cls) is None
         assert check_triangle_free(class_incidence(cls)) is not None
+
+    def test_hyperoval_class_is_a_quadrangle(self, f4):
+        """T2*(O) of order (3, 5): its 64 points meet the counting floor."""
+        cls = hyperoval_class(f4)
+        g = class_incidence(cls)
+        order = certify_class(cls)
+        assert order == OrderParams(3, 5) == check_order(g)
+        report = counting_bound(g)
+        assert report == counting_report(64, order)
+        assert report.bound == 64 and report.equality
+        assert gq_oracle(g, exhaustive=True) == []
 
     def test_fewer_than_three_slopes_are_an_arc(self, f3):
         assert dependent_slopes(f3, []) is None
@@ -457,26 +471,7 @@ class TestRevalidateForeignIndices:
         ([(0, 1), (1, 2)], Witness("triangle", {"lines": (0, 1, 3), "points": (0, 1, 2)})),
         ([(0, 1), (1, 2), (2, 0)],
          Witness("triangle", {"lines": (0, 2, 1), "points": (0, 1, 2.0)})),
-        ([(i, (i + 1) % 5) for i in range(5)],
-         Witness("gq_violation", {"point": 0, "line": -3, "count": 0, "collinear_on_line": ()})),
-        ([(0, 1), (1, 2)],
-         Witness("gq_violation", {"point": 3, "line": 0, "count": 0, "collinear_on_line": ()})),
-    ], ids=["bool-line", "line-size", "point-degree", "triangle-line", "float-point",
-            "gq-line", "gq-point"])
+    ], ids=["bool-line", "line-size", "point-degree", "triangle-line", "float-point"])
     def test_out_of_structure_witnesses(self, lines, witness):
         g = incidence(max(map(max, lines)) + 1, lines)
         assert revalidate(g, witness) is False
-
-    def test_gq_replay_builds_one_neighbourhood(self, class5, monkeypatch):
-        from qpack import verifier
-
-        calls = []
-
-        def counting(g, x):
-            calls.append(x)
-            return neighbourhood(g, x)
-
-        witnesses = check_gq(class5, exhaustive=True)[:50]
-        monkeypatch.setattr(verifier, "neighbourhood", counting)
-        assert all(revalidate(class5, w) for w in witnesses)
-        assert calls == [w.items["point"] for w in witnesses]
