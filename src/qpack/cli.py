@@ -239,7 +239,8 @@ def cmd_verify(input_path: str, checks_option: str, exhaustive: bool):
     checks = tuple(c.strip() for c in checks_option.split(",") if c.strip())
     unknown = [c for c in checks if c not in ALL_CHECKS]
     if unknown or not checks:
-        _fail_usage(f"unknown checks {unknown}; valid: {','.join(ALL_CHECKS)}")
+        problem = f"unknown checks {unknown}" if unknown else "no check selected"
+        _fail_usage(f"{problem}; valid: {','.join(ALL_CHECKS)}")
     repeated = sorted({c for c in checks if checks.count(c) > 1})
     if repeated:
         _fail_usage(f"repeated checks {repeated}")
@@ -370,6 +371,8 @@ def cmd_scan(k_range: str, r_range: str, out: Optional[str]):
 def cmd_exponent(alpha, orientation, do_scan, alpha_max, alpha_step):
     """Point-count exponents forced by packings of skewed order."""
     if do_scan:
+        if alpha is not None or orientation:
+            _fail_usage("--scan takes no --alpha or --orientation: it covers both orientations")
         if not (math.isfinite(alpha_max) and math.isfinite(alpha_step)
                 and alpha_max >= 1 and alpha_step > 0):
             _fail_usage("scan needs a finite --alpha-max >= 1 and a finite --alpha-step > 0")

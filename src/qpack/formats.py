@@ -17,8 +17,7 @@ from collections import Counter
 from functools import partial
 from typing import Any, Optional
 
-# canonical_line stays a formats attribute: perfbench/traced.py wraps it
-from .construction import (  # noqa: F401
+from .construction import (
     GeometryFamily,
     Line,
     LineClass,
@@ -41,6 +40,25 @@ class GeometryFormatError(ValueError):
 # geometry JSON
 # ---------------------------------------------------------------------------
 
+def _shown(value: Any) -> str:
+    """``repr(value)`` with each decoded line in it named, since the repr of
+    a line would show only the ids of its triples.  A value too deep to walk
+    is shown by ``repr`` alone, which goes as deep as the parser does."""
+    def shown(value: Any) -> str:
+        if type(value) is tuple:
+            return "a line object"
+        if type(value) is list:
+            return "[" + ", ".join(map(shown, value)) + "]"
+        if type(value) is dict:
+            return "{" + ", ".join(f"{key!r}: {shown(item)}" for key, item in value.items()) + "}"
+        return repr(value)
+
+    try:
+        return shown(value)
+    except RecursionError:
+        return repr(value)
+
+
 def field_to_json(field: FieldSpec) -> dict[str, Any]:
     return {"p": field.p, "n": field.n, "modulus": list(field.modulus)}
 
@@ -52,8 +70,9 @@ def field_from_json(obj: Any) -> FieldSpec:
         p, n, modulus = obj["p"], obj["n"], list(obj["modulus"])
     except (KeyError, TypeError) as exc:
         raise GeometryFormatError(f"bad field spec: {exc}") from exc
-    if any(type(c) is not int for c in [p, n, *modulus]):
-        raise GeometryFormatError(f"field spec values must be integers, got {obj!r}")
+    # a decoded line is a tuple of ints, which list() would read as a modulus
+    if type(obj["modulus"]) is tuple or any(type(c) is not int for c in [p, n, *modulus]):
+        raise GeometryFormatError(f"field spec values must be integers, got {_shown(obj)}")
     # bound p and n before p**n: the modulus search scans up to p**n polynomials
     if not (2 <= p <= MAX_FIELD_ORDER and 1 <= n <= MAX_FIELD_ORDER.bit_length()
             and p**n <= MAX_FIELD_ORDER):
@@ -73,28 +92,20 @@ def field_from_json(obj: Any) -> FieldSpec:
     return field
 
 
-# A line object is decoded while the parser reads the file.  Each of its two
-# coordinate triples, [[c, ...], [c, ...], [c, ...]], is interned by its
-# coefficients in one order: the flat tuple (c, ..., c) of its three rows,
-# which all have the same length.  The line becomes the pair of those
-# triples' ids, so the file's coefficient lists are freed line by line.
+# A line object, an object whose keys are exactly "slope" and "base", is
+# decoded while the parser reads the file.  Each of its two coordinate
+# triples, [[c, ...], [c, ...], [c, ...]], is interned by its coefficients in
+# one order: the flat tuple (c, ..., c) of its three rows, which all have the
+# same length.  The line becomes the pair of those triples' ids, so the
+# file's coefficient lists are freed line by line.
 
-class _EditedLine(tuple):
-    """The triple ids of a line object written with extra keys or with
-    ``"base"`` first.  ``pairs`` keeps the object as written, for the rare
-    file that puts such an object where a line does not belong."""
-
-    pairs: list[tuple[str, Any]]
-
-
-_LINES = {tuple, _EditedLine}
 _INT = {int}
 
 
 def _decode_object(ids: dict[tuple[int, ...], int], pairs: list[tuple[str, Any]]):
     """``object_pairs_hook`` of :func:`loads_family`.
 
-    A repeated key is a format error.  A line object, whose ``slope`` and
+    A repeated key is a format error.  A line object whose ``slope`` and
     ``base`` are each three lists of ints (not bools or floats), all six of
     one length, becomes the pair of its triples' ids in ``ids``; a triple
     not yet in ``ids`` gets the next id.  Any other object stays a dict, and
@@ -106,18 +117,14 @@ def _decode_object(ids: dict[tuple[int, ...], int], pairs: list[tuple[str, Any]]
         key = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
         raise GeometryFormatError(f"repeated key {key!r}")
     slope, base = obj.get("slope"), obj.get("base")
-    if type(slope) is type(base) is list and len(slope) == len(base) == 3:
+    if type(slope) is type(base) is list and len(slope) == len(base) == 3 and len(obj) == 2:
         s0, s1, s2 = slope
         b0, b1, b2 = base
         if (type(s0) is type(s1) is type(s2) is type(b0) is type(b1) is type(b2) is list
                 and len(s0) == len(s1) == len(s2) == len(b0) == len(b1) == len(b2)):
             slope, base = (*s0, *s1, *s2), (*b0, *b1, *b2)
             if _INT.issuperset(map(type, slope)) and _INT.issuperset(map(type, base)):
-                line = ids.setdefault(slope, len(ids)), ids.setdefault(base, len(ids))
-                if len(pairs) != 2 or pairs[0][0] != "slope":
-                    line = _EditedLine(line)
-                    line.pairs = pairs
-                return line
+                return ids.setdefault(slope, len(ids)), ids.setdefault(base, len(ids))
     return obj
 
 
@@ -125,41 +132,6 @@ def _rows(triple: tuple[int, ...]) -> list[list[int]]:
     """The three coefficient lists of an interned triple."""
     size = len(triple) // 3
     return [list(triple[i * size:(i + 1) * size]) for i in range(3)]
-
-
-def _as_object(line: tuple, triples: list[tuple[int, ...]]) -> dict[str, Any]:
-    """A decoded line as the dict it was written as; its values stay decoded."""
-    if isinstance(line, _EditedLine):
-        return dict(line.pairs)
-    return {"slope": _rows(triples[line[0]]), "base": _rows(triples[line[1]])}
-
-
-def _holds_line(value: Any) -> bool:
-    """Whether ``value`` is or holds a decoded line.  The walk keeps its own
-    stack, since a JSON value may nest deeper than Python recursion goes."""
-    stack = [value]
-    while stack:
-        value = stack.pop()
-        if isinstance(value, tuple):
-            return True
-        if isinstance(value, dict):
-            stack.extend(value.values())
-        elif isinstance(value, list):
-            stack.extend(value)
-    return False
-
-
-def _as_written(value: Any, triples: list[tuple[int, ...]]) -> Any:
-    """``value`` with every decoded line in it back as its dict."""
-    if not _holds_line(value):
-        return value
-    if isinstance(value, tuple):
-        value = _as_object(value, triples)
-    if isinstance(value, dict):
-        return {key: _as_written(item, triples) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_as_written(item, triples) for item in value]
-    return value
 
 
 def _line_decoder(field: FieldSpec, triples: list[tuple[int, ...]]):
@@ -185,7 +157,7 @@ def _line_decoder(field: FieldSpec, triples: list[tuple[int, ...]]):
             slopes.append((share(slope, slope), slope.index(1)))
 
     def class_lines(entries: list) -> Optional[tuple[Line, ...]]:
-        if not _LINES.issuperset(map(type, entries)):
+        if not {tuple}.issuperset(map(type, entries)):
             return None
         lines = []
         append = lines.append
@@ -204,52 +176,49 @@ def _line_decoder(field: FieldSpec, triples: list[tuple[int, ...]]):
     return class_lines
 
 
-def _line_error(field: FieldSpec, triples: list[tuple[int, ...]],
-                entries: list) -> GeometryFormatError:
-    """The error for the first entry of a class that the line decoder
-    cannot take, with the message that checking each entry on its own,
-    row by row, gives."""
-    index = field.coeff_index
+def _entry_lines(field: FieldSpec, triples: list[tuple[int, ...]],
+                 entries: list) -> tuple[Line, ...]:
+    """A class's lines decoded entry by entry through :func:`canonical_line`,
+    for a class that the table loop cannot take.  An entry is a decoded line
+    or an object holding ``slope`` and ``base`` among other keys; the first
+    entry that is not a line raises its format error."""
+    lines = []
     for entry in entries:
-        if isinstance(entry, tuple):
-            rows = [*_rows(triples[entry[0]]), *_rows(triples[entry[1]])]
-            for row in rows:
-                if tuple(row) not in index:
-                    return GeometryFormatError(f"{row} is not an element of {field!r}")
-            if not any(index[tuple(row)] for row in rows[:3]):
-                return GeometryFormatError("line slope is the zero vector")
-            continue
-        if not isinstance(entry, dict) or not {"slope", "base"} <= entry.keys():
-            return GeometryFormatError("line must be an object with slope and base")
-        slope, base = entry["slope"], entry["base"]
+        if type(entry) is tuple:
+            slope, base = _rows(triples[entry[0]]), _rows(triples[entry[1]])
+        elif isinstance(entry, dict) and {"slope", "base"} <= entry.keys():
+            slope, base = entry["slope"], entry["base"]
+        else:
+            raise GeometryFormatError("line must be an object with slope and base")
         if not (isinstance(slope, list) and isinstance(base, list)
                 and len(slope) == len(base) == 3):
-            return GeometryFormatError("slope and base must be coordinate triples")
+            raise GeometryFormatError("slope and base must be coordinate triples")
+        coords = []
         for row in (*slope, *base):
             if not isinstance(row, list):
-                return GeometryFormatError(f"element must be a list of {field.n} coefficients")
-            if any(type(c) is not int for c in row):
-                return GeometryFormatError(
-                    f"bad element coefficients {_as_written(row, triples)!r}: not all integers")
-            if tuple(row) not in index:
-                return GeometryFormatError(f"{row} is not an element of {field!r}")
-    raise AssertionError("the line decoder takes every entry of this class")
+                raise GeometryFormatError(f"element must be a list of {field.n} coefficients")
+            if not _INT.issuperset(map(type, row)):
+                raise GeometryFormatError(
+                    f"bad element coefficients {_shown(row)}: not all integers")
+            if tuple(row) not in field.coeff_index:
+                raise GeometryFormatError(f"{row} is not an element of {field!r}")
+            coords.append(field.coeff_index[tuple(row)])
+        if not any(coords[:3]):
+            raise GeometryFormatError("line slope is the zero vector")
+        lines.append(canonical_line(field, coords[:3], coords[3:]))
+    return tuple(lines)
 
 
 def family_from_json(obj: Any, triples: list[tuple[int, ...]]) -> GeometryFamily:
     """The family of a document parsed with :func:`_decode_object`, whose
     interned triples, in id order, are ``triples``."""
-    if isinstance(obj, tuple):
-        obj = _as_object(obj, triples)
     if not isinstance(obj, dict):
         raise GeometryFormatError("geometry file must be a JSON object")
     version = obj.get("version")
     if type(version) is not int or version != FORMAT_VERSION:
-        raise GeometryFormatError(f"unsupported format version {_as_written(version, triples)!r}")
-    field = field_from_json(_as_written(obj.get("field"), triples))
+        raise GeometryFormatError(f"unsupported format version {_shown(version)}")
+    field = field_from_json(obj.get("field"))
     classes_obj = obj.get("classes")
-    if isinstance(classes_obj, tuple):
-        classes_obj = _as_object(classes_obj, triples)
     if not isinstance(classes_obj, dict) or not classes_obj:
         raise GeometryFormatError("geometry file needs a non-empty classes map")
     scales = {str(s): s for s in range(1, field.q)}
@@ -262,9 +231,7 @@ def family_from_json(obj: Any, triples: list[tuple[int, ...]]) -> GeometryFamily
             )
         if not isinstance(entries, list):
             raise GeometryFormatError(f"class {key!r} must map to a list of lines")
-        lines = class_lines(entries)
-        if lines is None:
-            raise _line_error(field, triples, entries)
+        lines = class_lines(entries) or _entry_lines(field, triples, entries)
         classes.append(LineClass(scale=field.element(scales[key]), lines=lines))
     return GeometryFamily(field=field, classes=tuple(classes))
 

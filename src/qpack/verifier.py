@@ -93,16 +93,6 @@ class GenericIncidence:
     num_points: int
     lines: tuple[tuple[int, ...], ...]
 
-    @classmethod
-    def from_lines(cls, num_points: int, lines) -> "GenericIncidence":
-        normalized = tuple(tuple(sorted(line)) for line in lines)
-        for idx, line in enumerate(normalized):
-            if line and not (0 <= line[0] and line[-1] < num_points):
-                raise MalformedStructureError(
-                    f"line {idx} references a point outside [0, {num_points})"
-                )
-        return cls(num_points=num_points, lines=normalized)
-
     @cached_property
     def masks(self) -> list[int]:
         """One bitmask of point ids per line; a repeated point in a line is

@@ -2,6 +2,8 @@ import pytest
 
 from qpack import GenericIncidence, make_field
 
+from geometry_helpers import incidence
+
 
 @pytest.fixture(scope="session")
 def f3():
@@ -30,7 +32,7 @@ def f9():
 
 def cycle(n: int) -> GenericIncidence:
     """The n-cycle as an incidence structure: n points, n 2-point lines."""
-    return GenericIncidence.from_lines(n, [(i, (i + 1) % n) for i in range(n)])
+    return incidence(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 @pytest.fixture
@@ -45,12 +47,12 @@ def c5():
 
 @pytest.fixture
 def triangle_toy():
-    return GenericIncidence.from_lines(3, [(0, 1), (1, 2), (2, 0)])
+    return incidence(3, [(0, 1), (1, 2), (2, 0)])
 
 
 @pytest.fixture
 def path3():
-    return GenericIncidence.from_lines(3, [(0, 1), (1, 2)])
+    return incidence(3, [(0, 1), (1, 2)])
 
 
 @pytest.fixture
@@ -59,4 +61,4 @@ def grid33():
     of order (2, 1) with exactly (s*t+1)*(s+1) = 9 points."""
     rows = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(3)]
     cols = [(j, j + 3, j + 6) for j in range(3)]
-    return GenericIncidence.from_lines(9, rows + cols)
+    return incidence(9, rows + cols)

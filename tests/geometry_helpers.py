@@ -3,13 +3,32 @@
 The library works on point ids and value triples; these helpers go between
 the two, solve line intersections exactly by Cramer's rule over the
 field's operation tables, build a class from any slope set or from a
-hyperoval, and take determinants.
+hyperoval, and take determinants.  ``incidence`` builds an incidence
+structure from lines written in any point order.
 """
 
 from itertools import product
 from typing import Optional
 
-from qpack import FieldSpec, Line, LineClass, canonical_line
+from qpack import (
+    FieldSpec,
+    GenericIncidence,
+    Line,
+    LineClass,
+    MalformedStructureError,
+    canonical_line,
+)
+
+
+def incidence(num_points: int, lines) -> GenericIncidence:
+    """The structure on points [0, num_points) with each line's points
+    sorted; a point outside that range is malformed."""
+    normalized = tuple(tuple(sorted(line)) for line in lines)
+    for idx, line in enumerate(normalized):
+        if line and not (0 <= line[0] and line[-1] < num_points):
+            raise MalformedStructureError(
+                f"line {idx} references a point outside [0, {num_points})")
+    return GenericIncidence(num_points=num_points, lines=normalized)
 
 
 def point_index(field: FieldSpec, point) -> int:

@@ -30,9 +30,9 @@ from qpack import (
     threshold,
 )
 from qpack.bounds import ORIENTATIONS, bound_main
-from qpack.verifier import GenericIncidence
 from qpack.formats import dumps_family, loads_family
 
+from geometry_helpers import incidence
 from oracles import brute_force_triangle_check, gq_oracle
 
 MAIN_ORDERS = (3, 4, 5, 7, 8, 9, 11)
@@ -114,7 +114,7 @@ def test_criterion_3_oracle_equivalence():
             merged = tuple(sorted(set(lines[i]) | set(lines[j])))
             del lines[j], lines[i]
             lines.append(merged)
-        mutant = GenericIncidence.from_lines(base.num_points, lines)
+        mutant = incidence(base.num_points, lines)
         fast = check_triangle_free(mutant)
         slow = brute_force_triangle_check(mutant)
         assert (fast is None) == (slow is None), f"verdict disagreement on trial {trial}"
@@ -139,12 +139,12 @@ def test_criterion_4_counting_and_quadrangle():
             assert report.holds and not report.equality
             assert gq_oracle(g) is not None
 
-    c4 = GenericIncidence.from_lines(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    c4 = incidence(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     report = counting_bound(c4)
     assert report.bound == 4 == report.num_points and report.equality
     assert gq_oracle(c4) is None
 
-    c5 = GenericIncidence.from_lines(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    c5 = incidence(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     report = counting_bound(c5)
     assert report.bound == 4 < 5 == report.num_points and not report.equality
     assert gq_oracle(c5) is not None

@@ -128,6 +128,12 @@ class TestVerify:
         assert_usage_error(result)
         assert result.stderr.startswith("error: unknown checks ['gq']")
 
+    @pytest.mark.parametrize("checks", ["", ",", " , "])
+    def test_empty_check_list_exits_2(self, runner, geo5, checks):
+        result = run(runner, "verify", str(geo5), "--checks", checks)
+        assert_usage_error(result)
+        assert result.stderr.startswith("error: no check selected; valid: pls,")
+
     def test_repeated_check_exits_2(self, runner, geo5):
         result = run(runner, "verify", str(geo5), "--checks", "pls,order, pls")
         assert_usage_error(result)
@@ -551,6 +557,14 @@ class TestExponent:
         result = run(runner, "exponent", "--scan", "--alpha-max", "3")
         record = json_lines(result.stdout)[0]
         assert record["alpha"] == 1 and record["total_degree"] == 6
+
+    @pytest.mark.parametrize("option,value", [("--alpha", "2"), ("--orientation", "high-t")])
+    def test_scan_refuses_alpha_and_orientation(self, runner, option, value):
+        """A scan covers the whole grid in both orientations, so neither
+        option would change its record."""
+        result = run(runner, "exponent", "--scan", option, value)
+        assert_usage_error(result)
+        assert result.stderr.startswith("error: --scan takes no --alpha or --orientation")
 
     def test_needs_alpha_or_scan(self, runner):
         assert run(runner, "exponent").exit_code == 2

@@ -4,11 +4,11 @@ import gc
 import hashlib
 import itertools
 import json
+import sys
 
 import pytest
 
 from qpack import (
-    GenericIncidence,
     GeometryFamily,
     LineClass,
     RepeatedScaleError,
@@ -28,6 +28,7 @@ from qpack.formats import (
     parse_plain_incidence,
 )
 
+from geometry_helpers import incidence
 from oracles import (
     element_from_json,
     line_from_json,
@@ -246,6 +247,22 @@ class TestFamilyJson:
         assert message.startswith(("unsupported format version [[[", "bad element coefficients"))
         assert load_outcome(loads_family, text) == message
 
+    @pytest.mark.parametrize("old, start", [
+        ('"version":1', "unsupported format version [[["),
+        ('"p":3', "field spec values must be integers, got {'p': [[["),
+    ], ids=["version", "field"])
+    def test_names_a_value_as_deep_as_the_parser_goes(self, f3, old, start):
+        """A value nested as deep as the parser reads is reported by its
+        message, not by a RecursionError."""
+        text = dumps_family(build_family(f3, 1))
+        key = old.split(":")[0]
+        for depth in range(sys.getrecursionlimit(), 0, -1):
+            value = "[" * depth + "]" * depth
+            message = load_outcome(loads_family, text.replace(old, f"{key}:{value}", 1))
+            if message != "JSON nested too deeply":
+                break
+        assert message.startswith(start)
+
     def test_rejects_deep_nesting(self):
         with pytest.raises(GeometryFormatError, match="nested"):
             loads_family('{"a":' + "[" * 200_000)
@@ -277,8 +294,11 @@ OUT_OF_PLACE = {
 
 
 class TestLineObjectsOutOfPlace:
-    """``loads_family`` decodes a line object wherever it stands; written
-    where the file holds no line, it must read as the object it was."""
+    """``loads_family`` decodes an object whose keys are exactly "slope" and
+    "base" as a line wherever it stands.  Written where the file holds no
+    line, it gives the reference loader's verdict and family, and a message
+    that shows the object names it as a line object.  With an extra key it
+    stays an object, so the message is the reference's too."""
 
     @pytest.mark.parametrize("shape", list(LINE_OBJECTS))
     @pytest.mark.parametrize("where", list(OUT_OF_PLACE))
@@ -287,8 +307,33 @@ class TestLineObjectsOutOfPlace:
         OUT_OF_PLACE[where](obj, LINE_OBJECTS[shape]([[1], [0], [0]], [[0], [2], [0]]))
         text = json.dumps(obj)
         outcome = load_outcome(loads_family, text)
-        assert outcome == load_outcome(reference_loads_family, text)
+        expected = load_outcome(reference_loads_family, text)
+        if shape == "extra-key" or not isinstance(expected, str):
+            assert outcome == expected
+        else:
+            assert isinstance(outcome, str)
+            assert ("'slope': [[1]" in expected) == ("a line object" in outcome)
         assert isinstance(outcome, str) == (where not in list(OUT_OF_PLACE)[-3:])
+
+    def test_line_object_as_modulus_is_rejected(self, f3):
+        """The first line object in a file decodes to the ids (0, 1), which
+        ``list()`` would read as GF(3)'s own modulus."""
+        assert list(f3.modulus) == [0, 1]
+        obj = document(f3, count=1)
+        obj["field"]["modulus"] = {"slope": [[1], [0], [0]], "base": [[0], [2], [0]]}
+        message = "field spec values must be integers, got {'p': 3, 'n': 1, 'modulus': a line object}"
+        assert load_outcome(loads_family, json.dumps(obj)) == message
+
+    @pytest.mark.parametrize("count", [1, None])
+    def test_entries_with_extra_keys_load_the_same_family(self, f5, count):
+        """A class holding an entry with an extra key is decoded entry by
+        entry, to the family that the table loop gives for the clean file."""
+        family = build_family(f5, count)
+        obj = json.loads(dumps_family(family))
+        for at, entries in enumerate(obj["classes"].values()):
+            entries[at]["note"] = {"slope": [[1], [0], [0]], "base": [[0], [0], [0]]}
+        text = json.dumps(obj)
+        assert loads_family(text) == family == reference_loads_family(text)
 
 
 class TestWriterOracle:
@@ -395,7 +440,7 @@ class TestPlainIncidence:
         assert g.lines == ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
 
     def test_roundtrip(self):
-        g = GenericIncidence.from_lines(6, [(0, 1, 2), (3, 4, 5), (0, 3)])
+        g = incidence(6, [(0, 1, 2), (3, 4, 5), (0, 3)])
         assert parse_plain_incidence(plain_incidence_to_text(g)) == g
 
     def test_blank_lines_tolerated(self):

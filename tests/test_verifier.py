@@ -36,12 +36,8 @@ from qpack import (
     union_incidence,
 )
 
-from geometry_helpers import hyperoval_class, slope_class
+from geometry_helpers import hyperoval_class, incidence, slope_class
 from oracles import brute_force_triangle_check, gq_oracle, neighbourhood
-
-
-def incidence(num_points, lines):
-    return GenericIncidence.from_lines(num_points, lines)
 
 
 @pytest.fixture(scope="module")
@@ -220,7 +216,7 @@ def _mutate(g: GenericIncidence, rng: random.Random) -> GenericIncidence:
         merged = tuple(sorted(set(lines[i]) | set(lines[j])))
         del lines[j], lines[i]
         lines.append(merged)
-    return GenericIncidence.from_lines(g.num_points, lines)
+    return incidence(g.num_points, lines)
 
 
 class TestNeighbourhood:
@@ -412,7 +408,7 @@ def _pin_mutant(g: GenericIncidence, rng: random.Random) -> GenericIncidence:
         lines.append(merged)
     else:
         lines.insert(rng.randrange(len(lines)), rng.choice(lines))
-    return GenericIncidence.from_lines(g.num_points, lines)
+    return incidence(g.num_points, lines)
 
 
 def _outcome_json(outcome):
