@@ -366,13 +366,17 @@ def cmd_scan(k_range: str, r_range: str, out: Optional[str]):
               help="Which side of the order carries the alpha power (default: both).")
 @click.option("--scan", "do_scan", is_flag=True,
               help="Minimize total degree over an alpha grid instead.")
-@click.option("--alpha-max", type=float, default=3.0, show_default=True)
-@click.option("--alpha-step", type=float, default=0.01, show_default=True)
+@click.option("--alpha-max", type=float, default=None,
+              help="Largest alpha of the --scan grid.  [default: 3.0]")
+@click.option("--alpha-step", type=float, default=None,
+              help="Step of the --scan grid.  [default: 0.01]")
 def cmd_exponent(alpha, orientation, do_scan, alpha_max, alpha_step):
     """Point-count exponents forced by packings of skewed order."""
     if do_scan:
         if alpha is not None or orientation:
             _fail_usage("--scan takes no --alpha or --orientation: it covers both orientations")
+        alpha_max = 3.0 if alpha_max is None else alpha_max
+        alpha_step = 0.01 if alpha_step is None else alpha_step
         if not (math.isfinite(alpha_max) and math.isfinite(alpha_step)
                 and alpha_max >= 1 and alpha_step > 0):
             _fail_usage("scan needs a finite --alpha-max >= 1 and a finite --alpha-step > 0")
@@ -387,6 +391,9 @@ def cmd_exponent(alpha, orientation, do_scan, alpha_max, alpha_step):
         best_alpha, best_degree = bounds.min_total_degree(grid)
         _emit({"alpha": best_alpha, "total_degree": best_degree, "grid_size": len(grid)})
         return
+    if alpha_max is not None or alpha_step is not None:
+        _fail_usage("--alpha-max and --alpha-step shape the --scan grid; without --scan "
+                    "they would be ignored")
     if alpha is None:
         _fail_usage("provide --alpha or --scan")
     orientations = (orientation,) if orientation else bounds.ORIENTATIONS

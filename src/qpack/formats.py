@@ -297,6 +297,16 @@ _PLAIN_COUNT = re.compile(_PLAIN_ID)
 _PLAIN_ROW = re.compile(rf"(?:{_PLAIN_ID})(?:\s+(?:{_PLAIN_ID}))*")  # one or more ids
 
 
+class _PlainIds(dict):
+    """Each canonical id's int, made on first sight, so that the lines of a
+    file share one int object per point; a dict lookup also costs less than
+    ``int`` on a spelling seen before."""
+
+    def __missing__(self, spelling: str) -> int:
+        value = self[spelling] = int(spelling)
+        return value
+
+
 def parse_plain_incidence(text: str) -> GenericIncidence:
     """Parse the 'points N' header plus one row of whitespace-separated ids
     per geometry line; rows end only at ``\\n``.  N is at most
@@ -321,13 +331,14 @@ def parse_plain_incidence(text: str) -> GenericIncidence:
             f"bad point count {header[1]!r} in row {rows[0]!r}: not a canonical ASCII decimal"
         )
     lines = []
+    point_id = _PlainIds().__getitem__
     for row in rows[1:]:
         if not _PLAIN_ROW.fullmatch(row):
             raise GeometryFormatError(
                 f"bad point id in row {row!r}: ids are canonical ASCII decimals"
             )
         try:
-            ids = sorted(map(int, row.split()))
+            ids = sorted(map(point_id, row.split()))
         except ValueError:  # more digits than int() reads, so out of range
             ids = [num_points]
         if ids[-1] >= num_points:

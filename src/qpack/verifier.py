@@ -84,52 +84,70 @@ class CountingReport:
 class GenericIncidence:
     """num_points point ids [0, num_points) and lines as sorted id tuples.
 
-    The checks share one incidence index, built on first use and cached:
-    ``masks``, ``neighbours``, ``neighbour_counts`` and ``through``.  Callers
-    read it and never mutate it.  Per-point tables are as long as the widest
-    line mask.
+    The checks share one incidence index, built on first use and cached.  It
+    covers only the m points that lie on a line, relabelled in ascending
+    order to the local ids 0..m-1: ``ids`` maps a local id back to its point
+    id, and ``local_lines`` are the lines over local ids.  When every
+    declared point lies on a line, the local ids are the point ids and
+    ``local_lines`` is ``lines`` itself.  ``through``, ``neighbours`` and
+    ``neighbour_counts`` are dense lists over the local ids, so the index is
+    bounded by the incidences, not by ``num_points``.  No line's mask is
+    kept: a check that needs one rebuilds it with :func:`_mask`.  Callers
+    read the index and never mutate it.
     """
 
     num_points: int
     lines: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def masks(self) -> list[int]:
-        """One bitmask of point ids per line; a repeated point in a line is
-        malformed."""
-        masks = []
-        for idx, line in enumerate(self.lines):
-            mask = 0
+    def ids(self) -> Sequence[int]:
+        """The point ids that lie on a line, ascending; ``range(num_points)``
+        when that is all of them."""
+        used = set().union(*self.lines)
+        return range(self.num_points) if len(used) == self.num_points else sorted(used)
+
+    @cached_property
+    def local_lines(self) -> tuple[tuple[int, ...], ...]:
+        """``lines`` with each point id replaced by its local id."""
+        if isinstance(self.ids, range):
+            return self.lines
+        local = {pt: i for i, pt in enumerate(self.ids)}
+        return tuple(tuple(map(local.__getitem__, line)) for line in self.lines)
+
+    @cached_property
+    def _index(self) -> tuple[list[list[int]], list[int]]:
+        """``through``, then ``neighbours`` in one pass that makes each
+        line's mask, ORs it into the neighbour masks of its points and drops
+        it.  A repeated point in a line is malformed."""
+        size, lines = len(self.ids), self.local_lines
+        through: list[list[int]] = [[] for _ in range(size)]
+        for idx, line in enumerate(lines):
             for pt in line:
-                mask |= 1 << pt
+                through[pt].append(idx)
+        nbr = [0] * size
+        for idx, line in enumerate(lines):
+            mask = _mask(line)
             if mask.bit_count() != len(line):
+                line = self.lines[idx]
                 pt = next(pt for i, pt in enumerate(line) if pt in line[:i])
                 raise MalformedStructureError(f"line {idx} repeats point {pt}")
-            masks.append(mask)
-        return masks
-
-    @cached_property
-    def through(self) -> dict[int, list[int]]:
-        """The indices of the lines through each point, ascending, keyed by
-        the points that lie on a line."""
-        through: dict[int, list[int]] = {}
-        for idx, line in enumerate(self.lines):
-            for pt in line:
-                through.setdefault(pt, []).append(idx)
-        return through
-
-    @cached_property
-    def neighbours(self) -> list[int]:
-        """Per point up to the widest line mask, the mask of the points
-        collinear with it, itself excluded; 0 for a point on no line."""
-        nbr = [0] * max((mask.bit_length() for mask in self.masks), default=0)
-        for mask, line in zip(self.masks, self.lines):
             for pt in line:
                 nbr[pt] |= mask
         for pt, mask in enumerate(nbr):
-            if mask:
-                nbr[pt] = mask ^ (1 << pt)
-        return nbr
+            nbr[pt] = mask ^ (1 << pt)
+        return through, nbr
+
+    @property
+    def through(self) -> list[list[int]]:
+        """Per local id, the indices of the lines through the point,
+        ascending."""
+        return self._index[0]
+
+    @property
+    def neighbours(self) -> list[int]:
+        """Per local id, the mask of the local ids collinear with the point,
+        itself excluded."""
+        return self._index[1]
 
     @cached_property
     def neighbour_counts(self) -> list[int]:
@@ -157,6 +175,13 @@ def _first_or_all(found: Iterator[Witness], exhaustive: bool):
     return next(found, None)
 
 
+def _mask(line: Sequence[int]) -> int:
+    mask = 0
+    for pt in line:
+        mask |= 1 << pt
+    return mask
+
+
 def _bits(mask: int) -> tuple[int, ...]:
     out = []
     while mask:
@@ -179,30 +204,31 @@ def check_pls(g: GenericIncidence, exhaustive: bool = False):
     running OR of the earlier lines through each flagged point a, every
     point b > a of the current line already in that OR gives a witness
     naming the first line through a and b, the current line and the pair
-    (a, b).  Returns None when the structure is a partial linear space.
+    (a, b).  Only a line through a flagged point has its mask rebuilt.
+    Returns None when the structure is a partial linear space.
     """
     return _first_or_all(_pls_violations(g), exhaustive)
 
 
 def _pls_violations(g: GenericIncidence) -> Iterator[Witness]:
-    masks, counts = g.masks, g.neighbour_counts
-    others = [0] * len(counts)
-    for line in g.lines:
-        for pt in line:
-            others[pt] += len(line) - 1
-    running = {a: 0 for a, count in enumerate(counts) if count != others[a]}
+    lines, counts, through, ids = g.local_lines, g.neighbour_counts, g.through, g.ids
+    others = [len(line) - 1 for line in lines]
+    running = {a: 0 for a, (count, via) in enumerate(zip(counts, through))
+               if count != sum(map(others.__getitem__, via))}
     if not running:
         return
-    for idx, (line, mask) in enumerate(zip(g.lines, masks)):
-        for a in line:
-            if a not in running:
-                continue
+    for idx, line in enumerate(lines):
+        flagged = [a for a in line if a in running]
+        if not flagged:
+            continue
+        mask = _mask(line)
+        for a in flagged:
             shared = (running[a] & mask) >> (a + 1)
             running[a] |= mask
             for b in _bits(shared):
                 b += a + 1
-                first = next(m for m in g.through[a] if masks[m] >> b & 1)
-                yield Witness(PLS_VIOLATION, {"lines": (first, idx), "points": (a, b)})
+                first = next(m for m in through[a] if b in lines[m])
+                yield Witness(PLS_VIOLATION, {"lines": (first, idx), "points": (ids[a], ids[b])})
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +238,16 @@ def _pls_violations(g: GenericIncidence) -> Iterator[Witness]:
 def check_order(g: GenericIncidence, exhaustive: bool = False):
     """Uniform (s_order, t_order) if all line sizes and point degrees agree;
     otherwise an order_violation naming the first deviant line or point."""
-    if not g.masks:
+    through = g.through  # a repeated point is reported before any other fault
+    if not g.lines:
         raise MalformedStructureError("the structure has no lines")
     for idx, line in enumerate(g.lines):
         if len(line) < 2:
             raise MalformedStructureError(f"line {idx} has fewer than 2 points")
-    through = g.through
     if len(through) < g.num_points:
-        pt = next(pt for pt in range(g.num_points) if pt not in through)
+        pt = next((pt for pt, used in enumerate(g.ids) if pt != used), len(through))
         raise MalformedStructureError(f"point {pt} lies on no line")
-    degrees = [len(through[pt]) for pt in range(g.num_points)]
+    degrees = list(map(len, through))
     found = _first_or_all(_order_violations(g, degrees), exhaustive)
     return found or OrderParams(s_order=len(g.lines[0]) - 1, t_order=degrees[0] - 1)
 
@@ -267,25 +293,25 @@ def check_triangle_free(g: GenericIncidence, exhaustive: bool = False):
             == sum of their ``neighbour_counts`` - k*(k-1),
 
     which costs one OR per point and one popcount per line.  Only lines that
-    fail this test get the pair scan.  It walks only the points whose
-    off-line mask meets the line's shared mask, the off-line points that two
-    or more points of the line see, since no other pair has a common
-    neighbour off the line.  The closing lines through z are those of
-    ``through[z]``.
+    fail this test have their mask rebuilt and get the pair scan.  It walks
+    only the points whose off-line mask meets the line's shared mask, the
+    off-line points that two or more points of the line see, since no other
+    pair has a common neighbour off the line.  The closing lines through z
+    are those of ``through[z]``.
     """
     return _first_or_all(_triangle_violations(g), exhaustive)
 
 
 def _triangle_violations(g: GenericIncidence) -> Iterator[Witness]:
-    masks, nbr, counts, through = g.masks, g.neighbours, g.neighbour_counts, g.through
-    for idx, line in enumerate(g.lines):
+    nbr, counts, through, ids = g.neighbours, g.neighbour_counts, g.through, g.ids
+    for idx, line in enumerate(g.local_lines):
         k = len(line)
         if k < 2:
             continue
         union = reduce(or_, map(nbr.__getitem__, line))
         if union.bit_count() - k == sum(map(counts.__getitem__, line)) - k * (k - 1):
             continue
-        off_line = ~masks[idx]
+        off_line = ~_mask(line)
         seen = shared = 0
         offs = []
         for x in line:
@@ -304,7 +330,7 @@ def _triangle_violations(g: GenericIncidence) -> Iterator[Witness]:
                     if pick is not None:
                         yield Witness(
                             TRIANGLE,
-                            {"lines": (idx, pick[0], pick[1]), "points": (x, y, z)},
+                            {"lines": (idx, pick[0], pick[1]), "points": (ids[x], ids[y], ids[z])},
                         )
                         break  # one witness per point pair is enough
 

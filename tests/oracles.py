@@ -1,11 +1,12 @@
 """Reference implementations that only the tests use: the brute-force
 triangle oracle, which shares no code with the fast scan it checks, the
-unfiltered triangle pair scan that fixes the order of its witnesses, the
-collinearity scans of a point's neighbourhood and of the
-generalized-quadrangle axiom, the owner-dict class overlap scan, the object-tree geometry JSON writer, the
-object-by-object geometry JSON loader, the writer of the plain incidence
-format, trial-division primality, and the exponent scan that builds one
-report per alpha and orientation."""
+unfiltered triangle pair scan that fixes the order of its witnesses and
+reads no part of the incidence index, the collinearity scans of a point's
+neighbourhood and of the generalized-quadrangle axiom, the owner-dict class
+overlap scan, the object-tree geometry JSON writer, the object-by-object
+geometry JSON loader, the writer of the plain incidence format,
+trial-division primality, and the exponent scan that builds one report per
+alpha and orientation."""
 
 import json
 from collections import Counter
@@ -93,19 +94,22 @@ def triangle_pair_scan(g: GenericIncidence) -> list[Witness]:
     """Reference triangle witnesses, in the fast scan's order: on every line,
     every point pair (x, y) in line order and every common neighbour z of x
     and y off the line, ascending, the first distinct closing lines through
-    x and z and through y and z, found by mask test; one witness per pair."""
-    masks, nbr, through = g.masks, g.neighbours, g.through
+    x and z and through y and z; one witness per pair.  Point sets,
+    neighbourhoods and the lines through each point are built here from
+    ``g.lines``, by set membership, not read from the index under test."""
+    sets = [set(line) for line in g.lines]
+    through: dict[int, list[int]] = {}
+    for idx, line in enumerate(g.lines):
+        for pt in line:
+            through.setdefault(pt, []).append(idx)
+    nbr = {pt: set().union(*(sets[m] for m in via)) - {pt} for pt, via in through.items()}
     found = []
     for idx, line in enumerate(g.lines):
-        off_line = ~masks[idx]
         for i, x in enumerate(line):
             for y in line[i + 1 :]:
-                common = nbr[x] & nbr[y] & off_line
-                for z in range(common.bit_length()):
-                    if not common >> z & 1:
-                        continue
-                    via_x = [m for m in through[x] if masks[m] >> z & 1]
-                    via_y = [m for m in through[y] if masks[m] >> z & 1]
+                for z in sorted(nbr[x] & nbr[y] - sets[idx]):
+                    via_x = [m for m in through[x] if z in sets[m]]
+                    via_y = [m for m in through[y] if z in sets[m]]
                     pick = next(((a, b) for a in via_x for b in via_y if a != b), None)
                     if pick is not None:
                         found.append(

@@ -322,8 +322,8 @@ class TestVerify:
         assert time.perf_counter() - start < 10
 
     def test_declared_point_count_does_not_size_the_index(self, runner):
-        """At the point-count cap with one line, the per-point tables end at
-        the widest line mask, and the records are those of the dense index."""
+        """At the point-count cap with one line, the per-point tables hold
+        the two named points, and the records are those of the dense index."""
         text = "points 16777216\n0 1\n"
         result = run(runner, "verify", "-", input=text)
         assert result.exit_code == 2
@@ -341,6 +341,29 @@ class TestVerify:
         ]
         g = parse_plain_incidence(text)
         assert len(g.neighbours) == 2
+
+    def test_wide_point_ids_cost_what_they_name(self, runner):
+        """60 lines pairing i with 2^24-1-i at the point-count cap name 120
+        points, and the index holds those alone: the 726-byte file verifies
+        in well under 2 s (per-point tables and masks as wide as the largest
+        id took seconds and hundreds of MB), with the records of the dense
+        index."""
+        top = 256**3
+        text = f"points {top}\n" + "".join(f"{i} {top - 1 - i}\n" for i in range(60))
+        assert len(text) == 726
+        start = time.perf_counter()
+        result = run(runner, "verify", "-", "--checks", "pls,order,triangle", input=text)
+        assert time.perf_counter() - start < 2
+        assert result.exit_code == 2
+        records = [{k: v for k, v in r.items() if k != "elapsed"}
+                   for r in json_lines(result.stdout)]
+        assert records == [
+            {"check": "pls", "scope": "structure", "verdict": "ok"},
+            {"check": "order", "scope": "structure", "verdict": "malformed",
+             "reason": "point 60 lies on no line"},
+            {"check": "triangle", "scope": "structure", "verdict": "ok"},
+        ]
+        assert len(parse_plain_incidence(text).neighbours) == 120
 
     def test_missing_file_exits_2(self, runner):
         assert run(runner, "verify", "no-such-file.json").exit_code == 2
@@ -565,6 +588,24 @@ class TestExponent:
         result = run(runner, "exponent", "--scan", option, value)
         assert_usage_error(result)
         assert result.stderr.startswith("error: --scan takes no --alpha or --orientation")
+
+    @pytest.mark.parametrize("options", [["--alpha-max", "5"], ["--alpha-step", "7"],
+                                         ["--alpha-max", "3", "--alpha-step", "0.01"]])
+    def test_grid_options_need_scan(self, runner, options):
+        """Without --scan the grid options would be ignored, even at their
+        defaults, so they are refused."""
+        result = run(runner, "exponent", "--alpha", "2", *options)
+        assert_usage_error(result)
+        assert result.stderr.startswith("error: --alpha-max and --alpha-step shape the --scan grid")
+
+    def test_scan_defaults_match_explicit_grid(self, runner):
+        """--scan alone scans 1 to 3 in steps of 0.01: the same bytes as
+        the grid spelled out."""
+        default = run(runner, "exponent", "--scan")
+        explicit = run(runner, "exponent", "--scan", "--alpha-max", "3", "--alpha-step", "0.01")
+        assert default.exit_code == explicit.exit_code == 0
+        assert default.stdout == explicit.stdout
+        assert json_lines(default.stdout) == [{"alpha": 1.0, "total_degree": 6.0, "grid_size": 201}]
 
     def test_needs_alpha_or_scan(self, runner):
         assert run(runner, "exponent").exit_code == 2

@@ -481,6 +481,13 @@ class TestPlainIncidence:
         with pytest.raises(GeometryFormatError, match=self.MALFORMED[text]):
             parse_plain_incidence(text)
 
+    def test_lines_share_one_int_per_point(self):
+        """A point named in several rows is one int object, so a file's ids
+        cost one int per point rather than one per incidence."""
+        g = parse_plain_incidence("points 2000\n0 1000\n1000 1999\n1999 0\n")
+        assert g.lines == ((0, 1000), (1000, 1999), (0, 1999))
+        assert g.lines[0][1] is g.lines[1][0] and g.lines[1][1] is g.lines[2][1]
+
     def test_id_too_long_for_int_is_out_of_range(self):
         with pytest.raises(GeometryFormatError, match=r"point id outside \[0, 3\)"):
             parse_plain_incidence("points 3\n0 " + "1" * 5000 + "\n")

@@ -8,7 +8,8 @@ on the union incidence and the owner-dict overlap scan, on families with
 copied lines; the slope certificate against the pls, order, triangle and
 counting scans on classes that hold every line of their slopes, arcs or
 not; the neighbour table against
-``neighbourhood`` on structures that declare points past their lines;
+``neighbourhood`` on structures that declare points past their lines or
+name sparse ids;
 ``revalidate`` on witnesses that name lines or points the structure lacks,
 which must replay False without raising; the
 plain parser on random input, which must either parse or raise
@@ -57,6 +58,7 @@ from qpack import (
 )
 from qpack.cli import ALL_CHECKS, main
 from qpack.formats import (
+    MAX_FIELD_ORDER,
     GeometryFormatError,
     dumps_family,
     field_to_json,
@@ -78,6 +80,17 @@ from oracles import (
 
 
 @st.composite
+def sparse_ids(draw, count: int) -> list[int]:
+    """``count`` distinct point ids: now 0..count-1, now drawn from the
+    whole plain-file range [0, 256^3), in any order, so that the index
+    relabels the points that lie on a line."""
+    if draw(st.booleans()):
+        return list(range(count))
+    return draw(st.lists(st.integers(0, MAX_FIELD_ORDER**3 - 1), min_size=count,
+                         max_size=count, unique=True))
+
+
+@st.composite
 def incidences(draw) -> GenericIncidence:
     num_points = draw(st.integers(min_value=2, max_value=12))
     line = st.lists(st.integers(0, num_points - 1), min_size=2, max_size=min(5, num_points),
@@ -85,6 +98,9 @@ def incidences(draw) -> GenericIncidence:
     lines = draw(st.lists(line, min_size=1, max_size=10))
     repeats = draw(st.lists(st.integers(0, len(lines) - 1), max_size=2))
     lines += [lines[idx] for idx in repeats]
+    label = draw(sparse_ids(num_points))
+    lines = [[label[pt] for pt in ln] for ln in lines]
+    num_points = max(num_points, max(label) + 1)
     return incidence(num_points, draw(st.permutations(lines)))
 
 
@@ -215,9 +231,10 @@ def test_certificate_matches_the_scans(drawn):
 
 @st.composite
 def declared_beyond_lines(draw) -> GenericIncidence:
-    """Lines over points 0..11, with a point count 0 to 50 above the
-    largest point a line names."""
-    line = st.lists(st.integers(0, 11), min_size=2, max_size=5, unique=True)
+    """Lines over twelve points, 0..11 or sparse ids, with a point count 0
+    to 50 above the largest point a line names."""
+    label = draw(sparse_ids(12))
+    line = st.lists(st.sampled_from(label), min_size=2, max_size=5, unique=True)
     lines = draw(st.lists(line, min_size=1, max_size=8))
     widest = max(pt for ln in lines for pt in ln)
     return incidence(widest + 1 + draw(st.integers(0, 50)), lines)
@@ -238,15 +255,18 @@ def test_triangle_witnesses_match_pair_scan(g):
 
 
 @settings(max_examples=200, deadline=None)
-@given(declared_beyond_lines())
-def test_neighbours_end_at_the_widest_mask(g):
-    """Every point's neighbour mask (0 past the end of the table) holds
-    exactly its neighbourhood, and the table ends at the widest line mask."""
-    nbr = g.neighbours
-    assert len(nbr) == max(line[-1] for line in g.lines) + 1
-    for x in range(g.num_points):
-        mask = nbr[x] if x < len(nbr) else 0
-        assert {b for b in range(mask.bit_length()) if mask >> b & 1} == neighbourhood(g, x)
+@given(st.one_of(incidences(), declared_beyond_lines()))
+def test_neighbours_hold_one_entry_per_named_point(g):
+    """The index has one entry per point that lies on a line, ascending, and
+    each entry, read back through ``ids``, holds exactly that point's
+    neighbourhood and the lines through it."""
+    named = sorted({pt for line in g.lines for pt in line})
+    assert list(g.ids) == named
+    assert len(g.neighbours) == len(g.through) == len(named)
+    for local, mask in enumerate(g.neighbours):
+        collinear = {g.ids[b] for b in range(mask.bit_length()) if mask >> b & 1}
+        assert collinear == neighbourhood(g, g.ids[local])
+        assert g.through[local] == [m for m, line in enumerate(g.lines) if g.ids[local] in line]
 
 
 def doily() -> GenericIncidence:
