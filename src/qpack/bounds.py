@@ -49,11 +49,14 @@ class LemmaConditions(NamedTuple):
 
 
 class MainBound(NamedTuple):
-    """q^3 for the selected prime q, with the analytic cap (8*k*r*ln(k))^3."""
+    """q^3 for the selected prime q, with the analytic cap (8*k*r*ln(k))^3,
+    the prime search floor and the lemma verdicts at q."""
 
+    threshold: float
     q: int
     value: int
     cap: float
+    conditions: LemmaConditions
 
 
 @dataclass(frozen=True)
@@ -134,15 +137,7 @@ def threshold(k: int, r: int) -> float:
 
 def find_q(k: int, r: int) -> int:
     """Smallest prime >= threshold(k, r)."""
-    return _find_q(k, r, threshold(k, r))
-
-
-def _find_q(k: int, r: int, floor: float) -> int:
-    """:func:`find_q` from its already computed ``floor`` = threshold(k, r)."""
-    q = next_prime_geq(math.ceil(floor))
-    assert q <= 8.0 * k * r * math.log(k), f"q={q} escaped the Bertrand cap at k={k}, r={r}"
-    assert r <= q - 1, f"not enough classes: r={r} > q-1={q - 1}"
-    return q
+    return bound_main(k, r).q
 
 
 def lemma_conditions(q: int, k: int, r: int) -> LemmaConditions:
@@ -158,19 +153,17 @@ def lemma_conditions(q: int, k: int, r: int) -> LemmaConditions:
 
 
 def bound_main(k: int, r: int) -> MainBound:
-    """q^3 for the selected prime, after confirming the lemma hypotheses."""
-    return _bound_main(k, r, threshold(k, r))[0]
-
-
-def _bound_main(k: int, r: int, floor: float) -> tuple[MainBound, LemmaConditions]:
-    """:func:`bound_main` from its ``floor`` = threshold(k, r), with the lemma
-    verdicts it confirmed."""
-    q = _find_q(k, r, floor)
+    """q^3 for the smallest prime q >= threshold(k, r), after confirming the
+    lemma hypotheses at q."""
+    floor = threshold(k, r)
+    q = next_prime_geq(math.ceil(floor))
+    assert q <= 8.0 * k * r * math.log(k), f"q={q} escaped the Bertrand cap at k={k}, r={r}"
+    assert r <= q - 1, f"not enough classes: r={r} > q-1={q - 1}"
     conditions = lemma_conditions(q, k, r)
     if not conditions.all_ok():
         raise ConditionsFailedError(f"hypotheses failed at q={q}, k={k}, r={r}: {conditions}")
     cap = (8.0 * k * r * math.log(k)) ** 3
-    return MainBound(q=q, value=q**3, cap=cap), conditions
+    return MainBound(threshold=floor, q=q, value=q**3, cap=cap, conditions=conditions)
 
 
 def bound_fglps(k: int, r: int) -> int:
@@ -230,15 +223,14 @@ def compare(
 ) -> BoundReport:
     """Full report at (k, r); only the two fully specified bounds compete for
     the winner slot."""
-    floor = threshold(k, r)
-    main, conditions = _bound_main(k, r, floor)
+    main = bound_main(k, r)
     fglps = bound_fglps(k, r)
     hrs, hrs_applicable = bound_hrs(k, r, hrs_constant)
     eq1_lower, eq1_upper = eq1_range(k, r, eq1_lower_constant, eq1_upper_constant)
     return BoundReport(
         k=k,
         r=r,
-        threshold=floor,
+        threshold=main.threshold,
         q=main.q,
         bound_main=main.value,
         cap_main=main.cap,
@@ -248,7 +240,7 @@ def compare(
         bound_bbl=bound_bbl(k, r, bbl_constant),
         eq1_lower=eq1_lower,
         eq1_upper=eq1_upper,
-        conditions_ok=conditions,
+        conditions_ok=main.conditions,
         winner="fglps" if fglps < main.value else "main",
     )
 

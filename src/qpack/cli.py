@@ -52,11 +52,18 @@ def _fail_usage(message: str):
     raise SystemExit(2)
 
 
-def _emit(*objs: dict):
-    """Print each object as one JSON line.  JSON has no NaN or infinity, so
-    a non-finite number is a usage error and nothing is printed."""
+def _to_json(value):
+    """A value that JSON has no form for, such as a :class:`Witness`, as what
+    its ``to_json`` returns."""
+    return value.to_json()
+
+
+def _emit(*objs):
+    """Print each object as one JSON line, converting values on the way
+    through :func:`_to_json`.  JSON has no NaN or infinity, so a non-finite
+    number is a usage error and nothing is printed."""
     try:
-        text = "\n".join(json.dumps(obj, allow_nan=False) for obj in objs)
+        text = "\n".join(json.dumps(obj, allow_nan=False, default=_to_json) for obj in objs)
     except ValueError as exc:
         _fail_usage(f"a result is not a finite number: {exc}")
     click.echo(text)
@@ -144,16 +151,10 @@ def _write_output(path: str, text: str):
         _fail_usage(f"cannot write {path}: {exc}")
 
 
-def _witness_json(witness) -> dict:
-    if isinstance(witness, list):
-        return {"violations": len(witness), "witnesses": [w.to_json() for w in witness]}
-    return witness.to_json()
-
-
 def _run_checks(scope: str, target, checks: list, exhaustive: bool) -> list[dict]:
     """One JSON record per ``(name, check)`` pair in ``checks``, in order, each
-    check run on ``target`` in this process: an incidence structure for the
-    structure checks, a geometry family for the family checks."""
+    check run on ``target``: an incidence structure for the structure checks,
+    a geometry family for the family checks."""
     results = []
     for name, check in checks:
         start = time.perf_counter()
@@ -183,27 +184,25 @@ def _class_records(cls, checks: list, exhaustive: bool) -> list[dict]:
     witness.  The certificate's time, whether or not it certifies the class,
     is added to the ``elapsed`` of the class's first record.
     """
+    scope = f"class:{cls.scale.value}"
     start = time.perf_counter()
     order = verifier.certify_class(cls)
     certify_s = time.perf_counter() - start
     if order is None:
-        target = verifier.class_incidence(cls)
+        records = _run_checks(scope, verifier.class_incidence(cls), checks, exhaustive)
     else:
-        target = None
         known = {"pls": None, "order": order, "triangle": None,
                  "counting": verifier.counting_report(cls.field.q**3, order)}
-        checks = [(name, _decided(known[name])) for name, _ in checks]
-    records = _run_checks(f"class:{cls.scale.value}", target, checks, exhaustive)
+        records = [_record_outcome({"check": name, "scope": scope}, known[name]) | {"elapsed": 0.0}
+                   for name, _ in checks]
     records[0]["elapsed"] = round(records[0]["elapsed"] + certify_s, 6)
     return records
 
 
-def _decided(outcome):
-    """A check whose outcome is already known."""
-    return lambda target, exhaustive: outcome
-
-
-def _record_outcome(record: dict, outcome):
+def _record_outcome(record: dict, outcome) -> dict:
+    """``record`` with the verdict of ``outcome`` and what it reports: a
+    witness, or a list of them, goes in as it is and is converted to JSON as
+    the record is printed."""
     if outcome is None or (isinstance(outcome, list) and not outcome):
         record["verdict"] = "ok"
     elif isinstance(outcome, OrderParams):
@@ -217,10 +216,47 @@ def _record_outcome(record: dict, outcome):
             bound=outcome.bound,
             equality=outcome.equality,
         )
-    elif isinstance(outcome, (Witness, list)):
-        record.update(verdict="violation", witness=_witness_json(outcome))
+    elif isinstance(outcome, Witness):
+        record.update(verdict="violation", witness=outcome)
+    elif isinstance(outcome, list):
+        record.update(verdict="violation",
+                      witness={"violations": len(outcome), "witnesses": outcome})
     else:
         raise AssertionError(f"unhandled outcome {outcome!r}")
+    return record
+
+
+def _verify_records(input_path: str, checks: tuple, exhaustive: bool) -> list[dict]:
+    """The records of ``checks`` on the input at ``input_path``, in order.  The
+    parsed input goes out of scope on return, so it is freed before the
+    records are printed."""
+    text = _read_input(input_path)
+    stripped = text.lstrip()
+    family = structure = None
+    try:
+        if stripped.startswith("{"):
+            family = loads_family(text)
+        elif stripped.startswith("points"):
+            structure = parse_plain_incidence(text)
+        else:
+            raise GeometryFormatError("input is neither geometry JSON nor plain incidence")
+    except GeometryFormatError as exc:
+        _fail_usage(str(exc))
+
+    structure_checks = [(c, STRUCTURE_CHECKS[c]) for c in checks if c in STRUCTURE_CHECKS]
+    family_checks = [(c, FAMILY_CHECKS[c]) for c in checks if c in FAMILY_CHECKS]
+    if family is None:
+        if not structure_checks:
+            _fail_usage("plain incidence input has no geometry family for the checks "
+                        + ",".join(c for c, _ in family_checks))
+        skipped = [{"check": check, "scope": "structure", "verdict": "skipped",
+                    "reason": "requires a geometry family"} for check, _ in family_checks]
+        return _run_checks("structure", structure, structure_checks, exhaustive) + skipped
+    results = []
+    if structure_checks:
+        for cls in family.classes:
+            results.extend(_class_records(cls, structure_checks, exhaustive))
+    return results + _run_checks("family", family, family_checks, exhaustive)
 
 
 @main.command("verify")
@@ -245,38 +281,7 @@ def cmd_verify(input_path: str, checks_option: str, exhaustive: bool):
     if repeated:
         _fail_usage(f"repeated checks {repeated}")
 
-    text = _read_input(input_path)
-    stripped = text.lstrip()
-    family = None
-    structure = None
-    try:
-        if stripped.startswith("{"):
-            family = loads_family(text)
-        elif stripped.startswith("points"):
-            structure = parse_plain_incidence(text)
-        else:
-            raise GeometryFormatError("input is neither geometry JSON nor plain incidence")
-    except GeometryFormatError as exc:
-        _fail_usage(str(exc))
-
-    structure_checks = [(c, STRUCTURE_CHECKS[c]) for c in checks if c in STRUCTURE_CHECKS]
-    family_checks = [(c, FAMILY_CHECKS[c]) for c in checks if c in FAMILY_CHECKS]
-    if structure is not None and not structure_checks:
-        _fail_usage("plain incidence input has no geometry family for the checks "
-                    + ",".join(c for c, _ in family_checks))
-    results: list[dict] = []
-
-    if family is not None:
-        if structure_checks:
-            for cls in family.classes:
-                results.extend(_class_records(cls, structure_checks, exhaustive))
-        results.extend(_run_checks("family", family, family_checks, exhaustive))
-    else:
-        results.extend(_run_checks("structure", structure, structure_checks, exhaustive))
-        for check, _ in family_checks:
-            results.append({"check": check, "scope": "structure", "verdict": "skipped",
-                            "reason": "requires a geometry family"})
-
+    results = _verify_records(input_path, checks, exhaustive)
     _emit(*results)
     counted = [r for r in results if r["verdict"] != "skipped"]
     ok = sum(1 for r in counted if r["verdict"] == "ok")
@@ -310,7 +315,7 @@ def cmd_bound(k, r, hrs_constant, bbl_constant, eq1_lower_constant, eq1_upper_co
         )
     except bounds.OutOfRangeError as exc:
         _fail_usage(str(exc))
-    _emit(report.to_json())
+    _emit(report)
 
 
 def _parse_range(text: str, name: str) -> range:
@@ -398,7 +403,7 @@ def cmd_exponent(alpha, orientation, do_scan, alpha_max, alpha_step):
         _fail_usage("provide --alpha or --scan")
     orientations = (orientation,) if orientation else bounds.ORIENTATIONS
     try:
-        reports = [bounds.exponent_analysis(alpha, d).to_json() for d in orientations]
+        reports = [bounds.exponent_analysis(alpha, d) for d in orientations]
     except bounds.AlphaOutOfRangeError as exc:
         _fail_usage(str(exc))
     _emit(*reports)

@@ -124,6 +124,33 @@ class TestBoundMain:
         with pytest.raises(OutOfRangeError):
             bound_main(2, 2)
 
+    def test_compare_and_find_q_read_it(self):
+        """compare's threshold, q, main bound, cap and lemma verdicts are
+        bound_main's, and find_q is its q."""
+        for k, r in GRID:
+            main, report = bound_main(k, r), compare(k, r)
+            assert (main.threshold, main.q, main.value, main.cap, main.conditions) == (
+                report.threshold, report.q, report.bound_main, report.cap_main,
+                report.conditions_ok)
+            assert find_q(k, r) == main.q
+
+    def test_compare_computes_each_part_once(self, monkeypatch):
+        """One cell computes its floor and its lemma verdicts once."""
+        calls = []
+
+        def counted(name):
+            function = getattr(bounds, name)
+
+            def call(*args):
+                calls.append(name)
+                return function(*args)
+            return call
+
+        for name in ("threshold", "lemma_conditions"):
+            monkeypatch.setattr(bounds, name, counted(name))
+        compare(5, 5)
+        assert sorted(calls) == ["lemma_conditions", "threshold"]
+
 
 class TestOtherBounds:
     def test_fglps_frozen(self):

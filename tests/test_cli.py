@@ -6,6 +6,7 @@ import io
 import json
 import random
 import time
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -671,6 +672,44 @@ class TestWitnessPathPinned:
         kinds = {w["kind"] for r in records for w in r.get("witness", {}).get("witnesses", [])}
         assert kind in kinds
         assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == digest
+
+
+class TestInputReleasedBeforePrinting:
+    """``verify`` drops the parsed input, and with it the incidence index,
+    before it prints: witnesses are written out after the index is freed."""
+
+    @pytest.fixture
+    def alive_at_emit(self, monkeypatch):
+        """Whether each input parsed so far is still alive when ``_emit``
+        is called, one bool per parsed input."""
+        parsed, alive = [], []
+
+        def keep(parse):
+            def kept(text):
+                result = parse(text)
+                parsed.append(weakref.ref(result))
+                return result
+            return kept
+
+        def emit(*objs, _emit=cli._emit):
+            alive.extend(ref() is not None for ref in parsed)
+            _emit(*objs)
+
+        monkeypatch.setattr(cli, "parse_plain_incidence", keep(cli.parse_plain_incidence))
+        monkeypatch.setattr(cli, "loads_family", keep(cli.loads_family))
+        monkeypatch.setattr(cli, "_emit", emit)
+        return alive
+
+    def test_plain_structure_with_witnesses(self, runner, alive_at_emit):
+        text = mutated_q11_text(merge_lines, seed=9)
+        result = run(runner, "verify", "-", "--checks", "pls,order,triangle", "--exhaustive",
+                     input=text)
+        assert result.exit_code == 1 and '"pls_violation"' in result.stdout
+        assert alive_at_emit == [False]
+
+    def test_geometry_family(self, runner, geo5, alive_at_emit):
+        assert run(runner, "verify", str(geo5)).exit_code == 0
+        assert alive_at_emit == [False]
 
 
 class TestGeometryPathPinned:
