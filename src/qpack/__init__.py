@@ -29,6 +29,7 @@ from .construction import (
 from .verifier import (
     CountingReport,
     GenericIncidence,
+    IndexBudgetError,
     MalformedStructureError,
     NotPartialLinearSpaceError,
     NotTriangleFreeError,

@@ -27,24 +27,32 @@ from .formats import (
 from .gf import NotPrimePowerError, make_field
 from .verifier import (
     CountingReport,
+    IndexBudgetError,
     MalformedStructureError,
     OrderParams,
     Witness,
 )
 
+# check -> (its witnesses, one at a time; its outcome when it yields none)
 STRUCTURE_CHECKS = {
-    "pls": verifier.check_pls,
-    "order": verifier.check_order,
-    "triangle": verifier.check_triangle_free,
-    "counting": lambda g, exhaustive: verifier.counting_bound(g),
+    "pls": (verifier.pls_violations, lambda g: None),
+    "order": (verifier.order_violations, verifier.uniform_order),
+    "triangle": (verifier.triangle_violations, lambda g: None),
+    "counting": (lambda g: iter(()), verifier.counting_bound),
 }
 FAMILY_CHECKS = {
-    "disjoint": verifier.check_disjoint_classes,
-    "union": verifier.check_union_pls,
+    "disjoint": (verifier.overlap_violations, lambda family: None),
+    "union": (verifier.union_violations, lambda family: None),
 }
 ALL_CHECKS = (*STRUCTURE_CHECKS, *FAMILY_CHECKS)
 DEFAULT_CHECKS = ("pls", "order", "triangle", "disjoint", "union")
 MAX_SCAN_GRID = 10**6
+# construct's peak RSS grows with the family's lines: 151 MB for the 492,804
+# lines at q=27, 199 MB for 864,900 at q=31 and 389 MB for 1,774,224 at q=37
+MAX_FAMILY_LINES = 10**6
+# witness texts written to stdout per write: on a million witnesses, one
+# write each took twice as long, and one joined string twice the peak RSS
+WITNESS_BATCH = 4096
 
 
 def _fail_usage(message: str):
@@ -53,8 +61,8 @@ def _fail_usage(message: str):
 
 
 def _to_json(value):
-    """A value that JSON has no form for, such as a :class:`Witness`, as what
-    its ``to_json`` returns."""
+    """A value that JSON has no form for, such as a
+    :class:`bounds.BoundReport`, as what its ``to_json`` returns."""
     return value.to_json()
 
 
@@ -93,6 +101,9 @@ def cmd_construct(order: int, count: Optional[int], out: Optional[str]):
         field = make_field(order)
     except NotPrimePowerError:
         _fail_usage(f"{order} is not a prime power")
+    total_lines = (order - 1 if count is None else count) * (order - 1) * order**2
+    if total_lines > MAX_FAMILY_LINES:
+        _fail_usage(f"a family of {total_lines} lines is above the limit of {MAX_FAMILY_LINES}")
     try:
         family = build_family(field, count)
     except ValueError as exc:
@@ -107,13 +118,14 @@ def cmd_construct(order: int, count: Optional[int], out: Optional[str]):
         "points": order**3,
         "classes": len(family.classes),
         "lines_per_class": (order - 1) * order**2,
-        "total_lines": len(family.classes) * (order - 1) * order**2,
+        "total_lines": total_lines,
     }
     if out is None:
-        click.echo(text)
+        click.echo(text, nl=False)  # with nl=True, click copies text to append it
+        click.echo()
         click.echo(f"construct: {json.dumps(summary)}", err=True)
     else:
-        _write_output(out, text + "\n")
+        _write_output(out, text, "\n")
         summary["out"] = out
         _emit(summary)
         click.echo(
@@ -142,25 +154,34 @@ def _read_input(path: str) -> str:
         _fail_usage(f"{'stdin' if path == '-' else path} is not UTF-8 text: {exc}")
 
 
-def _write_output(path: str, text: str):
-    """Write ``text`` to the file ``path``; a failure to write is a usage error."""
+def _write_output(path: str, *texts: str):
+    """Write ``texts`` in turn to the file ``path``; a failure to write is a
+    usage error."""
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            for text in texts:
+                handle.write(text)
     except OSError as exc:
         _fail_usage(f"cannot write {path}: {exc}")
 
 
 def _run_checks(scope: str, target, checks: list, exhaustive: bool) -> list[dict]:
-    """One JSON record per ``(name, check)`` pair in ``checks``, in order, each
-    check run on ``target``: an incidence structure for the structure checks,
-    a geometry family for the family checks."""
+    """One JSON record per ``(name, (violations, settled))`` pair in
+    ``checks``, in order, each check run on ``target``: an incidence structure
+    for the structure checks, a geometry family for the family checks.  An
+    exhaustive check's witnesses are turned into their JSON text as the check
+    yields them, so no list of :class:`Witness` objects is ever built."""
     results = []
-    for name, check in checks:
+    for name, (violations, settled) in checks:
         start = time.perf_counter()
         record = {"check": name, "scope": scope}
         try:
-            outcome = check(target, exhaustive)
+            found = violations(target)
+            if exhaustive:
+                witnesses = [json.dumps(witness.to_json()) for witness in found]
+            else:
+                witnesses = next(found, None)
+            outcome = witnesses or settled(target)
         except MalformedStructureError as exc:
             record.update(verdict="malformed", reason=str(exc))
         except (verifier.NotUniformError, verifier.NotTriangleFreeError,
@@ -201,9 +222,9 @@ def _class_records(cls, checks: list, exhaustive: bool) -> list[dict]:
 
 def _record_outcome(record: dict, outcome) -> dict:
     """``record`` with the verdict of ``outcome`` and what it reports: a
-    witness, or a list of them, goes in as it is and is converted to JSON as
-    the record is printed."""
-    if outcome is None or (isinstance(outcome, list) and not outcome):
+    witness as its JSON object, a non-empty list of witnesses' JSON texts as
+    it is, for :func:`_print_records` to splice into the record's line."""
+    if outcome is None:
         record["verdict"] = "ok"
     elif isinstance(outcome, OrderParams):
         record.update(verdict="ok", s=outcome.s_order, t=outcome.t_order)
@@ -217,7 +238,7 @@ def _record_outcome(record: dict, outcome) -> dict:
             equality=outcome.equality,
         )
     elif isinstance(outcome, Witness):
-        record.update(verdict="violation", witness=outcome)
+        record.update(verdict="violation", witness=outcome.to_json())
     elif isinstance(outcome, list):
         record.update(verdict="violation",
                       witness={"violations": len(outcome), "witnesses": outcome})
@@ -226,23 +247,27 @@ def _record_outcome(record: dict, outcome) -> dict:
     return record
 
 
+def _parse_input(input_path: str) -> tuple:
+    """``(family, structure)``, one of them None, parsed from the input at
+    ``input_path``.  The input text goes out of scope on return, so it is
+    freed before any check runs."""
+    text = _read_input(input_path)
+    stripped = text.lstrip()
+    try:
+        if stripped.startswith("{"):
+            return loads_family(text), None
+        if stripped.startswith("points"):
+            return None, parse_plain_incidence(text)
+        raise GeometryFormatError("input is neither geometry JSON nor plain incidence")
+    except GeometryFormatError as exc:
+        _fail_usage(str(exc))
+
+
 def _verify_records(input_path: str, checks: tuple, exhaustive: bool) -> list[dict]:
     """The records of ``checks`` on the input at ``input_path``, in order.  The
     parsed input goes out of scope on return, so it is freed before the
     records are printed."""
-    text = _read_input(input_path)
-    stripped = text.lstrip()
-    family = structure = None
-    try:
-        if stripped.startswith("{"):
-            family = loads_family(text)
-        elif stripped.startswith("points"):
-            structure = parse_plain_incidence(text)
-        else:
-            raise GeometryFormatError("input is neither geometry JSON nor plain incidence")
-    except GeometryFormatError as exc:
-        _fail_usage(str(exc))
-
+    family, structure = _parse_input(input_path)
     structure_checks = [(c, STRUCTURE_CHECKS[c]) for c in checks if c in STRUCTURE_CHECKS]
     family_checks = [(c, FAMILY_CHECKS[c]) for c in checks if c in FAMILY_CHECKS]
     if family is None:
@@ -257,6 +282,25 @@ def _verify_records(input_path: str, checks: tuple, exhaustive: bool) -> list[di
         for cls in family.classes:
             results.extend(_class_records(cls, structure_checks, exhaustive))
     return results + _run_checks("family", family, family_checks, exhaustive)
+
+
+def _print_records(records: list[dict]):
+    """Print each record as one JSON line, as it is converted.  The JSON texts
+    of an exhaustive check's witnesses, held in the record's
+    ``witness.witnesses``, are spliced into its line :data:`WITNESS_BATCH`
+    at a time, never joined into one string."""
+    for record in records:
+        texts = record.get("witness", {}).get("witnesses")
+        if texts is None:
+            click.echo(json.dumps(record))
+            continue
+        line = json.dumps(record | {"witness": record["witness"] | {"witnesses": []}})
+        head, tail = line.rsplit("[]", 1)
+        click.echo(head + "[", nl=False)
+        for start in range(0, len(texts), WITNESS_BATCH):
+            batch = ", ".join(texts[start:start + WITNESS_BATCH])
+            click.echo(", " + batch if start else batch, nl=False)
+        click.echo("]" + tail)
 
 
 @main.command("verify")
@@ -281,8 +325,11 @@ def cmd_verify(input_path: str, checks_option: str, exhaustive: bool):
     if repeated:
         _fail_usage(f"repeated checks {repeated}")
 
-    results = _verify_records(input_path, checks, exhaustive)
-    _emit(*results)
+    try:
+        results = _verify_records(input_path, checks, exhaustive)
+    except IndexBudgetError as exc:
+        _fail_usage(str(exc))
+    _print_records(results)
     counted = [r for r in results if r["verdict"] != "skipped"]
     ok = sum(1 for r in counted if r["verdict"] == "ok")
     click.echo(f"verify: {ok}/{len(counted)} checks ok", err=True)

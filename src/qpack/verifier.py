@@ -10,7 +10,9 @@ returns a :class:`Witness` whose items, fed back to :func:`revalidate`,
 reproduce the violation directly against the structure.
 
 Checks stop at the first violation by default; pass ``exhaustive=True`` to
-collect every violation instead.
+collect every violation instead.  Each check's ``*_violations`` generator
+yields its witnesses one at a time, in the same order, for a caller that
+turns each into output as it is found.
 """
 
 from __future__ import annotations
@@ -40,6 +42,17 @@ class NotTriangleFreeError(ValueError):
 
 class NotPartialLinearSpaceError(ValueError):
     """A hypothesis required a partial linear space."""
+
+
+class IndexBudgetError(ValueError):
+    """The neighbour masks of a structure would take more than
+    :data:`MAX_MASK_BYTES`."""
+
+
+# The neighbour masks of a genuine plain q=23 class take 18.5 MB, of a q=31
+# class 111 MB and of a q=37 class 321 MB; a path or cycle of m points needs
+# about m*m/16 bytes.
+MAX_MASK_BYTES = 128 * 2**20
 
 
 PLS_VIOLATION = "pls_violation"
@@ -91,9 +104,11 @@ class GenericIncidence:
     declared point lies on a line, the local ids are the point ids and
     ``local_lines`` is ``lines`` itself.  ``through``, ``neighbours`` and
     ``neighbour_counts`` are dense lists over the local ids, so the index is
-    bounded by the incidences, not by ``num_points``.  No line's mask is
-    kept: a check that needs one rebuilds it with :func:`_mask`.  Callers
-    read the index and never mutate it.
+    bounded by the incidences, not by ``num_points``.  ``through`` is built
+    on its own, and sizes the ``neighbours`` masks before they are built,
+    so ``order`` never pays for them.  No line's mask is kept: a check that
+    needs one rebuilds it with :func:`_mask`.  Callers read the index and
+    never mutate it.
     """
 
     num_points: int
@@ -115,39 +130,57 @@ class GenericIncidence:
         return tuple(tuple(map(local.__getitem__, line)) for line in self.lines)
 
     @cached_property
-    def _index(self) -> tuple[list[list[int]], list[int]]:
-        """``through``, then ``neighbours`` in one pass that makes each
-        line's mask, ORs it into the neighbour masks of its points and drops
-        it.  A repeated point in a line is malformed."""
+    def _through(self) -> tuple[list[list[int]], int]:
+        """``through``, and the bytes that the ``neighbours`` masks will take,
+        in one pass over the incidences: a point's mask, its own bit
+        included, is as wide as the highest local id on a line through it.
+        A repeated point in a line is malformed."""
         size, lines = len(self.ids), self.local_lines
         through: list[list[int]] = [[] for _ in range(size)]
+        top = [0] * size
         for idx, line in enumerate(lines):
+            hi = max(line, default=0)
             for pt in line:
-                through[pt].append(idx)
-        nbr = [0] * size
-        for idx, line in enumerate(lines):
-            mask = _mask(line)
-            if mask.bit_count() != len(line):
-                line = self.lines[idx]
-                pt = next(pt for i, pt in enumerate(line) if pt in line[:i])
-                raise MalformedStructureError(f"line {idx} repeats point {pt}")
-            for pt in line:
-                nbr[pt] |= mask
-        for pt, mask in enumerate(nbr):
-            nbr[pt] = mask ^ (1 << pt)
-        return through, nbr
+                via = through[pt]
+                if via and via[-1] == idx:
+                    raise MalformedStructureError(f"line {idx} repeats point {self.ids[pt]}")
+                via.append(idx)
+                if top[pt] < hi:
+                    top[pt] = hi
+        return through, (sum(top) + size + 7) // 8
 
     @property
     def through(self) -> list[list[int]]:
         """Per local id, the indices of the lines through the point,
         ascending."""
-        return self._index[0]
+        return self._through[0]
 
     @property
+    def mask_bytes(self) -> int:
+        """The bytes that the ``neighbours`` masks take while they are built,
+        each with its own point's bit: known before they are built."""
+        return self._through[1]
+
+    @cached_property
     def neighbours(self) -> list[int]:
         """Per local id, the mask of the local ids collinear with the point,
-        itself excluded."""
-        return self._index[1]
+        itself excluded: each line's mask is made, ORed into the masks of its
+        points and dropped.  Raises :class:`IndexBudgetError`, before any
+        mask is made, when the masks would take more than
+        :data:`MAX_MASK_BYTES`."""
+        needed = self.mask_bytes
+        if needed > MAX_MASK_BYTES:
+            raise IndexBudgetError(
+                f"the neighbour masks of {len(self.ids)} points need {needed} bytes, "
+                f"above the limit of {MAX_MASK_BYTES}")
+        nbr = [0] * len(self.ids)
+        for line in self.local_lines:
+            mask = _mask(line)
+            for pt in line:
+                nbr[pt] |= mask
+        for pt, mask in enumerate(nbr):
+            nbr[pt] = mask ^ (1 << pt)
+        return nbr
 
     @cached_property
     def neighbour_counts(self) -> list[int]:
@@ -207,10 +240,10 @@ def check_pls(g: GenericIncidence, exhaustive: bool = False):
     (a, b).  Only a line through a flagged point has its mask rebuilt.
     Returns None when the structure is a partial linear space.
     """
-    return _first_or_all(_pls_violations(g), exhaustive)
+    return _first_or_all(pls_violations(g), exhaustive)
 
 
-def _pls_violations(g: GenericIncidence) -> Iterator[Witness]:
+def pls_violations(g: GenericIncidence) -> Iterator[Witness]:
     lines, counts, through, ids = g.local_lines, g.neighbour_counts, g.through, g.ids
     others = [len(line) - 1 for line in lines]
     running = {a: 0 for a, (count, via) in enumerate(zip(counts, through))
@@ -238,6 +271,13 @@ def _pls_violations(g: GenericIncidence) -> Iterator[Witness]:
 def check_order(g: GenericIncidence, exhaustive: bool = False):
     """Uniform (s_order, t_order) if all line sizes and point degrees agree;
     otherwise an order_violation naming the first deviant line or point."""
+    return _first_or_all(order_violations(g), exhaustive) or uniform_order(g)
+
+
+def order_violations(g: GenericIncidence) -> Iterator[Witness]:
+    """Each line whose size differs from line 0's, then each point whose
+    degree differs from point 0's.  A malformed structure raises before the
+    first witness."""
     through = g.through  # a repeated point is reported before any other fault
     if not g.lines:
         raise MalformedStructureError("the structure has no lines")
@@ -247,12 +287,6 @@ def check_order(g: GenericIncidence, exhaustive: bool = False):
     if len(through) < g.num_points:
         pt = next((pt for pt, used in enumerate(g.ids) if pt != used), len(through))
         raise MalformedStructureError(f"point {pt} lies on no line")
-    degrees = list(map(len, through))
-    found = _first_or_all(_order_violations(g, degrees), exhaustive)
-    return found or OrderParams(s_order=len(g.lines[0]) - 1, t_order=degrees[0] - 1)
-
-
-def _order_violations(g: GenericIncidence, degrees: list[int]) -> Iterator[Witness]:
     size0 = len(g.lines[0])
     for idx, line in enumerate(g.lines):
         if len(line) != size0:
@@ -260,13 +294,19 @@ def _order_violations(g: GenericIncidence, degrees: list[int]) -> Iterator[Witne
                 ORDER_VIOLATION,
                 {"detail": "line_size", "lines": (0, idx), "sizes": (size0, len(line))},
             )
-    deg0 = degrees[0]
-    for pt, deg in enumerate(degrees):
-        if deg != deg0:
+    deg0 = len(through[0])
+    for pt, via in enumerate(through):
+        if len(via) != deg0:
             yield Witness(
                 ORDER_VIOLATION,
-                {"detail": "point_degree", "points": (0, pt), "degrees": (deg0, deg)},
+                {"detail": "point_degree", "points": (0, pt), "degrees": (deg0, len(via))},
             )
+
+
+def uniform_order(g: GenericIncidence) -> OrderParams:
+    """The order of a structure in which :func:`order_violations` finds no
+    witness."""
+    return OrderParams(s_order=len(g.lines[0]) - 1, t_order=len(g.through[0]) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +339,10 @@ def check_triangle_free(g: GenericIncidence, exhaustive: bool = False):
     pair has a common neighbour off the line.  The closing lines through z
     are those of ``through[z]``.
     """
-    return _first_or_all(_triangle_violations(g), exhaustive)
+    return _first_or_all(triangle_violations(g), exhaustive)
 
 
-def _triangle_violations(g: GenericIncidence) -> Iterator[Witness]:
+def triangle_violations(g: GenericIncidence) -> Iterator[Witness]:
     nbr, counts, through, ids = g.neighbours, g.neighbour_counts, g.through, g.ids
     for idx, line in enumerate(g.local_lines):
         k = len(line)
@@ -351,10 +391,10 @@ def _distinct_pair(first: list[int], second: list[int]) -> Optional[tuple[int, i
 def check_disjoint_classes(family: GeometryFamily, exhaustive: bool = False):
     """No canonical line in two classes; witness names both scales and the
     shared line."""
-    return _first_or_all(_overlap_violations(family), exhaustive)
+    return _first_or_all(overlap_violations(family), exhaustive)
 
 
-def _overlap_violations(family: GeometryFamily) -> Iterator[Witness]:
+def overlap_violations(family: GeometryFamily) -> Iterator[Witness]:
     scales = [cls.scale.value for cls in family.classes]
     for line, (_, first_cls), (_, cls_idx) in family.repeats:
         if first_cls != cls_idx:
@@ -372,10 +412,10 @@ def check_union_pls(family: GeometryFamily, exhaustive: bool = False):
     point ids, the witness (i, j), (a, b) that :func:`check_pls` gives on
     :func:`union_incidence`, in the same order.
     """
-    return _first_or_all(_union_violations(family), exhaustive)
+    return _first_or_all(union_violations(family), exhaustive)
 
 
-def _union_violations(family: GeometryFamily) -> Iterator[Witness]:
+def union_violations(family: GeometryFamily) -> Iterator[Witness]:
     for line, (first, _), (idx, _) in family.repeats:
         for pair in combinations(line.point_ids(family.field), 2):
             yield Witness(PLS_VIOLATION, {"lines": (first, idx), "points": pair})

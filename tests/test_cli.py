@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import time
 import weakref
 
@@ -102,6 +103,26 @@ class TestConstruct:
         assert run(runner, "construct", "--q", "16", "--out", str(path)).exit_code == 0
         digest = "c10012a3937eeff11c1ac0fd3ffc977162c929f9c4876daea20605d68baf649b"
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_family_above_the_line_budget_exits_2(self, runner):
+        """q=256 means 4.3e9 lines: refused at once, before any is built."""
+        start = time.perf_counter()
+        result = run(runner, "construct", "--q", "256")
+        assert time.perf_counter() - start < 2
+        assert_usage_error(result)
+        assert f"{255 * 255 * 256**2} lines" in result.stderr
+        assert str(cli.MAX_FAMILY_LINES) in result.stderr
+
+    def test_line_budget_counts_the_selected_classes(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_FAMILY_LINES", 100)
+        path = tmp_path / "g.json"
+        assert run(runner, "construct", "--q", "5", "--count", "1", "--out", str(path)).exit_code == 0
+        assert_usage_error(run(runner, "construct", "--q", "5", "--count", "2"))
+
+    def test_out_file_is_stdout(self, runner, tmp_path):
+        path = tmp_path / "g.json"
+        assert run(runner, "construct", "--q", "4", "--out", str(path)).exit_code == 0
+        assert path.read_text() == run(runner, "construct", "--q", "4").stdout
 
     def test_stdout_mode(self, runner):
         result = run(runner, "construct", "--q", "3")
@@ -680,8 +701,8 @@ class TestInputReleasedBeforePrinting:
 
     @pytest.fixture
     def alive_at_emit(self, monkeypatch):
-        """Whether each input parsed so far is still alive when ``_emit``
-        is called, one bool per parsed input."""
+        """Whether each input parsed so far is still alive when
+        ``_print_records`` is called, one bool per parsed input."""
         parsed, alive = [], []
 
         def keep(parse):
@@ -691,13 +712,13 @@ class TestInputReleasedBeforePrinting:
                 return result
             return kept
 
-        def emit(*objs, _emit=cli._emit):
+        def print_records(records, _print_records=cli._print_records):
             alive.extend(ref() is not None for ref in parsed)
-            _emit(*objs)
+            _print_records(records)
 
         monkeypatch.setattr(cli, "parse_plain_incidence", keep(cli.parse_plain_incidence))
         monkeypatch.setattr(cli, "loads_family", keep(cli.loads_family))
-        monkeypatch.setattr(cli, "_emit", emit)
+        monkeypatch.setattr(cli, "_print_records", print_records)
         return alive
 
     def test_plain_structure_with_witnesses(self, runner, alive_at_emit):
@@ -710,6 +731,96 @@ class TestInputReleasedBeforePrinting:
     def test_geometry_family(self, runner, geo5, alive_at_emit):
         assert run(runner, "verify", str(geo5)).exit_code == 0
         assert alive_at_emit == [False]
+
+
+@pytest.fixture
+def dup5(geo5):
+    """The q=5 family with class 2's lines replaced by class 1's: each of
+    the 100 shared lines gives a class_overlap and 10 pls_violation
+    witnesses."""
+    obj = json.loads(geo5.read_text())
+    obj["classes"]["2"] = obj["classes"]["1"]
+    return json.dumps(obj)
+
+
+class TestWitnessText:
+    """``verify --exhaustive`` turns each witness into its JSON text as its
+    check yields it, and writes a record's texts in batches."""
+
+    @pytest.mark.parametrize("batch", [1, 7, 4096])
+    def test_stdout_is_pinned(self, runner, dup5, monkeypatch, batch):
+        """sha256 of stdout, each ``elapsed`` value written as 0, pinned from
+        the release that held every witness as a :class:`Witness` and
+        printed all records as one string, whatever the batch size."""
+        monkeypatch.setattr(cli, "WITNESS_BATCH", batch)
+        result = run(runner, "verify", "-", "--checks", "union,disjoint", "--exhaustive",
+                     input=dup5)
+        assert result.exit_code == 1
+        masked = re.sub(r'"elapsed": [0-9.e-]+', '"elapsed": 0', result.stdout)
+        digest = "972f731a63ab078b657344c2a2661cdfb3ac20ef886d0c55739acb21ce7ea217"
+        assert hashlib.sha256(masked.encode()).hexdigest() == digest
+
+    def test_no_witness_list_is_alive(self, runner, dup5, monkeypatch):
+        """At most two witnesses are alive at once, the one being converted
+        and the one just converted, on the family and the structure checks
+        alike."""
+        counts = {"made": 0, "alive": 0, "peak": 0}
+
+        def freed():
+            counts["alive"] -= 1
+
+        class Counted(verifier.Witness):
+            def __init__(self, *args):
+                super().__init__(*args)
+                counts["made"] += 1
+                counts["alive"] += 1
+                counts["peak"] = max(counts["peak"], counts["alive"])
+                weakref.finalize(self, freed)
+
+        monkeypatch.setattr(verifier, "Witness", Counted)
+        plain = mutated_q11_text(merge_lines, seed=9)
+        for checks, text in [("union,disjoint", dup5), ("pls,order,triangle", plain)]:
+            result = run(runner, "verify", "-", "--checks", checks, "--exhaustive", input=text)
+            assert result.exit_code == 1
+        assert counts["made"] > 1100
+        assert counts["peak"] <= 2
+
+
+class TestIndexBudget:
+    """``through`` sizes the neighbour masks before they are built: above
+    ``verifier.MAX_MASK_BYTES`` ``verify`` exits 2 and prints no record, and
+    ``order``, which reads ``through`` alone, builds no mask."""
+
+    # widths 64, 3, 4, ..., 64, 64: 2205 bits
+    CYCLE = "points 64\n" + "".join(f"{i} {(i + 1) % 64}\n" for i in range(64))
+
+    def test_masks_above_the_budget_exit_2(self, runner, monkeypatch):
+        monkeypatch.setattr(verifier, "MAX_MASK_BYTES", 275)
+        result = run(runner, "verify", "-", "--checks", "order,pls", input=self.CYCLE)
+        assert_usage_error(result)
+        assert "need 276 bytes, above the limit of 275" in result.stderr
+
+    def test_masks_at_the_budget_are_built(self, runner, monkeypatch):
+        monkeypatch.setattr(verifier, "MAX_MASK_BYTES", 276)
+        result = run(runner, "verify", "-", "--checks", "pls,order,triangle", input=self.CYCLE)
+        assert result.exit_code == 0
+
+    def test_order_builds_no_mask(self, runner, monkeypatch):
+        monkeypatch.setattr(verifier, "MAX_MASK_BYTES", 0)
+        result = run(runner, "verify", "-", "--checks", "order", input=self.CYCLE)
+        assert result.exit_code == 0
+        (record,) = json_lines(result.stdout)
+        assert (record["verdict"], record["s"], record["t"]) == ("ok", 1, 1)
+
+    def test_repeated_point_comes_first(self, runner, monkeypatch):
+        """A repeated point is found while ``through`` is built, before the
+        masks are sized."""
+        monkeypatch.setattr(verifier, "MAX_MASK_BYTES", 0)
+        result = run(runner, "verify", "-", "--checks", "order,pls,triangle",
+                     input="points 3\n0 1 1\n1 2\n")
+        assert result.exit_code == 2
+        assert [(r["verdict"], r["reason"]) for r in json_lines(result.stdout)] == [
+            ("malformed", "line 0 repeats point 1")] * 3
 
 
 class TestGeometryPathPinned:

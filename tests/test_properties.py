@@ -269,6 +269,16 @@ def test_neighbours_hold_one_entry_per_named_point(g):
         assert g.through[local] == [m for m, line in enumerate(g.lines) if g.ids[local] in line]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(incidences(), declared_beyond_lines()))
+def test_mask_bytes_size_the_masks(g):
+    """``mask_bytes``, counted in the pass that builds ``through``, is the
+    width of the neighbour masks as they are built, each with its own
+    point's bit, in whole bytes."""
+    widths = sum((mask | 1 << pt).bit_length() for pt, mask in enumerate(g.neighbours))
+    assert g.mask_bytes == (widths + 7) // 8
+
+
 def doily() -> GenericIncidence:
     """The generalized quadrangle of order (2, 2): the 15 pairs from
     {0, ..., 5} as points, the 15 splits of {0, ..., 5} into three pairs as
