@@ -24,6 +24,7 @@ from .construction import (
     build_family,
     canonical_line,
     canonical_slope,
+    family_scales,
     moment_curve,
 )
 from .verifier import (
@@ -43,9 +44,11 @@ from .verifier import (
     check_union_pls,
     certify_class,
     class_incidence,
+    class_slopes,
     counting_bound,
     counting_report,
     dependent_slopes,
+    no_repeated_line,
     revalidate,
     union_incidence,
 )

@@ -11,17 +11,20 @@ from __future__ import annotations
 import json
 import math
 import time
-from typing import Optional
+from itertools import chain
+from typing import Iterable, Optional
 
 import click
 
 from . import __version__, bounds, verifier
-from .construction import build_family
+from .construction import build_class, family_scales
 from .formats import (
     MAX_FIELD_ORDER,
     GeometryFormatError,
-    dumps_family,
-    loads_family,
+    document_family,
+    family_from_json,
+    family_text,
+    parse_geometry,
     parse_plain_incidence,
 )
 from .gf import NotPrimePowerError, make_field
@@ -47,8 +50,8 @@ FAMILY_CHECKS = {
 ALL_CHECKS = (*STRUCTURE_CHECKS, *FAMILY_CHECKS)
 DEFAULT_CHECKS = ("pls", "order", "triangle", "disjoint", "union")
 MAX_SCAN_GRID = 10**6
-# construct's peak RSS grows with the family's lines: 151 MB for the 492,804
-# lines at q=27, 199 MB for 864,900 at q=31 and 389 MB for 1,774,224 at q=37
+# construct holds one class at a time, but verify of the file it writes
+# holds the file's text twice while decoding it, then one id pair per line
 MAX_FAMILY_LINES = 10**6
 # witness texts written to stdout per write: on a million witnesses, one
 # write each took twice as long, and one joined string twice the peak RSS
@@ -94,38 +97,43 @@ def main():
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
               help="Output file; omit to write the geometry JSON to stdout.")
 def cmd_construct(order: int, count: Optional[int], out: Optional[str]):
-    """Build the full line-class family over GF(q) and write a geometry file."""
+    """Build the full line-class family over GF(q) and write a geometry file.
+
+    Each class is built, rendered and written before the next is built, so
+    only one class's lines and text are alive at a time."""
     if not 3 <= order <= MAX_FIELD_ORDER:
         _fail_usage(f"q must be in [3, {MAX_FIELD_ORDER}], got {order}")
     try:
         field = make_field(order)
     except NotPrimePowerError:
         _fail_usage(f"{order} is not a prime power")
-    total_lines = (order - 1 if count is None else count) * (order - 1) * order**2
-    if total_lines > MAX_FAMILY_LINES:
-        _fail_usage(f"a family of {total_lines} lines is above the limit of {MAX_FAMILY_LINES}")
     try:
-        family = build_family(field, count)
+        scales = family_scales(field, count)
     except ValueError as exc:
         _fail_usage(str(exc))
+    total_lines = len(scales) * (order - 1) * order**2
+    if total_lines > MAX_FAMILY_LINES:
+        _fail_usage(f"a family of {total_lines} lines is above the limit of {MAX_FAMILY_LINES}")
     metadata = {
         "q": order,
-        "count": len(family.classes),
+        "count": len(scales),
         "tool": f"qpack {__version__}",
     }
-    text = dumps_family(family, metadata)
+    classes = (build_class(field, field.element(s)) for s in scales)
+    texts = family_text(field, classes, metadata)
     summary = {
         "points": order**3,
-        "classes": len(family.classes),
+        "classes": len(scales),
         "lines_per_class": (order - 1) * order**2,
         "total_lines": total_lines,
     }
     if out is None:
-        click.echo(text, nl=False)  # with nl=True, click copies text to append it
+        for text in texts:
+            click.echo(text, nl=False)
         click.echo()
         click.echo(f"construct: {json.dumps(summary)}", err=True)
     else:
-        _write_output(out, text, "\n")
+        _write_output(out, chain(texts, ["\n"]))
         summary["out"] = out
         _emit(summary)
         click.echo(
@@ -154,9 +162,9 @@ def _read_input(path: str) -> str:
         _fail_usage(f"{'stdin' if path == '-' else path} is not UTF-8 text: {exc}")
 
 
-def _write_output(path: str, *texts: str):
-    """Write ``texts`` in turn to the file ``path``; a failure to write is a
-    usage error."""
+def _write_output(path: str, texts: Iterable[str]):
+    """Write ``texts`` in turn to the file ``path``, each as it is drawn; a
+    failure to write is a usage error."""
     try:
         with open(path, "w", encoding="utf-8") as handle:
             for text in texts:
@@ -248,14 +256,16 @@ def _record_outcome(record: dict, outcome) -> dict:
 
 
 def _parse_input(input_path: str) -> tuple:
-    """``(family, structure)``, one of them None, parsed from the input at
-    ``input_path``.  The input text goes out of scope on return, so it is
-    freed before any check runs."""
+    """``(document, structure)``, one of them None, parsed from the input at
+    ``input_path``: a geometry file's document and triples, as
+    :func:`parse_geometry` gives them, or a plain incidence structure.  The
+    input text goes out of scope on return, so it is freed before any class
+    is decoded or any check runs."""
     text = _read_input(input_path)
     stripped = text.lstrip()
     try:
         if stripped.startswith("{"):
-            return loads_family(text), None
+            return parse_geometry(text), None
         if stripped.startswith("points"):
             return None, parse_plain_incidence(text)
         raise GeometryFormatError("input is neither geometry JSON nor plain incidence")
@@ -263,25 +273,65 @@ def _parse_input(input_path: str) -> tuple:
         _fail_usage(str(exc))
 
 
+def _family_records(obj, triples: list, structure_checks: list, family_checks: list,
+                    exhaustive: bool) -> list[dict]:
+    """The records of a geometry document, decoded one class at a time: the
+    structure records of each class, then the family checks'.  Each class's
+    lines are dropped before the next class is decoded, and the family
+    checks keep only its :func:`verifier.class_slopes`.  When those show
+    that no line repeats, every family check is ``ok`` with no walk over
+    the lines, and the time of that test goes into the first family record;
+    otherwise the classes are decoded again for ``GeometryFamily.repeats``.
+    """
+    results, slope_sets, slopes_s = [], [], 0.0
+    classes = family_from_json(obj, triples)
+    try:
+        for cls in classes:
+            if structure_checks:
+                results.extend(_class_records(cls, structure_checks, exhaustive))
+            if family_checks:
+                start = time.perf_counter()
+                slope_sets.append(verifier.class_slopes(cls))
+                slopes_s += time.perf_counter() - start
+    except IndexBudgetError:
+        for _ in classes:  # a later class's format error is reported first
+            pass
+        raise
+    if not family_checks:
+        return results
+    del cls  # the last class's lines
+    start = time.perf_counter()
+    decided = verifier.no_repeated_line(slope_sets)
+    slopes_s += time.perf_counter() - start
+    if decided:
+        family_results = [{"check": name, "scope": "family", "verdict": "ok", "elapsed": 0.0}
+                          for name, _ in family_checks]
+    else:
+        family = document_family(obj, triples)
+        obj["classes"].clear()  # its lines live on in the family
+        family_results = _run_checks("family", family, family_checks, exhaustive)
+    family_results[0]["elapsed"] = round(family_results[0]["elapsed"] + slopes_s, 6)
+    return results + family_results
+
+
 def _verify_records(input_path: str, checks: tuple, exhaustive: bool) -> list[dict]:
     """The records of ``checks`` on the input at ``input_path``, in order.  The
     parsed input goes out of scope on return, so it is freed before the
     records are printed."""
-    family, structure = _parse_input(input_path)
+    document, structure = _parse_input(input_path)
     structure_checks = [(c, STRUCTURE_CHECKS[c]) for c in checks if c in STRUCTURE_CHECKS]
     family_checks = [(c, FAMILY_CHECKS[c]) for c in checks if c in FAMILY_CHECKS]
-    if family is None:
+    if document is None:
         if not structure_checks:
             _fail_usage("plain incidence input has no geometry family for the checks "
                         + ",".join(c for c, _ in family_checks))
         skipped = [{"check": check, "scope": "structure", "verdict": "skipped",
                     "reason": "requires a geometry family"} for check, _ in family_checks]
         return _run_checks("structure", structure, structure_checks, exhaustive) + skipped
-    results = []
-    if structure_checks:
-        for cls in family.classes:
-            results.extend(_class_records(cls, structure_checks, exhaustive))
-    return results + _run_checks("family", family, family_checks, exhaustive)
+    try:
+        return _family_records(*document, structure_checks, family_checks, exhaustive)
+    except GeometryFormatError as exc:
+        _fail_usage(str(exc))
 
 
 def _print_records(records: list[dict]):
@@ -408,7 +458,7 @@ def cmd_scan(k_range: str, r_range: str, out: Optional[str]):
     if out is None:
         click.echo(text, nl=False)
     else:
-        _write_output(out, text)
+        _write_output(out, [text])
         click.echo(f"scan: wrote {len(rows) - 1} rows to {out}", err=True)
 
 

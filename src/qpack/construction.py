@@ -162,13 +162,18 @@ def build_class(field: FieldSpec, scale: FieldElement) -> LineClass:
     return LineClass(scale=scale, lines=lines)
 
 
-def build_family(field: FieldSpec, count: Optional[int] = None) -> GeometryFamily:
-    """Classes for the first ``count`` nonzero scales in canonical order
-    (default: all q-1 of them)."""
+def family_scales(field: FieldSpec, count: Optional[int] = None) -> range:
+    """The first ``count`` nonzero scales in canonical order (default: all
+    q-1 of them), the scales of a family's classes."""
     limit = field.q - 1
     if count is None:
         count = limit
     if not 1 <= count <= limit:
         raise CountOutOfRangeError(f"count must be in [1, {limit}], got {count}")
-    classes = tuple(build_class(field, field.element(s)) for s in range(1, count + 1))
+    return range(1, count + 1)
+
+
+def build_family(field: FieldSpec, count: Optional[int] = None) -> GeometryFamily:
+    """The classes of :func:`family_scales`."""
+    classes = tuple(build_class(field, field.element(s)) for s in family_scales(field, count))
     return GeometryFamily(field=field, classes=classes)

@@ -14,8 +14,9 @@ import gc
 import json
 import re
 from collections import Counter
+from contextlib import contextmanager
 from functools import partial
-from typing import Any, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from .construction import (
     GeometryFamily,
@@ -30,6 +31,9 @@ from .verifier import GenericIncidence
 
 FORMAT_VERSION = 1
 MAX_FIELD_ORDER = 256
+# lines per piece of family_text: with one piece per class, construct --q 23
+# peaked at 21.5 MB rather than 19.4 MB, holding a class's line strings at once
+TEXT_LINES = 1024
 
 
 class GeometryFormatError(ValueError):
@@ -103,7 +107,7 @@ _INT = {int}
 
 
 def _decode_object(ids: dict[tuple[int, ...], int], pairs: list[tuple[str, Any]]):
-    """``object_pairs_hook`` of :func:`loads_family`.
+    """``object_pairs_hook`` of :func:`parse_geometry`.
 
     A repeated key is a format error.  A line object whose ``slope`` and
     ``base`` are each three lists of ints (not bools or floats), all six of
@@ -209,9 +213,13 @@ def _entry_lines(field: FieldSpec, triples: list[tuple[int, ...]],
     return tuple(lines)
 
 
-def family_from_json(obj: Any, triples: list[tuple[int, ...]]) -> GeometryFamily:
-    """The family of a document parsed with :func:`_decode_object`, whose
-    interned triples, in id order, are ``triples``."""
+def family_from_json(obj: Any, triples: list[tuple[int, ...]]) -> Iterator[LineClass]:
+    """The classes of a document that :func:`parse_geometry` gave with its
+    interned triples ``triples``, in file order, each decoded as it is
+    drawn with the cyclic GC paused.  The version, the field and the classes
+    map are checked at the first draw, and a class's key and lines when it
+    is drawn, so the first format error is the one that decoding every
+    class in turn meets."""
     if not isinstance(obj, dict):
         raise GeometryFormatError("geometry file must be a JSON object")
     version = obj.get("version")
@@ -223,7 +231,6 @@ def family_from_json(obj: Any, triples: list[tuple[int, ...]]) -> GeometryFamily
         raise GeometryFormatError("geometry file needs a non-empty classes map")
     scales = {str(s): s for s in range(1, field.q)}
     class_lines = _line_decoder(field, triples)
-    classes = []
     for key, entries in classes_obj.items():
         if key not in scales:
             raise GeometryFormatError(
@@ -231,59 +238,89 @@ def family_from_json(obj: Any, triples: list[tuple[int, ...]]) -> GeometryFamily
             )
         if not isinstance(entries, list):
             raise GeometryFormatError(f"class {key!r} must map to a list of lines")
-        lines = class_lines(entries) or _entry_lines(field, triples, entries)
-        classes.append(LineClass(scale=field.element(scales[key]), lines=lines))
-    return GeometryFamily(field=field, classes=tuple(classes))
+        with _gc_paused():
+            lines = class_lines(entries) or _entry_lines(field, triples, entries)
+        yield LineClass(scale=field.element(scales[key]), lines=lines)
 
 
-def dumps_family(family: GeometryFamily, metadata: Optional[dict[str, Any]] = None) -> str:
-    """The geometry JSON text, written in order.  Each element is spelled
-    once, as ``json.dumps`` writes its row of ``field.coeff_table``, and each
-    line fills one template with six of those spellings."""
-    field = family.field
+def family_text(field: FieldSpec, classes: Iterable[LineClass],
+                metadata: Optional[dict[str, Any]] = None) -> Iterator[str]:
+    """The geometry JSON text of a family over ``field``, in pieces: the
+    head, the text of each class as it is drawn from ``classes``, then the
+    tail.  Each element is spelled once, as ``json.dumps`` writes its row of
+    ``field.coeff_table``, and each line fills one template with six of
+    those spellings."""
     dumps = partial(json.dumps, separators=(",", ":"))
     element = [dumps(row) for row in field.coeff_table]
     template = '{"slope":[%s,%s,%s],"base":[%s,%s,%s]}'
-    body = ",".join(
-        f'"{cls.scale.value}":['
-        + ",".join([
-            template % (element[s0], element[s1], element[s2], element[b0], element[b1], element[b2])
-            for (s0, s1, s2), (b0, b1, b2) in cls.lines
-        ])
-        + "]"
-        for cls in family.classes
-    )
+    yield f'{{"version":{dumps(FORMAT_VERSION)},"field":{dumps(field_to_json(field))},"classes":{{'
+    separator = ""
+    for cls in classes:
+        yield separator + f'"{cls.scale.value}":['
+        lines = cls.lines
+        for start in range(0, len(lines), TEXT_LINES):
+            yield ("," if start else "") + ",".join([
+                template % (element[s0], element[s1], element[s2],
+                            element[b0], element[b1], element[b2])
+                for (s0, s1, s2), (b0, b1, b2) in lines[start:start + TEXT_LINES]
+            ])
+        yield "]"
+        separator = ","
     tail = f',"metadata":{dumps(metadata)}' if metadata else ""
-    return (f'{{"version":{dumps(FORMAT_VERSION)},"field":{dumps(field_to_json(field))},'
-            f'"classes":{{{body}}}{tail}}}')
+    yield f"}}{tail}}}"
 
 
-def loads_family(text: str) -> GeometryFamily:
-    """Parse geometry JSON; a repeated key in any object is a format error,
-    since ``json.loads`` would silently keep only its last value.
+def dumps_family(family: GeometryFamily, metadata: Optional[dict[str, Any]] = None) -> str:
+    """The geometry JSON text of ``family``: the pieces of
+    :func:`family_text`, joined."""
+    return "".join(family_text(family.field, family.classes, metadata))
 
-    Each line object is decoded by :func:`_decode_object` as the parser
-    closes it, so the document's coefficient lists are freed line by line
-    and never exist all at once.  The cyclic GC is paused while the document
-    and its lines are built: none of those objects can form a cycle, and a
-    large file would otherwise trigger full collections that find nothing.
-    It is re-enabled only if it was enabled."""
+
+@contextmanager
+def _gc_paused():
+    """The cyclic GC paused, and re-enabled on exit only if it was enabled.
+    No object that a parse or a class decode builds can form a cycle, and a
+    large file would otherwise trigger full collections that find nothing."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        ids: dict[tuple[int, ...], int] = {}
-        try:
-            obj = json.loads(text, object_pairs_hook=partial(_decode_object, ids))
-        except GeometryFormatError:
-            raise
-        except ValueError as exc:  # a decode error, or an integer too long for int
-            raise GeometryFormatError(f"not valid JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise GeometryFormatError("JSON nested too deeply") from exc
-        return family_from_json(obj, list(ids))
+        yield
     finally:
         if enabled:
             gc.enable()
+
+
+def parse_geometry(text: str) -> tuple[Any, list[tuple[int, ...]]]:
+    """The document of geometry JSON text, parsed once with the cyclic GC
+    paused, and its interned triples in id order: what
+    :func:`family_from_json` decodes.  A repeated key in any object is a
+    format error, since ``json.loads`` would silently keep only its last
+    value.  Each line object is decoded by :func:`_decode_object` as the
+    parser closes it, so the document's coefficient lists are freed line by
+    line and never exist all at once."""
+    ids: dict[tuple[int, ...], int] = {}
+    try:
+        with _gc_paused():
+            obj = json.loads(text, object_pairs_hook=partial(_decode_object, ids))
+    except GeometryFormatError:
+        raise
+    except ValueError as exc:  # a decode error, or an integer too long for int
+        raise GeometryFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise GeometryFormatError("JSON nested too deeply") from exc
+    return obj, list(ids)
+
+
+def document_family(obj: Any, triples: list[tuple[int, ...]]) -> GeometryFamily:
+    """The family of a document that :func:`parse_geometry` gave: every
+    class of :func:`family_from_json`, collected."""
+    classes = tuple(family_from_json(obj, triples))
+    return GeometryFamily(field=classes[0].field, classes=classes)
+
+
+def loads_family(text: str) -> GeometryFamily:
+    """The family of geometry JSON text."""
+    return document_family(*parse_geometry(text))
 
 
 # ---------------------------------------------------------------------------

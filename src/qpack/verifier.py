@@ -402,6 +402,27 @@ def overlap_violations(family: GeometryFamily) -> Iterator[Witness]:
                                           "slope": line.slope, "base": line.base})
 
 
+def class_slopes(line_class: LineClass) -> Optional[frozenset[Triple]]:
+    """The slope set of a class whose lines are distinct, else None: all
+    that :func:`no_repeated_line` needs of the class."""
+    lines = line_class.lines
+    if len(set(lines)) != len(lines):
+        return None
+    return frozenset([slope for slope, _ in lines])
+
+
+def no_repeated_line(slope_sets: Sequence[Optional[frozenset[Triple]]]) -> bool:
+    """Whether the :func:`class_slopes` of a family's classes show that no
+    canonical line repeats in the family, so that
+    :func:`check_disjoint_classes` and :func:`check_union_pls` find nothing:
+    each class's lines are distinct and no slope is in two classes, since a
+    line in two classes puts its slope in both.  False says only that the
+    slopes cannot decide it, and ``GeometryFamily.repeats`` must."""
+    if None in slope_sets:
+        return False
+    return sum(map(len, slope_sets)) == len(frozenset().union(*slope_sets))
+
+
 def check_union_pls(family: GeometryFamily, exhaustive: bool = False):
     """The union of all classes, checked as one partial linear space.
 
@@ -464,20 +485,20 @@ def certify_class(line_class: LineClass) -> Optional[OrderParams]:
     """The class's order (q-1, |S|-1) when it is certified from its slope
     set S alone, else None.
 
-    Certified means: the class is non-empty, its lines are distinct and
-    number |S|*q^2, and :func:`dependent_slopes` finds no dependent triple
-    in S.  Lines are canonical (loaded and built lines always are), so each
-    slope has exactly q^2 lines and the count makes the class complete on
-    S.  A certified class passes :func:`check_pls`, :func:`check_order` and
+    Certified means: the class is non-empty, its lines are distinct
+    (:func:`class_slopes` gives S) and number |S|*q^2, and
+    :func:`dependent_slopes` finds no dependent triple in S.  Lines are
+    canonical (loaded and built lines always are), so each slope has
+    exactly q^2 lines and the count makes the class complete on S.  A
+    certified class passes :func:`check_pls`, :func:`check_order` and
     :func:`check_triangle_free` on its incidence, where
     :func:`counting_bound` gives ``counting_report(q**3, order)``; a class
     of distinct lines complete on S that is not certified has a triangle.
     """
-    lines, field = line_class.lines, line_class.field
-    slopes = list(dict.fromkeys(line.slope for line in lines))
-    if not lines or len(lines) != len(slopes) * field.q**2 or len(set(lines)) != len(lines):
+    field, slopes = line_class.field, class_slopes(line_class)
+    if not slopes or len(line_class.lines) != len(slopes) * field.q**2:
         return None
-    if dependent_slopes(field, slopes) is not None:
+    if dependent_slopes(field, sorted(slopes)) is not None:
         return None
     return OrderParams(s_order=field.q - 1, t_order=len(slopes) - 1)
 

@@ -96,6 +96,13 @@ class TestConstruct:
     def test_bad_count_exits_2(self, runner):
         assert run(runner, "construct", "--q", "5", "--count", "5").exit_code == 2
 
+    def test_count_is_checked_before_the_line_budget(self, runner):
+        """1000 classes at q=31 would be above the line budget too: the
+        count is what is wrong, so the count is what is reported."""
+        result = run(runner, "construct", "--q", "31", "--count", "1000")
+        assert_usage_error(result)
+        assert result.stderr == "error: count must be in [1, 30], got 1000\n"
+
     def test_q16_file_is_pinned(self, runner, tmp_path):
         """The benchmark's geometry gate: the q=16 file as written before
         elements were spelled once per file."""
@@ -701,23 +708,45 @@ class TestInputReleasedBeforePrinting:
 
     @pytest.fixture
     def alive_at_emit(self, monkeypatch):
-        """Whether each input parsed so far is still alive when
-        ``_print_records`` is called, one bool per parsed input."""
+        """Whether each input parsed so far, and each class or family decoded
+        from a geometry document, is still alive when ``_print_records`` is
+        called, one bool per object.  A document is a dict, which takes no weak
+        reference, so ``verify`` is handed a copy of it as a dict subclass,
+        which does."""
         parsed, alive = [], []
 
-        def keep(parse):
-            def kept(text):
-                result = parse(text)
-                parsed.append(weakref.ref(result))
-                return result
-            return kept
+        class Document(dict):
+            pass
+
+        def keep_structure(text, parse=cli.parse_plain_incidence):
+            structure = parse(text)
+            parsed.append(weakref.ref(structure))
+            return structure
+
+        def keep_document(text, parse=cli.parse_geometry):
+            obj, triples = parse(text)
+            document = Document(obj)
+            parsed.append(weakref.ref(document))
+            return document, triples
+
+        def keep_classes(obj, triples, decode=cli.family_from_json):
+            for cls in decode(obj, triples):
+                parsed.append(weakref.ref(cls))
+                yield cls
+
+        def keep_family(obj, triples, decode=cli.document_family):
+            family = decode(obj, triples)
+            parsed.append(weakref.ref(family))
+            return family
 
         def print_records(records, _print_records=cli._print_records):
             alive.extend(ref() is not None for ref in parsed)
             _print_records(records)
 
-        monkeypatch.setattr(cli, "parse_plain_incidence", keep(cli.parse_plain_incidence))
-        monkeypatch.setattr(cli, "loads_family", keep(cli.loads_family))
+        monkeypatch.setattr(cli, "parse_plain_incidence", keep_structure)
+        monkeypatch.setattr(cli, "parse_geometry", keep_document)
+        monkeypatch.setattr(cli, "family_from_json", keep_classes)
+        monkeypatch.setattr(cli, "document_family", keep_family)
         monkeypatch.setattr(cli, "_print_records", print_records)
         return alive
 
@@ -729,8 +758,34 @@ class TestInputReleasedBeforePrinting:
         assert alive_at_emit == [False]
 
     def test_geometry_family(self, runner, geo5, alive_at_emit):
+        """The document and its four classes, each decoded once: the slope
+        sets decide the family checks."""
         assert run(runner, "verify", str(geo5)).exit_code == 0
-        assert alive_at_emit == [False]
+        assert alive_at_emit == [False] * 5
+
+    def test_one_class_at_a_time(self, runner, geo5, monkeypatch):
+        """When a class is decoded, of the classes before it only the last,
+        still named by ``verify``'s loop, is alive."""
+        held = []
+
+        def count_held(obj, triples, decode=cli.family_from_json):
+            refs = []
+            for cls in decode(obj, triples):
+                held.append(sum(ref() is not None for ref in refs))
+                refs.append(weakref.ref(cls))
+                yield cls
+
+        monkeypatch.setattr(cli, "family_from_json", count_held)
+        for checks in ("pls,order,triangle,disjoint,union", "disjoint,union", "counting"):
+            assert run(runner, "verify", str(geo5), "--checks", checks).exit_code == 0
+        assert held == [0, 1, 1, 1] * 3
+
+    def test_geometry_family_walked(self, runner, dup5, alive_at_emit):
+        """The document, its four classes, decoded one at a time for the
+        structure checks, and the family decoded for the walk of the family
+        checks."""
+        assert run(runner, "verify", "-", input=dup5).exit_code == 1
+        assert alive_at_emit == [False] * 6
 
 
 @pytest.fixture
@@ -812,6 +867,21 @@ class TestIndexBudget:
         (record,) = json_lines(result.stdout)
         assert (record["verdict"], record["s"], record["t"]) == ("ok", 1, 1)
 
+    def test_later_format_error_comes_first(self, runner, geo5, monkeypatch):
+        """Classes are decoded one at a time, but a class above the budget
+        does not hide a later class's format error: that error is reported,
+        as when every class was decoded before any check ran."""
+        monkeypatch.setattr(verifier, "MAX_MASK_BYTES", 0)
+        obj = json.loads(geo5.read_text())
+        obj["classes"]["1"].pop()
+        result = run(runner, "verify", "-", input=json.dumps(obj))
+        assert_usage_error(result)
+        assert "above the limit of 0" in result.stderr
+        obj["classes"]["3"][0]["slope"][0] = [7]
+        result = run(runner, "verify", "-", input=json.dumps(obj))
+        assert_usage_error(result)
+        assert result.stderr == "error: [7] is not an element of GF(5)\n"
+
     def test_repeated_point_comes_first(self, runner, monkeypatch):
         """A repeated point is found while ``through`` is built, before the
         masks are sized."""
@@ -881,9 +951,11 @@ def _sweep_mutants(obj: dict):
 
 class TestCertificatePath:
     """``verify`` decides every structure record of a certified class from
-    its slope set; the records must be the scans' records.  The sweep takes
-    full families up to q=9 and three classes above, with ``counting`` up to
-    q=13: the scans of the six full q=19 files alone take about 40 s."""
+    its slope set, and ``disjoint`` and ``union`` from the slope sets of the
+    classes when no line can repeat; the records must be the scans' and the
+    line walk's records.  The sweep takes full families up to q=9 and three
+    classes above, with ``counting`` up to q=13: the scans of the six full
+    q=19 files alone take about 40 s."""
 
     @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19])
     def test_records_match_the_scans(self, runner, tmp_path, monkeypatch, q):
@@ -892,18 +964,24 @@ class TestCertificatePath:
         assert run(runner, "construct", "--q", str(q), "--count", str(count),
                    "--out", str(path)).exit_code == 0
         checks = ["--checks", "pls,order,triangle,counting,disjoint,union"] if q <= 13 else []
-        certify = verifier.certify_class
+        certify, no_repeated_line = verifier.certify_class, verifier.no_repeated_line
         for name, text in _sweep_mutants(json.loads(path.read_text())).items():
-            certified = []
+            certified, decided = [], []
             monkeypatch.setattr(verifier, "certify_class",
                                 lambda cls: certified.append(certify(cls)) or certified[-1])
+            monkeypatch.setattr(verifier, "no_repeated_line",
+                                lambda sets: decided.append(no_repeated_line(sets)) or decided[-1])
             fast = run(runner, "verify", "-", "--exhaustive", *checks, input=text)
             monkeypatch.setattr(verifier, "certify_class", lambda cls: None)
+            monkeypatch.setattr(verifier, "class_slopes", lambda cls: None)
             scans = run(runner, "verify", "-", "--exhaustive", *checks, input=text)
+            monkeypatch.undo()
             assert (fast.exit_code, _records(fast)) == (scans.exit_code, _records(scans)), name
             assert fast.exit_code == (0 if name in ("clean", "slope-dropped", "classes-swapped")
                                       else 1), name
             assert len(certified) == count and certified[2:] == [(q - 1, q - 2)] * (count - 2)
+            # the slope route, then the walk for the scans
+            assert decided == [name not in ("line-duplicated", "line-moved"), False], name
             if name == "clean":
                 assert all(order == (q - 1, q - 2) for order in certified)
 

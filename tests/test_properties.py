@@ -5,8 +5,9 @@ reference pair scans' order; ``counting`` against the collinearity oracle
 of the generalized-quadrangle axiom, on those and on relabelled structures
 of uniform order; the family checks against ``check_pls``
 on the union incidence and the owner-dict overlap scan, on families with
-copied lines; the slope certificate against the pls, order, triangle and
-counting scans on classes that hold every line of their slopes, arcs or
+copied, moved and dropped lines, and ``verify``'s family records, from the
+slope sets or the line walk, against those checks; the slope certificate
+against the pls, order, triangle and counting scans on classes that hold every line of their slopes, arcs or
 not; the neighbour table against
 ``neighbourhood`` on structures that declare points past their lines or
 name sparse ids;
@@ -47,12 +48,14 @@ from qpack import (
     check_triangle_free,
     check_union_pls,
     class_incidence,
+    class_slopes,
     counting_bound,
     counting_report,
     dependent_slopes,
     make_field,
     min_total_degree,
     moment_curve,
+    no_repeated_line,
     revalidate,
     union_incidence,
 )
@@ -163,15 +166,25 @@ FAMILIES = {q: build_family(make_field(q)) for q in (3, 4, 5, 7, 8, 9)}
 def families_with_copies(draw) -> GeometryFamily:
     """The first classes of a family over GF(q), q <= 9, with up to four
     lines copied to random positions of random classes: into their own class
-    or another, ahead of or behind the original, copies of copies too."""
+    or another, ahead of or behind the original, copies of copies too.  Then
+    up to two lines are moved the same way, which gives two classes a slope
+    with no line in both when the line moves to another class, and up to
+    three lines are dropped, which leaves classes incomplete."""
     family = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))]
     classes = family.classes[: draw(st.integers(1, len(family.classes)))]
     lines = [list(cls.lines) for cls in classes]
-    for _ in range(draw(st.integers(0, 4))):
+    for copy in [True] * draw(st.integers(0, 4)) + [False] * draw(st.integers(0, 2)):
         source = draw(st.sampled_from(lines))
-        line = source[draw(st.integers(0, len(source) - 1))]
+        if not source:
+            continue
+        idx = draw(st.integers(0, len(source) - 1))
+        line = source[idx] if copy else source.pop(idx)
         target = draw(st.sampled_from(lines))
         target.insert(draw(st.integers(0, len(target))), line)
+    for _ in range(draw(st.integers(0, 3))):
+        source = draw(st.sampled_from(lines))
+        if source:
+            del source[draw(st.integers(0, len(source) - 1))]
     return GeometryFamily(field=family.field, classes=tuple(
         LineClass(scale=cls.scale, lines=tuple(ls)) for cls, ls in zip(classes, lines)))
 
@@ -188,6 +201,36 @@ def test_family_checks_match_their_oracles(family):
         assert check_disjoint_classes(family, exhaustive) == overlap_scan(family, exhaustive)
     assert all(revalidate(union, w) for w in check_union_pls(family, exhaustive=True))
     assert all(revalidate(family, w) for w in check_disjoint_classes(family, exhaustive=True))
+
+
+def family_record(check: str, found) -> dict:
+    """The record that ``verify`` prints, ``elapsed`` left out, for what
+    the library's family check found: None, a witness, or every witness."""
+    record = {"check": check, "scope": "family", "verdict": "violation" if found else "ok"}
+    if isinstance(found, Witness):
+        record["witness"] = found.to_json()
+    elif found:
+        record["witness"] = {"violations": len(found), "witnesses": [w.to_json() for w in found]}
+    return json.loads(json.dumps(record))
+
+
+@settings(max_examples=150, deadline=None)
+@given(families_with_copies(), st.booleans())
+def test_verify_family_records_match_the_checks(family, exhaustive):
+    """``verify``'s ``disjoint`` and ``union`` records, whether the slope
+    sets decide them or the line walk does, are those of
+    ``check_disjoint_classes`` and ``check_union_pls`` on the whole
+    family."""
+    decided = no_repeated_line([class_slopes(cls) for cls in family.classes])
+    event("slope sets" if decided else "line walk")
+    expected = [family_record("disjoint", check_disjoint_classes(family, exhaustive)),
+                family_record("union", check_union_pls(family, exhaustive))]
+    args = ["verify", "-", "--checks", "disjoint,union"] + ["--exhaustive"] * exhaustive
+    result = CliRunner().invoke(main, args, input=dumps_family(family))
+    records = [json.loads(row) for row in result.stdout.splitlines()]
+    assert [{k: v for k, v in r.items() if k != "elapsed"} for r in records] == expected
+    assert result.exit_code == (1 if any(r["verdict"] != "ok" for r in expected) else 0)
+    assert not decided or not any(r["verdict"] != "ok" for r in expected)
 
 
 @st.composite
