@@ -44,11 +44,9 @@ from .verifier import (
     check_union_pls,
     certify_class,
     class_incidence,
-    class_slopes,
     counting_bound,
     counting_report,
     dependent_slopes,
-    no_repeated_line,
     revalidate,
     union_incidence,
 )

@@ -11,17 +11,16 @@ from __future__ import annotations
 import json
 import math
 import time
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Optional
 
 import click
 
 from . import __version__, bounds, verifier
-from .construction import build_class, family_scales
+from .construction import GeometryFamily, build_class, family_scales
 from .formats import (
     MAX_FIELD_ORDER,
     GeometryFormatError,
-    document_family,
     family_from_json,
     family_text,
     parse_geometry,
@@ -235,16 +234,9 @@ def _record_outcome(record: dict, outcome) -> dict:
     if outcome is None:
         record["verdict"] = "ok"
     elif isinstance(outcome, OrderParams):
-        record.update(verdict="ok", s=outcome.s_order, t=outcome.t_order)
+        record.update(verdict="ok", **outcome._asdict())
     elif isinstance(outcome, CountingReport):
-        record.update(
-            verdict="ok" if outcome.holds else "violation",
-            points=outcome.num_points,
-            s=outcome.s_order,
-            t=outcome.t_order,
-            bound=outcome.bound,
-            equality=outcome.equality,
-        )
+        record.update(verdict="ok" if outcome.holds else "violation", **outcome._asdict())
     elif isinstance(outcome, Witness):
         record.update(verdict="violation", witness=outcome.to_json())
     elif isinstance(outcome, list):
@@ -276,14 +268,16 @@ def _parse_input(input_path: str) -> tuple:
 def _family_records(obj, triples: list, structure_checks: list, family_checks: list,
                     exhaustive: bool) -> list[dict]:
     """The records of a geometry document, decoded one class at a time: the
-    structure records of each class, then the family checks'.  Each class's
-    lines are dropped before the next class is decoded, and the family
-    checks keep only its :func:`verifier.class_slopes`.  When those show
-    that no line repeats, every family check is ``ok`` with no walk over
-    the lines, and the time of that test goes into the first family record;
-    otherwise the classes are decoded again for ``GeometryFamily.repeats``.
+    structure records of each class, then the family checks'.  A line in
+    two classes puts its slope in both, so no line repeats while each
+    class's ``slopes`` is set (its lines are distinct) and meets no earlier
+    class's: such a class is dropped before the next is decoded.  If every
+    class is, each family check is ``ok`` with no walk, and that test's
+    time goes into the first family record.  Otherwise the first class
+    that is not and every later one are kept, the ones before it are
+    decoded again, and ``GeometryFamily.repeats`` walks them in file order.
     """
-    results, slope_sets, slopes_s = [], [], 0.0
+    results, seen, kept, cleared, slopes_s = [], set(), [], 0, 0.0
     classes = family_from_json(obj, triples)
     try:
         for cls in classes:
@@ -291,7 +285,12 @@ def _family_records(obj, triples: list, structure_checks: list, family_checks: l
                 results.extend(_class_records(cls, structure_checks, exhaustive))
             if family_checks:
                 start = time.perf_counter()
-                slope_sets.append(verifier.class_slopes(cls))
+                if kept or cls.slopes is None or not seen.isdisjoint(cls.slopes):
+                    kept.append(cls)
+                    obj["classes"][str(cls.scale.value)].clear()  # not decoded again
+                else:
+                    seen |= cls.slopes
+                    cleared += 1
                 slopes_s += time.perf_counter() - start
     except IndexBudgetError:
         for _ in classes:  # a later class's format error is reported first
@@ -299,17 +298,14 @@ def _family_records(obj, triples: list, structure_checks: list, family_checks: l
         raise
     if not family_checks:
         return results
-    del cls  # the last class's lines
-    start = time.perf_counter()
-    decided = verifier.no_repeated_line(slope_sets)
-    slopes_s += time.perf_counter() - start
-    if decided:
-        family_results = [{"check": name, "scope": "family", "verdict": "ok", "elapsed": 0.0}
-                          for name, _ in family_checks]
-    else:
-        family = document_family(obj, triples)
+    if kept:
+        earlier = islice(family_from_json(obj, triples), cleared)
+        family = GeometryFamily(field=kept[0].field, classes=(*earlier, *kept))
         obj["classes"].clear()  # its lines live on in the family
         family_results = _run_checks("family", family, family_checks, exhaustive)
+    else:
+        family_results = [{"check": name, "scope": "family", "verdict": "ok", "elapsed": 0.0}
+                          for name, _ in family_checks]
     family_results[0]["elapsed"] = round(family_results[0]["elapsed"] + slopes_s, 6)
     return results + family_results
 

@@ -18,8 +18,10 @@ exhaustively.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
 from .gf import FieldElement, FieldSpec
@@ -101,13 +103,23 @@ class LineClass:
     def field(self) -> FieldSpec:
         return self.scale.field
 
+    @cached_property
+    def slopes(self) -> Optional[frozenset[Triple]]:
+        """The set of the lines' slopes when the lines are distinct, else
+        None; computed on first read."""
+        lines = self.lines
+        if len(set(lines)) != len(lines):
+            return None
+        return frozenset([slope for slope, _ in lines])
+
     def __repr__(self):
         return f"LineClass(scale={self.scale.value}, lines={len(self.lines)})"
 
 
 @dataclass(frozen=True)
 class GeometryFamily:
-    """Line classes for distinct nonzero scales, in canonical scale order; a
+    """Line classes for distinct nonzero scales, in the order given: file
+    order when loaded, ascending scale from :func:`build_family`.  A
     repeated scale raises :class:`RepeatedScaleError`."""
 
     field: FieldSpec
@@ -128,14 +140,19 @@ class GeometryFamily:
         """Each later copy of a line, in union order (the classes in order,
         each in line order): the line, then the (union index, class index)
         of its first copy and of this copy.  Found in one pass on first use,
-        so the family checks share it."""
-        first: dict[Line, tuple[int, int]] = {}
+        so the family checks share it; the pass keeps the union index of
+        each line's first copy, and finds a class index only for a copy."""
+        starts = list(accumulate((len(cls.lines) for cls in self.classes), initial=0))
+
+        def at(idx: int) -> tuple[int, int]:
+            return idx, bisect_right(starts, idx) - 1
+
+        first: dict[Line, int] = {}
         found = []
-        lines = ((cls_idx, line) for cls_idx, cls in enumerate(self.classes) for line in cls.lines)
-        for idx, (cls_idx, line) in enumerate(lines):
-            prior = first.setdefault(line, (idx, cls_idx))
-            if prior[0] != idx:
-                found.append((line, prior, (idx, cls_idx)))
+        for idx, line in enumerate(line for cls in self.classes for line in cls.lines):
+            prior = first.setdefault(line, idx)
+            if prior != idx:
+                found.append((line, at(prior), at(idx)))
         return found
 
 

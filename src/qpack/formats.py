@@ -311,16 +311,11 @@ def parse_geometry(text: str) -> tuple[Any, list[tuple[int, ...]]]:
     return obj, list(ids)
 
 
-def document_family(obj: Any, triples: list[tuple[int, ...]]) -> GeometryFamily:
-    """The family of a document that :func:`parse_geometry` gave: every
-    class of :func:`family_from_json`, collected."""
-    classes = tuple(family_from_json(obj, triples))
-    return GeometryFamily(field=classes[0].field, classes=classes)
-
-
 def loads_family(text: str) -> GeometryFamily:
-    """The family of geometry JSON text."""
-    return document_family(*parse_geometry(text))
+    """The family of geometry JSON text: every class of
+    :func:`family_from_json`, collected."""
+    classes = tuple(family_from_json(*parse_geometry(text)))
+    return GeometryFamily(field=classes[0].field, classes=classes)
 
 
 # ---------------------------------------------------------------------------

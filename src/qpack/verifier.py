@@ -73,24 +73,26 @@ class Witness:
 
 
 class OrderParams(NamedTuple):
-    """Uniform incidence parameters: s_order+1 points per line, t_order+1
-    lines per point."""
+    """Uniform incidence parameters: s+1 points per line, t+1 lines per
+    point."""
 
-    s_order: int
-    t_order: int
+    s: int
+    t: int
 
 
-@dataclass(frozen=True)
-class CountingReport:
-    """Point count of a uniform triangle-free partial linear space against
-    the (s*t+1)*(s+1) floor."""
+class CountingReport(NamedTuple):
+    """Point count of a uniform triangle-free partial linear space of order
+    (s, t) against the (s*t+1)*(s+1) floor."""
 
-    num_points: int
-    s_order: int
-    t_order: int
+    points: int
+    s: int
+    t: int
     bound: int
-    holds: bool
     equality: bool
+
+    @property
+    def holds(self) -> bool:
+        return self.points >= self.bound
 
 
 @dataclass(frozen=True)
@@ -269,7 +271,7 @@ def pls_violations(g: GenericIncidence) -> Iterator[Witness]:
 # ---------------------------------------------------------------------------
 
 def check_order(g: GenericIncidence, exhaustive: bool = False):
-    """Uniform (s_order, t_order) if all line sizes and point degrees agree;
+    """Uniform (s, t) if all line sizes and point degrees agree;
     otherwise an order_violation naming the first deviant line or point."""
     return _first_or_all(order_violations(g), exhaustive) or uniform_order(g)
 
@@ -306,7 +308,7 @@ def order_violations(g: GenericIncidence) -> Iterator[Witness]:
 def uniform_order(g: GenericIncidence) -> OrderParams:
     """The order of a structure in which :func:`order_violations` finds no
     witness."""
-    return OrderParams(s_order=len(g.lines[0]) - 1, t_order=len(g.through[0]) - 1)
+    return OrderParams(len(g.lines[0]) - 1, len(g.through[0]) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -402,27 +404,6 @@ def overlap_violations(family: GeometryFamily) -> Iterator[Witness]:
                                           "slope": line.slope, "base": line.base})
 
 
-def class_slopes(line_class: LineClass) -> Optional[frozenset[Triple]]:
-    """The slope set of a class whose lines are distinct, else None: all
-    that :func:`no_repeated_line` needs of the class."""
-    lines = line_class.lines
-    if len(set(lines)) != len(lines):
-        return None
-    return frozenset([slope for slope, _ in lines])
-
-
-def no_repeated_line(slope_sets: Sequence[Optional[frozenset[Triple]]]) -> bool:
-    """Whether the :func:`class_slopes` of a family's classes show that no
-    canonical line repeats in the family, so that
-    :func:`check_disjoint_classes` and :func:`check_union_pls` find nothing:
-    each class's lines are distinct and no slope is in two classes, since a
-    line in two classes puts its slope in both.  False says only that the
-    slopes cannot decide it, and ``GeometryFamily.repeats`` must."""
-    if None in slope_sets:
-        return False
-    return sum(map(len, slope_sets)) == len(frozenset().union(*slope_sets))
-
-
 def check_union_pls(family: GeometryFamily, exhaustive: bool = False):
     """The union of all classes, checked as one partial linear space.
 
@@ -486,7 +467,7 @@ def certify_class(line_class: LineClass) -> Optional[OrderParams]:
     set S alone, else None.
 
     Certified means: the class is non-empty, its lines are distinct
-    (:func:`class_slopes` gives S) and number |S|*q^2, and
+    (``LineClass.slopes`` gives S) and number |S|*q^2, and
     :func:`dependent_slopes` finds no dependent triple in S.  Lines are
     canonical (loaded and built lines always are), so each slope has
     exactly q^2 lines and the count makes the class complete on S.  A
@@ -495,12 +476,12 @@ def certify_class(line_class: LineClass) -> Optional[OrderParams]:
     :func:`counting_bound` gives ``counting_report(q**3, order)``; a class
     of distinct lines complete on S that is not certified has a triangle.
     """
-    field, slopes = line_class.field, class_slopes(line_class)
+    field, slopes = line_class.field, line_class.slopes
     if not slopes or len(line_class.lines) != len(slopes) * field.q**2:
         return None
     if dependent_slopes(field, sorted(slopes)) is not None:
         return None
-    return OrderParams(s_order=field.q - 1, t_order=len(slopes) - 1)
+    return OrderParams(field.q - 1, len(slopes) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +514,7 @@ def counting_report(num_points: int, order: OrderParams) -> CountingReport:
     """
     s, t = order
     bound = (s * t + 1) * (s + 1)
-    return CountingReport(num_points=num_points, s_order=s, t_order=t, bound=bound,
-                          holds=num_points >= bound, equality=num_points == bound)
+    return CountingReport(num_points, s, t, bound, equality=num_points == bound)
 
 
 # ---------------------------------------------------------------------------

@@ -135,18 +135,18 @@ def test_criterion_4_counting_and_quadrangle():
             g = class_incidence(cls)
             report = counting_bound(g)
             assert report.bound == ((q - 1) * (q - 2) + 1) * q
-            assert report.num_points == q**3 >= report.bound
+            assert report.points == q**3 >= report.bound
             assert report.holds and not report.equality
             assert gq_oracle(g) is not None
 
     c4 = incidence(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     report = counting_bound(c4)
-    assert report.bound == 4 == report.num_points and report.equality
+    assert report.bound == 4 == report.points and report.equality
     assert gq_oracle(c4) is None
 
     c5 = incidence(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     report = counting_bound(c5)
-    assert report.bound == 4 < 5 == report.num_points and not report.equality
+    assert report.bound == 4 < 5 == report.points and not report.equality
     assert gq_oracle(c5) is not None
     print(
         "\nACCEPTANCE 4 (point-count floor): PASS — strict bound plus "

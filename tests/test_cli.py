@@ -8,6 +8,7 @@ import random
 import re
 import time
 import weakref
+from functools import cached_property
 
 import pytest
 from click.testing import CliRunner
@@ -16,7 +17,7 @@ from perfbench.workloads import inject_triangle, merge_lines
 from qpack import bounds, build_class, class_incidence, cli, make_field, verifier
 from qpack.cli import main
 from qpack.formats import dumps_family, loads_family, parse_plain_incidence
-from qpack import GeometryFamily, canonical_line
+from qpack import GeometryFamily, LineClass, canonical_line
 
 from geometry_helpers import hyperoval_class, intersect, line_points
 
@@ -734,8 +735,8 @@ class TestInputReleasedBeforePrinting:
                 parsed.append(weakref.ref(cls))
                 yield cls
 
-        def keep_family(obj, triples, decode=cli.document_family):
-            family = decode(obj, triples)
+        def keep_family(*args, build=cli.GeometryFamily, **kwargs):
+            family = build(*args, **kwargs)
             parsed.append(weakref.ref(family))
             return family
 
@@ -746,7 +747,7 @@ class TestInputReleasedBeforePrinting:
         monkeypatch.setattr(cli, "parse_plain_incidence", keep_structure)
         monkeypatch.setattr(cli, "parse_geometry", keep_document)
         monkeypatch.setattr(cli, "family_from_json", keep_classes)
-        monkeypatch.setattr(cli, "document_family", keep_family)
+        monkeypatch.setattr(cli, "GeometryFamily", keep_family)
         monkeypatch.setattr(cli, "_print_records", print_records)
         return alive
 
@@ -782,10 +783,10 @@ class TestInputReleasedBeforePrinting:
 
     def test_geometry_family_walked(self, runner, dup5, alive_at_emit):
         """The document, its four classes, decoded one at a time for the
-        structure checks, and the family decoded for the walk of the family
-        checks."""
+        structure checks, class 1, decoded again for the walk of the family
+        checks, and the walked family."""
         assert run(runner, "verify", "-", input=dup5).exit_code == 1
-        assert alive_at_emit == [False] * 6
+        assert alive_at_emit == [False] * 7
 
 
 @pytest.fixture
@@ -964,24 +965,26 @@ class TestCertificatePath:
         assert run(runner, "construct", "--q", str(q), "--count", str(count),
                    "--out", str(path)).exit_code == 0
         checks = ["--checks", "pls,order,triangle,counting,disjoint,union"] if q <= 13 else []
-        certify, no_repeated_line = verifier.certify_class, verifier.no_repeated_line
+        certify, family = verifier.certify_class, cli.GeometryFamily
         for name, text in _sweep_mutants(json.loads(path.read_text())).items():
-            certified, decided = [], []
+            certified, walked = [], []
             monkeypatch.setattr(verifier, "certify_class",
                                 lambda cls: certified.append(certify(cls)) or certified[-1])
-            monkeypatch.setattr(verifier, "no_repeated_line",
-                                lambda sets: decided.append(no_repeated_line(sets)) or decided[-1])
+            monkeypatch.setattr(cli, "GeometryFamily",
+                                lambda **fields: walked.append(True) or family(**fields))
             fast = run(runner, "verify", "-", "--exhaustive", *checks, input=text)
+            walked.append(False)
             monkeypatch.setattr(verifier, "certify_class", lambda cls: None)
-            monkeypatch.setattr(verifier, "class_slopes", lambda cls: None)
+            monkeypatch.setattr(LineClass, "slopes", property(lambda cls: None))
             scans = run(runner, "verify", "-", "--exhaustive", *checks, input=text)
             monkeypatch.undo()
             assert (fast.exit_code, _records(fast)) == (scans.exit_code, _records(scans)), name
             assert fast.exit_code == (0 if name in ("clean", "slope-dropped", "classes-swapped")
                                       else 1), name
             assert len(certified) == count and certified[2:] == [(q - 1, q - 2)] * (count - 2)
-            # the slope route, then the walk for the scans
-            assert decided == [name not in ("line-duplicated", "line-moved"), False], name
+            # the slope route or the walk, then the walk for the scans
+            route = [True] if name in ("line-duplicated", "line-moved") else []
+            assert walked == route + [False, True], name
             if name == "clean":
                 assert all(order == (q - 1, q - 2) for order in certified)
 
@@ -1057,6 +1060,62 @@ class TestCertificatePath:
         assert _records(fast) == _records(scans) == [
             {"check": "counting", "scope": "class:1", "verdict": "ok", "points": 64,
              "s": 3, "t": 5, "bound": 64, "equality": True}]
+
+
+class TestFamilyWalk:
+    """``verify`` reads each class's slope set once, and for the line walk
+    decodes again only the classes before the first one whose slope set
+    cannot clear it, keeping that class and every later one."""
+
+    def test_slope_sets_are_computed_once(self, runner, geo5, monkeypatch):
+        """``certify_class`` and the family checks both read a class's
+        ``slopes``; it is computed on the first read only."""
+        computed, slopes = [], LineClass.slopes.func
+        counted = cached_property(lambda cls: computed.append(cls.scale.value) or slopes(cls))
+        counted.__set_name__(LineClass, "slopes")
+        monkeypatch.setattr(LineClass, "slopes", counted)
+        assert run(runner, "verify", str(geo5)).exit_code == 0
+        assert computed == [1, 2, 3, 4]
+
+    def test_walk_decodes_the_earlier_classes_again(self, runner, geo5, monkeypatch):
+        """With one line moved from class 1 to class 2, class 2's slopes
+        meet class 1's: classes 2, 3 and 4 are kept for the walk, and class
+        1 alone is decoded again.  No line repeats, so the walk finds
+        nothing."""
+        obj = json.loads(geo5.read_text())
+        obj["classes"]["2"].append(obj["classes"]["1"].pop(3))
+        decoded = []
+
+        def count_decoded(obj, triples, decode=cli.family_from_json):
+            for cls in decode(obj, triples):
+                decoded.append(cls.scale.value)
+                yield cls
+
+        monkeypatch.setattr(cli, "family_from_json", count_decoded)
+        result = run(runner, "verify", "-", input=json.dumps(obj))
+        assert result.exit_code == 1
+        family = [(r["check"], r["verdict"]) for r in json_lines(result.stdout)[-2:]]
+        assert family == [("disjoint", "ok"), ("union", "ok")]
+        assert decoded == [1, 2, 3, 4, 1]
+
+    def test_classes_keep_file_order(self, runner, tmp_path):
+        """A file that lists class 2 before class 1 prints class 2's records
+        first, and the union indices count class 2's 18 lines first: class
+        1's repeated line is union line 36, a copy of line 18."""
+        path = tmp_path / "geo3.json"
+        assert run(runner, "construct", "--q", "3", "--out", str(path)).exit_code == 0
+        obj = json.loads(path.read_text())
+        lines = obj["classes"]
+        obj["classes"] = {"2": lines["2"], "1": lines["1"] + lines["1"][:1]}
+        result = run(runner, "verify", "-", "--checks", "pls,disjoint,union", "--exhaustive",
+                     input=json.dumps(obj))
+        assert result.exit_code == 1
+        records = json_lines(result.stdout)
+        assert [r["scope"] for r in records] == ["class:2", "class:1", "family", "family"]
+        assert [r["verdict"] for r in records] == ["ok", "violation", "ok", "violation"]
+        union = records[-1]["witness"]
+        assert union["violations"] == 3
+        assert {tuple(w["lines"]) for w in union["witnesses"]} == {(18, 36)}
 
 
 class TestPinnedOutput:

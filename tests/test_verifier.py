@@ -263,7 +263,7 @@ class TestCheckGq:
 class TestCountingBound:
     def test_constructed_class(self, class5):
         report = counting_bound(class5)
-        assert (report.num_points, report.s_order, report.t_order) == (125, 4, 3)
+        assert (report.points, report.s, report.t) == (125, 4, 3)
         assert report.bound == 65
         assert report.holds and not report.equality
 
@@ -319,6 +319,19 @@ class TestFamilyChecks:
         assert revalidate(doubled, w)
         union_w = check_union_pls(doubled)
         assert union_w is not None and union_w.kind == "pls_violation"
+
+    def test_repeats_name_the_class_past_an_empty_one(self, f5):
+        """An empty class takes no union index: the copy of class 1's line 7
+        in a one-line class after it is union line 100, in class index 2."""
+        from qpack import GeometryFamily
+
+        (one,) = build_family(f5, count=1).classes
+        empty = LineClass(scale=f5.element(2), lines=())
+        copy = LineClass(scale=f5.element(3), lines=one.lines[7:8])
+        family = GeometryFamily(field=f5, classes=(one, empty, copy))
+        assert family.repeats == [(one.lines[7], (7, 0), (100, 2))]
+        assert check_disjoint_classes(family).items["scales"] == (1, 3)
+        assert check_union_pls(family, True) == check_pls(union_incidence(family), True)
 
     def test_single_class_family(self, f5):
         assert check_disjoint_classes(build_family(f5, count=1)) is None
