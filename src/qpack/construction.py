@@ -22,7 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .gf import FieldElement, FieldSpec
 
@@ -139,20 +139,35 @@ class GeometryFamily:
     def repeats(self) -> list[tuple[Line, tuple[int, int], tuple[int, int]]]:
         """Each later copy of a line, in union order (the classes in order,
         each in line order): the line, then the (union index, class index)
-        of its first copy and of this copy.  Found in one pass on first use,
-        so the family checks share it; the pass keeps the union index of
-        each line's first copy, and finds a class index only for a copy."""
+        of its first copy and of this copy.  Found on first use, so the
+        family checks share it.  A first pass finds the lines that have a
+        copy with a set of the lines seen; a second keeps the union index of
+        the first copy of those lines alone, and finds a class index only
+        for a copy.  On a q=23 family, a union index for every line, each a
+        fresh int, set the peak of ``verify``."""
         starts = list(accumulate((len(cls.lines) for cls in self.classes), initial=0))
 
         def at(idx: int) -> tuple[int, int]:
             return idx, bisect_right(starts, idx) - 1
 
+        def union() -> Iterator[Line]:
+            return (line for cls in self.classes for line in cls.lines)
+
+        seen: set[Line] = set()
+        again: set[Line] = set()
+        for line in union():
+            if line in seen:
+                again.add(line)
+            else:
+                seen.add(line)
+        del seen
         first: dict[Line, int] = {}
         found = []
-        for idx, line in enumerate(line for cls in self.classes for line in cls.lines):
-            prior = first.setdefault(line, idx)
-            if prior != idx:
-                found.append((line, at(prior), at(idx)))
+        for idx, line in enumerate(union()):
+            if line in again:
+                prior = first.setdefault(line, idx)
+                if prior != idx:
+                    found.append((line, at(prior), at(idx)))
         return found
 
 

@@ -6,6 +6,14 @@ indices, so external tools can consume them without this package.  Parsing is
 strict about structure (bad files raise :class:`GeometryFormatError`) but
 deliberately re-canonicalizes lines, so hand-edited files with extra or moved
 lines remain verifiable.
+
+A geometry file is read by one of two routes, which give the same document.
+Text in the exact form that :func:`family_text` writes (no whitespace between
+tokens, each line object's ``slope`` before its ``base`` and no other key,
+flat metadata) is lexed by compiled patterns, and only the rest of the
+document goes through ``json.loads``.  Any other text, such as a file written
+by ``json.dump`` or pretty-printed, is parsed whole by ``json.loads`` with an
+object hook that decodes each line object as the parser closes it.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import json
 import re
 from collections import Counter
 from contextlib import contextmanager
-from functools import partial
+from functools import cache, partial
 from typing import Any, Iterable, Iterator, Optional
 
 from .construction import (
@@ -107,7 +115,8 @@ _INT = {int}
 
 
 def _decode_object(ids: dict[tuple[int, ...], int], pairs: list[tuple[str, Any]]):
-    """``object_pairs_hook`` of :func:`parse_geometry`.
+    """``object_pairs_hook`` of :func:`_json_geometry`, and of the parse of
+    the document around the lines in :func:`_lex_geometry`.
 
     A repeated key is a format error.  A line object whose ``slope`` and
     ``base`` are each three lists of ints (not bools or floats), all six of
@@ -293,11 +302,115 @@ def _gc_paused():
 def parse_geometry(text: str) -> tuple[Any, list[tuple[int, ...]]]:
     """The document of geometry JSON text, parsed once with the cyclic GC
     paused, and its interned triples in id order: what
-    :func:`family_from_json` decodes.  A repeated key in any object is a
-    format error, since ``json.loads`` would silently keep only its last
-    value.  Each line object is decoded by :func:`_decode_object` as the
-    parser closes it, so the document's coefficient lists are freed line by
-    line and never exist all at once."""
+    :func:`family_from_json` decodes.  Text in the form that
+    :func:`family_text` writes is read by :func:`_lex_geometry`; any other
+    text, and any text that it declines, by :func:`_json_geometry`.  Both
+    give the same document and triples."""
+    with _gc_paused():
+        lexed = _lex_geometry(text)
+    return lexed or _json_geometry(text)
+
+
+# The patterns of _lex_geometry: the head of the document up to the classes
+# map, a class key with its list's bracket, one line object with the comma
+# after it if there is one, and the tail after the classes map.  A triple is
+# three lists of digits and commas, which json.loads then reads or rejects.
+_TRIPLE = r"(\[\[[0-9,]*\],\[[0-9,]*\],\[[0-9,]*\]\])"
+
+
+@cache
+def _geometry_patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern, re.Pattern]:
+    """The compiled patterns of :func:`_lex_geometry`, compiled on the first
+    parse, not at import: ``qpack --version`` never needs them."""
+    return (re.compile(r'\{"version":[0-9]+,"field":\{[^{}]*\},"classes":\{'),
+            re.compile(r'"([0-9]+)":\['),
+            re.compile(rf'\{{"slope":{_TRIPLE},"base":{_TRIPLE}\}}(,?)'),
+            re.compile(r'\}(?:,"metadata":\{[^{}]*\})?\}[ \t\n\r]*\Z'))
+
+
+class _Spellings(dict):
+    """The id of each spelling of a coordinate triple, made on first sight:
+    the id in ``ids`` of its flat coefficient tuple, as
+    :func:`_decode_object` interns it.  Raises ValueError on a spelling that
+    ``json.loads`` rejects or whose rows differ in length."""
+
+    def __init__(self, ids: dict[tuple[int, ...], int]):
+        super().__init__()
+        self.ids = ids
+
+    def __missing__(self, spelling: str) -> int:
+        r0, r1, r2 = json.loads(spelling)
+        if not len(r0) == len(r1) == len(r2):
+            raise ValueError(f"rows of unequal length in {spelling}")
+        flat = (*r0, *r1, *r2)
+        value = self[spelling] = self.ids.setdefault(flat, len(self.ids))
+        return value
+
+
+def _lex_geometry(text: str) -> Optional[tuple[Any, list[tuple[int, ...]]]]:
+    """What :func:`_json_geometry` gives for ``text``, read by compiled
+    patterns, or None when ``text`` is not in the form that
+    :func:`family_text` writes; it never raises.
+
+    Each line object becomes the pair of its slope's and its base's ids, in
+    the order that the hook gives them.  The rest of the document, with
+    each class's list emptied, is parsed by ``json.loads`` with the hook,
+    which judges its keys and values as it would in the whole text; the
+    lexed pairs then fill the emptied lists.  Any error, or a line object in
+    that rest, gives None, and :func:`_json_geometry` reports it.
+    """
+    head, class_key, line_object, tail = _geometry_patterns()
+    match = head.match(text)
+    if match is None:
+        return None
+    start = pos = match.end()
+    ids: dict[tuple[int, ...], int] = {}
+    spelled = _Spellings(ids)
+    classes = []
+    try:
+        while True:
+            match = class_key.match(text, pos)
+            if match is None:
+                return None
+            pos = match.end()
+            lines = []
+            classes.append((match[1], lines))
+            append = lines.append
+            more = text.startswith("{", pos)
+            while more:
+                match = line_object.match(text, pos)
+                if match is None:
+                    return None
+                slope, base, more = match.groups()
+                append((spelled[slope], spelled[base]))
+                pos = match.end()
+            if not text.startswith("]", pos):
+                return None
+            if not text.startswith(",", pos + 1):
+                break
+            pos += 2
+        # all triples of one length, so each line's six rows are of one length
+        if tail.match(text, pos + 1) is None or len(set(map(len, ids))) > 1:
+            return None
+        skeleton = text[:start] + ",".join(f'"{key}":[]' for key, _ in classes) + text[pos + 1:]
+        rest: dict[tuple[int, ...], int] = {}
+        obj = json.loads(skeleton, object_pairs_hook=partial(_decode_object, rest))
+    except (ValueError, RecursionError):
+        return None
+    if rest:
+        return None
+    for key, lines in classes:
+        obj["classes"][key] = lines
+    return obj, list(ids)
+
+
+def _json_geometry(text: str) -> tuple[Any, list[tuple[int, ...]]]:
+    """The document of geometry JSON text in any form, parsed by
+    ``json.loads`` with the cyclic GC paused.  A repeated key in any object
+    is a format error, since ``json.loads`` would silently keep only its
+    last value.  Each line object is decoded by :func:`_decode_object` as
+    the parser closes it, so the document's coefficient lists are freed line
+    by line and never exist all at once."""
     ids: dict[tuple[int, ...], int] = {}
     try:
         with _gc_paused():

@@ -1,6 +1,6 @@
 import pytest
 
-from qpack import GenericIncidence, make_field
+from qpack import GenericIncidence, formats, make_field
 
 from geometry_helpers import incidence
 
@@ -28,6 +28,26 @@ def f7():
 @pytest.fixture(scope="session")
 def f9():
     return make_field(9)
+
+
+@pytest.fixture
+def json_route(monkeypatch):
+    """``parse_geometry`` with the lexer forced to None, so that every text
+    takes the JSON route.  A text that the lexer reads must give the JSON
+    route's document and triples, keys in the same order."""
+    lex, parse = formats._lex_geometry, formats._json_geometry
+
+    def declined(text):
+        lexed = lex(text)
+        if lexed is not None:
+            try:
+                expected = parse(text)
+            except formats.GeometryFormatError as exc:
+                pytest.fail(f"the lexer read a text that the JSON route rejects: {exc}")
+            assert repr(lexed) == repr(expected)
+        return None
+
+    monkeypatch.setattr(formats, "_lex_geometry", declined)
 
 
 def cycle(n: int) -> GenericIncidence:

@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 from perfbench.workloads import inject_triangle, merge_lines
-from qpack import bounds, build_class, class_incidence, cli, make_field, verifier
+from qpack import bounds, build_class, class_incidence, cli, formats, make_field, verifier
 from qpack.cli import main
 from qpack.formats import dumps_family, loads_family, parse_plain_incidence
 from qpack import GeometryFamily, LineClass, canonical_line
@@ -438,6 +438,50 @@ class TestVerify:
 
     def test_jobs_option_is_gone(self, runner, geo5):
         assert run(runner, "verify", str(geo5), "--jobs", "2").exit_code == 2
+
+
+@pytest.mark.usefixtures("json_route")
+class TestVerifyOnJsonRoute(TestVerify):
+    """The verify cases, the geometry rejections among them, with every
+    geometry text read by the JSON route."""
+
+
+class TestLexedInput:
+    """``verify`` reads construct's files with the lexer, and any other
+    geometry text with ``json.loads`` and its hook."""
+
+    def test_construct_output_takes_the_lexer(self, runner, geo5, monkeypatch):
+        """The hook sees the document, the field, the classes map and the
+        metadata, and none of the 400 line objects, which the JSON route
+        hands it one by one."""
+        calls = []
+        decode = formats._decode_object
+        monkeypatch.setattr(formats, "_decode_object",
+                            lambda ids, pairs: calls.append(pairs) or decode(ids, pairs))
+        lexed = run(runner, "verify", str(geo5))
+        assert lexed.exit_code == 0 and len(calls) == 4
+        monkeypatch.setattr(formats, "_lex_geometry", lambda text: None)
+        parsed = run(runner, "verify", str(geo5))
+        assert len(calls) == 4 + 404
+        mask = re.compile(r'"elapsed": [^,}]*')
+        assert mask.sub("", lexed.stdout) == mask.sub("", parsed.stdout)
+
+    @pytest.mark.parametrize("old, new", [
+        ('"version":1', '"version":01'),
+        ('"base":[[0]', '"base":[[' + "9" * 5000 + "]"),
+    ], ids=["version-01", "long-coefficient"])
+    def test_json_errors_are_the_json_route_s(self, runner, geo5, monkeypatch, old, new):
+        """A leading zero, which ``json.loads`` rejects, and an integer with
+        more digits than ``int`` converts: each once raised out of the lexer
+        as a traceback, and each gives the JSON route's one-line error."""
+        text = geo5.read_text()
+        assert old in text
+        text = text.replace(old, new, 1)
+        result = run(runner, "verify", "-", input=text)
+        assert_usage_error(result)
+        assert result.stderr.startswith("error: not valid JSON: ")
+        monkeypatch.setattr(formats, "_lex_geometry", lambda text: None)
+        assert run(runner, "verify", "-", input=text).stderr == result.stderr
 
 
 class TestBound:
@@ -893,6 +937,12 @@ class TestIndexBudget:
         assert [(r["verdict"], r["reason"]) for r in json_lines(result.stdout)] == [
             ("malformed", "line 0 repeats point 1")] * 3
 
+
+
+@pytest.mark.usefixtures("json_route")
+class TestIndexBudgetOnJsonRoute(TestIndexBudget):
+    """The budget cases, the later format error among them, with every
+    geometry text read by the JSON route."""
 
 class TestGeometryPathPinned:
     """sha256 of ``verify --exhaustive``'s records on a geometry file, with

@@ -4,7 +4,10 @@ import gc
 import hashlib
 import itertools
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -413,6 +416,130 @@ class TestLoaderGc:
         loads_family(dumps_family(build_family(f3)))
         assert seen == {False}
         assert gc.isenabled() is gc_on_entry
+
+    def test_paused_while_text_is_lexed(self, f3, gc_on_entry, monkeypatch):
+        seen = []
+        lex = formats._lex_geometry
+        monkeypatch.setattr(formats, "_lex_geometry",
+                            lambda text: seen.append(gc.isenabled()) or lex(text))
+        assert loads_family(dumps_family(build_family(f3))) == build_family(f3)
+        assert seen == [False]
+        assert gc.isenabled() is gc_on_entry
+
+
+Q3_TEXT = dumps_family(build_family(make_field(3)), {"q": 3})
+
+# Edits of the q=3 file that leave it in the form that family_text writes;
+# family_from_json rejects the last two
+LEXED_EDITS = {
+    "trailing-newline": lambda text: text + "\n",
+    "no-metadata": lambda text: text.replace(',"metadata":{"q":3}', ""),
+    "empty-metadata": lambda text: text.replace('{"q":3}', "{}"),
+    "empty-class": lambda text: (text[:text.index('"2":[') + 5]
+                                 + text[text.index("}]", text.index('"2":[')) + 1:]),
+    "classes-out-of-order": lambda text: (
+        text.replace('"1":', '"3":').replace('"2":', '"1":').replace('"3":', '"2":')),
+    "version-99": lambda text: text.replace('"version":1', '"version":99'),
+    "class-key-01": lambda text: text.replace('"1":', '"01":'),
+}
+
+# Edits that take the file out of that form, each read by the JSON route
+DECLINED_EDITS = {
+    "leading-whitespace": lambda text: " " + text,
+    "space-between-tokens": lambda text: text.replace('"version":1', '"version": 1'),
+    "base-first": lambda text: text.replace('{"slope":[[1],[1],[1]],"base":[[0],[0],[0]]}',
+                                            '{"base":[[0],[0],[0]],"slope":[[1],[1],[1]]}', 1),
+    "extra-key": lambda text: text.replace('{"slope":', '{"note":0,"slope":', 1),
+    "version-01": lambda text: text.replace('"version":1', '"version":01'),
+    "leading-zero": lambda text: text.replace('"base":[[0]', '"base":[[00]', 1),
+    "empty-coefficient": lambda text: text.replace('"base":[[0]', '"base":[[0,]', 1),
+    "long-coefficient": lambda text: text.replace('"base":[[0]', '"base":[[' + "9" * 5000 + "]", 1),
+    "rows-unequal-in-a-triple": lambda text: text.replace(
+        '"base":[[0],[0],[0]]', '"base":[[0,0],[0],[]]', 1),
+    "rows-unequal-across-a-line": lambda text: text.replace(
+        '"base":[[0],[0],[0]]', '"base":[[0,0],[0,0],[0,0]]', 1),
+    "nested-metadata": lambda text: text.replace('{"q":3}', '{"q":{"r":3}}'),
+    "line-object-as-field": lambda text: text.replace(
+        '{"p":3,"n":1,"modulus":[0,1]}', '{"slope":[[1],[0],[0]],"base":[[0],[0],[0]]}'),
+    "line-object-as-metadata": lambda text: text.replace(
+        '{"q":3}', '{"slope":[[1],[0],[0]],"base":[[0],[0],[0]]}'),
+    "repeated-class-key": lambda text: text.replace('"2":', '"1":'),
+    "repeated-field-key": lambda text: text.replace('"n":1', '"n":1,"n":1'),
+    "no-classes": lambda text: text[:text.index('"1":')] + text[text.index('},"metadata"'):],
+    "trailing-comma": lambda text: text.replace('}],"2"', '},],"2"'),
+    "class-not-closed": lambda text: text.replace('}],"2"', '}x,"2"'),
+    "last-class-not-closed": lambda text: text.replace('}]},"metadata"', '}x},"metadata"'),
+    "truncated": lambda text: text[:-3],
+    "trailing-text": lambda text: text + "x",
+}
+
+
+class TestLexer:
+    """``parse_geometry`` reads the text that ``family_text`` writes with
+    compiled patterns, and any other text with ``json.loads`` and its hook.
+    The JSON route is the lexer's reference: where the lexer gives a result,
+    it is the JSON route's, keys in the same order; elsewhere it gives None
+    and the JSON route reports the error."""
+
+    @staticmethod
+    def lexed(text):
+        lexed = formats._lex_geometry(text)
+        if lexed is not None:
+            assert repr(lexed) == repr(formats._json_geometry(text))
+        return lexed
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+    def test_reads_the_written_text(self, q):
+        field = make_field(q)
+        assert self.lexed(dumps_family(build_family(field, 1))) is not None
+        metadata = {"q": q, "count": q - 1, "tool": "qpack test"}
+        assert self.lexed(dumps_family(build_family(field), metadata) + "\n") is not None
+
+    @pytest.mark.parametrize("edit", list(LEXED_EDITS))
+    def test_reads_the_written_form(self, edit):
+        text = LEXED_EDITS[edit](Q3_TEXT)
+        assert text != Q3_TEXT
+        assert self.lexed(text) is not None
+
+    @pytest.mark.parametrize("edit", list(DECLINED_EDITS))
+    def test_declines_other_forms(self, edit):
+        text = DECLINED_EDITS[edit](Q3_TEXT)
+        assert text != Q3_TEXT
+        assert formats._lex_geometry(text) is None
+
+    def test_patterns_are_compiled_on_first_parse(self):
+        """Importing ``qpack.formats`` compiles none of the lexer's
+        patterns."""
+        script = ("import qpack.cli, qpack.formats as f; "
+                  "assert f._geometry_patterns.cache_info().currsize == 0")
+        src = str(Path(formats.__file__).parents[1])
+        subprocess.run([sys.executable, "-c", script], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
+
+
+@pytest.mark.usefixtures("json_route")
+class TestElementJsonOnJsonRoute(TestElementJson):
+    """The element cases, every text read by the JSON route."""
+
+
+@pytest.mark.usefixtures("json_route")
+class TestLineJsonOnJsonRoute(TestLineJson):
+    """The line cases, every text read by the JSON route."""
+
+
+@pytest.mark.usefixtures("json_route")
+class TestFamilyJsonOnJsonRoute(TestFamilyJson):
+    """The family and rejection cases, every text read by the JSON route."""
+
+
+@pytest.mark.usefixtures("json_route")
+class TestLineObjectsOutOfPlaceOnJsonRoute(TestLineObjectsOutOfPlace):
+    """The out-of-place line objects, every text read by the JSON route."""
+
+
+@pytest.mark.usefixtures("json_route")
+class TestLoaderGcOnJsonRoute(TestLoaderGc):
+    """The GC cases, every text read by the JSON route."""
 
 
 # sha256 prefixes of dumps_family(build_family(make_field(q))) as written

@@ -51,6 +51,7 @@ from qpack import (
     counting_bound,
     counting_report,
     dependent_slopes,
+    formats,
     make_field,
     min_total_degree,
     moment_curve,
@@ -504,6 +505,24 @@ def test_geometry_parser_rejects_mutated_values(text):
 def test_geometry_parser_rejects_mutated_text(at, cut, insert):
     """Splice random JSON characters into a valid q=3 file."""
     loads_like_reference(Q3_TEXT[:at] + insert + Q3_TEXT[at + cut:])
+
+
+EDIT_CHARACTERS = '{}[],:"0123456789abcdefghijklmnopqrstuvwxyz \n'
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, len(Q3_TEXT)), st.sampled_from(["insert", "delete", "replace"]),
+       st.sampled_from(EDIT_CHARACTERS))
+def test_lexer_matches_the_json_route_on_edited_text(at, edit, char):
+    """One character inserted, deleted or replaced anywhere in a canonical
+    q=3 file: the lexer gives None or exactly the JSON route's document and
+    triples, keys in the same order, and never raises."""
+    cut = 0 if edit == "insert" else 1
+    text = Q3_TEXT[:at] + ("" if edit == "delete" else char) + Q3_TEXT[at + cut:]
+    lexed = formats._lex_geometry(text)
+    event("lexed" if lexed is not None else "declined")
+    if lexed is not None:
+        assert repr(lexed) == repr(load_outcome(formats._json_geometry, text))
 
 
 class Pairs(dict):
