@@ -52,9 +52,10 @@ MAX_SCAN_GRID = 10**6
 # construct holds one class at a time, but verify of the file it writes
 # holds the file's text twice while decoding it, then one id pair per line
 MAX_FAMILY_LINES = 10**6
-# witness texts written to stdout per write: on a million witnesses, one
-# write each took twice as long, and one joined string twice the peak RSS
-WITNESS_BATCH = 4096
+# exhaustive witnesses per json.dumps call and per write: verify of the
+# benchmark's merged-lines q=23 class peaked at 51.4 MB with 4096, 47.0 MB
+# with 512 and 46.8 MB with 128, against 46.7 MB with one call per witness
+WITNESS_BATCH = 128
 
 
 def _fail_usage(message: str):
@@ -66,17 +67,6 @@ def _to_json(value):
     """A value that JSON has no form for, such as a
     :class:`bounds.BoundReport`, as what its ``to_json`` returns."""
     return value.to_json()
-
-
-def _emit(*objs):
-    """Print each object as one JSON line, converting values on the way
-    through :func:`_to_json`.  JSON has no NaN or infinity, so a non-finite
-    number is a usage error and nothing is printed."""
-    try:
-        text = "\n".join(json.dumps(obj, allow_nan=False, default=_to_json) for obj in objs)
-    except ValueError as exc:
-        _fail_usage(f"a result is not a finite number: {exc}")
-    click.echo(text)
 
 
 @click.group()
@@ -134,7 +124,7 @@ def cmd_construct(order: int, count: Optional[int], out: Optional[str]):
     else:
         _write_output(out, chain(texts, ["\n"]))
         summary["out"] = out
-        _emit(summary)
+        _print_records([summary])
         click.echo(
             f"construct: wrote {summary['total_lines']} lines in "
             f"{summary['classes']} classes over {summary['points']} points to {out}",
@@ -176,8 +166,8 @@ def _run_checks(scope: str, target, checks: list, exhaustive: bool) -> list[dict
     """One JSON record per ``(name, (violations, settled))`` pair in
     ``checks``, in order, each check run on ``target``: an incidence structure
     for the structure checks, a geometry family for the family checks.  An
-    exhaustive check's witnesses are turned into their JSON text as the check
-    yields them, so no list of :class:`Witness` objects is ever built."""
+    exhaustive check's witnesses are encoded by one ``json.dumps`` call per
+    :data:`WITNESS_BATCH`, so no list of :class:`Witness` objects is built."""
     results = []
     for name, (violations, settled) in checks:
         start = time.perf_counter()
@@ -185,7 +175,11 @@ def _run_checks(scope: str, target, checks: list, exhaustive: bool) -> list[dict
         try:
             found = violations(target)
             if exhaustive:
-                witnesses = [json.dumps(witness.to_json()) for witness in found]
+                count, batches = 0, []
+                while batch := [witness.to_json() for witness in islice(found, WITNESS_BATCH)]:
+                    count += len(batch)
+                    batches.append(json.dumps(batch)[1:-1])
+                witnesses = {"violations": count, "witnesses": batches} if count else None
             else:
                 witnesses = next(found, None)
             outcome = witnesses or settled(target)
@@ -229,8 +223,8 @@ def _class_records(cls, checks: list, exhaustive: bool) -> list[dict]:
 
 def _record_outcome(record: dict, outcome) -> dict:
     """``record`` with the verdict of ``outcome`` and what it reports: a
-    witness as its JSON object, a non-empty list of witnesses' JSON texts as
-    it is, for :func:`_print_records` to splice into the record's line."""
+    witness as its JSON object, an exhaustive check's count and batch texts
+    as they are, for :func:`_print_records` to write into the record's line."""
     if outcome is None:
         record["verdict"] = "ok"
     elif isinstance(outcome, OrderParams):
@@ -239,9 +233,8 @@ def _record_outcome(record: dict, outcome) -> dict:
         record.update(verdict="ok" if outcome.holds else "violation", **outcome._asdict())
     elif isinstance(outcome, Witness):
         record.update(verdict="violation", witness=outcome.to_json())
-    elif isinstance(outcome, list):
-        record.update(verdict="violation",
-                      witness={"violations": len(outcome), "witnesses": outcome})
+    elif isinstance(outcome, dict):
+        record.update(verdict="violation", witness=outcome)
     else:
         raise AssertionError(f"unhandled outcome {outcome!r}")
     return record
@@ -330,23 +323,28 @@ def _verify_records(input_path: str, checks: tuple, exhaustive: bool) -> list[di
         _fail_usage(str(exc))
 
 
-def _print_records(records: list[dict]):
-    """Print each record as one JSON line, as it is converted.  The JSON texts
-    of an exhaustive check's witnesses, held in the record's
-    ``witness.witnesses``, are spliced into its line :data:`WITNESS_BATCH`
-    at a time, never joined into one string."""
-    for record in records:
-        texts = record.get("witness", {}).get("witnesses")
-        if texts is None:
-            click.echo(json.dumps(record))
-            continue
-        line = json.dumps(record | {"witness": record["witness"] | {"witnesses": []}})
-        head, tail = line.rsplit("[]", 1)
-        click.echo(head + "[", nl=False)
-        for start in range(0, len(texts), WITNESS_BATCH):
-            batch = ", ".join(texts[start:start + WITNESS_BATCH])
-            click.echo(", " + batch if start else batch, nl=False)
-        click.echo("]" + tail)
+def _print_records(records: Iterable):
+    """Print each record as one JSON line, values converted by :func:`_to_json`.
+    Every line is encoded before any is written, so a non-finite number, which
+    JSON lacks, is a usage error with nothing printed.  An exhaustive record
+    holds its witnesses as batch texts, each written into its line by one write."""
+    lines = []
+    try:
+        for record in records:
+            batches = isinstance(record, dict) and record.get("witness", {}).get("witnesses")
+            if batches:
+                record = record | {"witness": record["witness"] | {"witnesses": []}}
+            lines.append((json.dumps(record, allow_nan=False, default=_to_json), batches))
+    except ValueError as exc:
+        _fail_usage(f"a result is not a finite number: {exc}")
+    for line, batches in lines:
+        if batches:
+            head, tail = line.rsplit("[]", 1)
+            click.echo(head + "[" + batches[0], nl=False)
+            for batch in batches[1:]:
+                click.echo(", " + batch, nl=False)
+            line = "]" + tail
+        click.echo(line)
 
 
 @main.command("verify")
@@ -408,7 +406,7 @@ def cmd_bound(k, r, hrs_constant, bbl_constant, eq1_lower_constant, eq1_upper_co
         )
     except bounds.OutOfRangeError as exc:
         _fail_usage(str(exc))
-    _emit(report)
+    _print_records([report])
 
 
 def _parse_range(text: str, name: str) -> range:
@@ -487,7 +485,8 @@ def cmd_exponent(alpha, orientation, do_scan, alpha_max, alpha_step):
         size = math.floor(steps) + 1
         grid = [round(1 + i * alpha_step, 12) for i in range(size)]
         best_alpha, best_degree = bounds.min_total_degree(grid)
-        _emit({"alpha": best_alpha, "total_degree": best_degree, "grid_size": len(grid)})
+        _print_records([{"alpha": best_alpha, "total_degree": best_degree,
+                         "grid_size": len(grid)}])
         return
     if alpha_max is not None or alpha_step is not None:
         _fail_usage("--alpha-max and --alpha-step shape the --scan grid; without --scan "
@@ -499,7 +498,7 @@ def cmd_exponent(alpha, orientation, do_scan, alpha_max, alpha_step):
         reports = [bounds.exponent_analysis(alpha, d) for d in orientations]
     except bounds.AlphaOutOfRangeError as exc:
         _fail_usage(str(exc))
-    _emit(*reports)
+    _print_records(reports)
 
 
 if __name__ == "__main__":

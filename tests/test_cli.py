@@ -844,8 +844,8 @@ def dup5(geo5):
 
 
 class TestWitnessText:
-    """``verify --exhaustive`` turns each witness into its JSON text as its
-    check yields it, and writes a record's texts in batches."""
+    """``verify --exhaustive`` encodes a check's witnesses a batch at a time
+    as its check yields them, and writes each batch's text by one write."""
 
     @pytest.mark.parametrize("batch", [1, 7, 4096])
     def test_stdout_is_pinned(self, runner, dup5, monkeypatch, batch):
@@ -858,6 +858,29 @@ class TestWitnessText:
         assert result.exit_code == 1
         masked = re.sub(r'"elapsed": [0-9.e-]+', '"elapsed": 0', result.stdout)
         digest = "972f731a63ab078b657344c2a2661cdfb3ac20ef886d0c55739acb21ce7ea217"
+        assert hashlib.sha256(masked.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("batch", [1, 7, cli.WITNESS_BATCH])
+    @pytest.mark.parametrize("mutate,kinds,digest", [
+        (merge_lines, {("pls_violation", None), ("order_violation", "line_size"),
+                       ("triangle", None)},
+         "a1e6705e74eff560c403e231423975ad4fd4a8090ea82d71f99f900465ccf981"),
+        (inject_triangle, {("order_violation", "point_degree"), ("triangle", None)},
+         "2df2b365c9ffa78ac61ac24fa15193fb3c2d8f7929ed281c3a873dabe6c14f17"),
+    ], ids=["merged-lines", "injected-triangle"])
+    def test_plain_stdout_is_pinned(self, runner, monkeypatch, mutate, kinds, digest, batch):
+        """sha256 of stdout, each ``elapsed`` value written as 0, on the two
+        mutations of the q=11 class, pinned from the release that encoded
+        each witness by its own ``json.dumps`` call.  Between them they give
+        every witness kind of the structure checks: ``pls_violation``,
+        ``order_violation`` of both details and ``triangle``."""
+        monkeypatch.setattr(cli, "WITNESS_BATCH", batch)
+        result = run(runner, "verify", "-", "--checks", "pls,order,triangle", "--exhaustive",
+                     input=mutated_q11_text(mutate, seed=9))
+        assert result.exit_code == 1
+        assert kinds == {(w["kind"], w.get("detail")) for r in json_lines(result.stdout)
+                         for w in r.get("witness", {}).get("witnesses", [])}
+        masked = re.sub(r'"elapsed": [0-9.e-]+', '"elapsed": 0', result.stdout)
         assert hashlib.sha256(masked.encode()).hexdigest() == digest
 
     def test_no_witness_list_is_alive(self, runner, dup5, monkeypatch):
@@ -1184,4 +1207,21 @@ class TestPinnedOutput:
         stdout = "".join(run(runner, "bound", "--k", k, "--r", r).stdout
                          for k, r in (("2", "3"), ("5", "5"), ("12", "12")))
         digest = "95f4d10119cd703333e52f7ee4248db82d918e45f8315b881a69dcc7a2a6b234"
+        assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
+    def test_exponent(self, runner):
+        """Pinned from the release that printed these lines by a function of
+        their own, apart from ``verify``'s records."""
+        stdout = "".join(run(runner, "exponent", *args).stdout
+                         for args in (["--alpha", "2"], ["--scan", "--alpha-max", "3"]))
+        digest = "8c4ef86226b45815d7d4e921ed02e5a4fd69c700b5ee6f6adf8d16f72860fc1c"
+        assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
+    def test_construct_summary(self, runner, tmp_path):
+        """Pinned as :meth:`test_exponent`, with the file named relative to
+        the working directory, so the summary's ``out`` is the same on every
+        run."""
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            stdout = run(runner, "construct", "--q", "5", "--out", "geo5.json").stdout
+        digest = "597efa12cae90fe93f2fefc6c517b0fd6a886b26645d58aabbc106ce097345e5"
         assert hashlib.sha256(stdout.encode()).hexdigest() == digest
