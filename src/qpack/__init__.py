@@ -42,7 +42,7 @@ from .verifier import (
     check_pls,
     check_triangle_free,
     check_union_pls,
-    certify_class,
+    certify_slopes,
     class_incidence,
     counting_bound,
     counting_report,

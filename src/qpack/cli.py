@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 import click
 
 from . import __version__, bounds, verifier
-from .construction import GeometryFamily, build_class, family_scales
+from .construction import GeometryFamily, LineClass, build_class, family_scales
 from .formats import (
     MAX_FIELD_ORDER,
     GeometryFormatError,
@@ -195,29 +195,29 @@ def _run_checks(scope: str, target, checks: list, exhaustive: bool) -> list[dict
     return results
 
 
-def _class_records(cls, checks: list, exhaustive: bool) -> list[dict]:
-    """The structure checks' records for one class of a geometry file.
-
-    A class that :func:`verifier.certify_class` certifies passes ``pls`` and
-    ``triangle``, has the certificate's order and the counting report of q^3
-    points at that order, which is what the scans would report; every record
-    is printed from the certificate, with no incidence built.  An
-    uncertified class gets its incidence and every scan, and so every
-    witness.  The certificate's time, whether or not it certifies the class,
-    is added to the ``elapsed`` of the class's first record.
-    """
-    scope = f"class:{cls.scale.value}"
-    start = time.perf_counter()
-    order = verifier.certify_class(cls)
-    certify_s = time.perf_counter() - start
+def _class_records(scale, slopes, count: int, lines, checks: list, exhaustive: bool,
+                   start: float) -> list[dict]:
+    """The structure records of the class of ``scale`` in a geometry file,
+    with the slope set ``slopes`` and ``count`` lines, given by ``lines()``.
+    A class that :func:`verifier.certify_slopes` certifies passes ``pls``
+    and ``triangle``, has the certificate's order and the counting report of
+    q^3 points at that order, which is what the scans would report: every
+    record is printed from the certificate.  An uncertified class is decoded
+    and gets its incidence and every scan, and so every witness.  The time
+    from ``start`` to the first check goes into the first record."""
+    scope = f"class:{scale.value}"
+    order = verifier.certify_slopes(scale.field, slopes, count)
     if order is None:
-        records = _run_checks(scope, verifier.class_incidence(cls), checks, exhaustive)
+        target = verifier.class_incidence(LineClass(scale, lines()))
+        setup_s = time.perf_counter() - start
+        records = _run_checks(scope, target, checks, exhaustive)
     else:
+        setup_s = time.perf_counter() - start
         known = {"pls": None, "order": order, "triangle": None,
-                 "counting": verifier.counting_report(cls.field.q**3, order)}
+                 "counting": verifier.counting_report(scale.field.q**3, order)}
         records = [_record_outcome({"check": name, "scope": scope}, known[name]) | {"elapsed": 0.0}
                    for name, _ in checks]
-    records[0]["elapsed"] = round(records[0]["elapsed"] + certify_s, 6)
+    records[0]["elapsed"] = round(records[0]["elapsed"] + setup_s, 6)
     return records
 
 
@@ -260,41 +260,42 @@ def _parse_input(input_path: str) -> tuple:
 
 def _family_records(obj, triples: list, structure_checks: list, family_checks: list,
                     exhaustive: bool) -> list[dict]:
-    """The records of a geometry document, decoded one class at a time: the
-    structure records of each class, then the family checks'.  A line in
-    two classes puts its slope in both, so no line repeats while each
-    class's ``slopes`` is set (its lines are distinct) and meets no earlier
-    class's: such a class is dropped before the next is decoded.  If every
-    class is, each family check is ``ok`` with no walk, and that test's
-    time goes into the first family record.  Otherwise the first class
-    that is not and every later one are kept, the ones before it are
-    decoded again, and ``GeometryFamily.repeats`` walks them in file order.
-    """
-    results, seen, kept, cleared, slopes_s = [], set(), [], 0, 0.0
-    classes = family_from_json(obj, triples)
+    """The records of a geometry document: each class's structure records,
+    made as a first pass reads the classes one at a time, then the family
+    checks'.  A line in two classes puts its slope in both, so no line
+    repeats while each class's slope set is set (its lines are distinct)
+    and meets no earlier class's: if every class passes, each family check
+    is ``ok`` with no walk, and the test's time goes into the first family
+    record.  Otherwise a second pass decodes every class once, clearing its
+    id pairs as it goes, and ``GeometryFamily.repeats`` walks them in file
+    order."""
+    classes, class_slopes, class_lines = family_from_json(obj, triples)
+    results, seen, walk, slopes_s = [], set(), False, 0.0
+    drawn = classes()
     try:
-        for cls in classes:
+        for scale, entries in drawn:
+            start = time.perf_counter()
+            slopes, count, lines = class_slopes(entries)
             if structure_checks:
-                results.extend(_class_records(cls, structure_checks, exhaustive))
-            if family_checks:
+                results.extend(_class_records(scale, slopes, count, lines, structure_checks,
+                                              exhaustive, start))
                 start = time.perf_counter()
-                if kept or cls.slopes is None or not seen.isdisjoint(cls.slopes):
-                    kept.append(cls)
-                    obj["classes"][str(cls.scale.value)].clear()  # not decoded again
-                else:
-                    seen |= cls.slopes
-                    cleared += 1
+            if family_checks and not walk:
+                walk = slopes is None or not seen.isdisjoint(slopes)
+                seen.update(slopes or ())
                 slopes_s += time.perf_counter() - start
     except IndexBudgetError:
-        for _ in classes:  # a later class's format error is reported first
-            pass
+        for _, entries in drawn:  # a later class's format error is reported first:
+            class_slopes(entries)  # this decodes each class not in canonical form
         raise
     if not family_checks:
         return results
-    if kept:
-        earlier = islice(family_from_json(obj, triples), cleared)
-        family = GeometryFamily(field=kept[0].field, classes=(*earlier, *kept))
-        obj["classes"].clear()  # its lines live on in the family
+    if walk:
+        walked = []
+        for scale, entries in classes():
+            walked.append(LineClass(scale, class_lines(entries)))
+            entries.clear()  # its lines live on in the family
+        family = GeometryFamily(field=walked[0].field, classes=tuple(walked))
         family_results = _run_checks("family", family, family_checks, exhaustive)
     else:
         family_results = [{"check": name, "scope": "family", "verdict": "ok", "elapsed": 0.0}

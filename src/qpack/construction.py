@@ -93,8 +93,9 @@ def canonical_line(field: FieldSpec, direction: Sequence[int], anchor: Sequence[
 
 @dataclass(frozen=True)
 class LineClass:
-    """All (q-1)*q^2 canonical lines whose slope lies on one scaled moment
-    curve."""
+    """The canonical lines of one scale's class: a built class holds the
+    (q-1)*q^2 lines whose slope lies on the scaled moment curve, a loaded
+    class whatever lines its file lists, for the verifier to check."""
 
     scale: FieldElement
     lines: tuple[Line, ...]
@@ -102,15 +103,6 @@ class LineClass:
     @property
     def field(self) -> FieldSpec:
         return self.scale.field
-
-    @cached_property
-    def slopes(self) -> Optional[frozenset[Triple]]:
-        """The set of the lines' slopes when the lines are distinct, else
-        None; computed on first read."""
-        lines = self.lines
-        if len(set(lines)) != len(lines):
-            return None
-        return frozenset([slope for slope, _ in lines])
 
     def __repr__(self):
         return f"LineClass(scale={self.scale.value}, lines={len(self.lines)})"

@@ -7,13 +7,13 @@ strict about structure (bad files raise :class:`GeometryFormatError`) but
 deliberately re-canonicalizes lines, so hand-edited files with extra or moved
 lines remain verifiable.
 
-A geometry file is read by one of two routes, which give the same document.
-Text in the exact form that :func:`family_text` writes (no whitespace between
-tokens, each line object's ``slope`` before its ``base`` and no other key,
-flat metadata) is lexed by compiled patterns, and only the rest of the
-document goes through ``json.loads``.  Any other text, such as a file written
-by ``json.dump`` or pretty-printed, is parsed whole by ``json.loads`` with an
-object hook that decodes each line object as the parser closes it.
+A geometry file is read in two steps.  :func:`parse_geometry` turns the text
+into a document in which each line object is the pair of the ids of its
+coordinate triples, interned by their coefficients: text in the exact form
+that :func:`family_text` writes is lexed by compiled patterns, any other text
+parsed by ``json.loads``, to the same document.  :func:`family_from_json`
+then reads it a class at a time, from the ids alone for a class whose lines
+are written in canonical form.
 """
 
 from __future__ import annotations
@@ -30,11 +30,9 @@ from .construction import (
     GeometryFamily,
     Line,
     LineClass,
-    Triple,
     canonical_line,
-    canonical_slope,
 )
-from .gf import FieldSpec, NotPrimePowerError, make_field
+from .gf import FieldElement, FieldSpec, NotPrimePowerError, make_field
 from .verifier import GenericIncidence
 
 FORMAT_VERSION = 1
@@ -147,88 +145,53 @@ def _rows(triple: tuple[int, ...]) -> list[list[int]]:
     return [list(triple[i * size:(i + 1) * size]) for i in range(3)]
 
 
-def _line_decoder(field: FieldSpec, triples: list[tuple[int, ...]]):
-    """The function from one class's line entries to its canonical lines,
-    in the form of :func:`canonical_line`.  It gives None when an entry is
-    not a decoded line, has a row that is not an element, or has a zero
-    slope.  Equal canonical slopes and bases share one tuple."""
-    mul, add, neg = field.mul_table, field.add_table, field.neg_table
-    shared: dict[Triple, Triple] = {}
-    share = shared.setdefault
-    # per interned triple: its values, and as a slope its canonical form and
-    # the index of its leading 1; None where a row is not an element
-    coords: list[Optional[Triple]] = []
-    slopes: list[Optional[tuple[Triple, int]]] = []
-    for triple in triples:
-        value = tuple(field.coeff_index.get(tuple(row)) for row in _rows(triple))
-        value = None if None in value else value
-        coords.append(value)
-        if value is None or not any(value):
-            slopes.append(None)
-        else:
-            slope = canonical_slope(field, value)
-            slopes.append((share(slope, slope), slope.index(1)))
-
-    def class_lines(entries: list) -> Optional[tuple[Line, ...]]:
-        if not {tuple}.issuperset(map(type, entries)):
-            return None
-        lines = []
-        append = lines.append
-        try:
-            for s, b in entries:
-                slope, lead = slopes[s]
-                c0, c1, c2 = slope
-                a = a0, a1, a2 = coords[b]
-                shift = mul[neg[a[lead]]]
-                base = add[a0][shift[c0]], add[a1][shift[c1]], add[a2][shift[c2]]
-                append(Line(slope, share(base, base)))
-        except TypeError:  # a slope or base that is None
-            return None
-        return tuple(lines)
-
-    return class_lines
+def _entry_line(field: FieldSpec, triples: list[tuple[int, ...]], entry: Any) -> Line:
+    """A line entry that is not a pair of element ids, decoded through
+    :func:`canonical_line`: an object holding ``slope`` and ``base`` among
+    other keys.  Any other entry raises its format error."""
+    if type(entry) is tuple:
+        slope, base = _rows(triples[entry[0]]), _rows(triples[entry[1]])
+    elif isinstance(entry, dict) and {"slope", "base"} <= entry.keys():
+        slope, base = entry["slope"], entry["base"]
+    else:
+        raise GeometryFormatError("line must be an object with slope and base")
+    if not (isinstance(slope, list) and isinstance(base, list) and len(slope) == len(base) == 3):
+        raise GeometryFormatError("slope and base must be coordinate triples")
+    coords = []
+    for row in (*slope, *base):
+        if not isinstance(row, list):
+            raise GeometryFormatError(f"element must be a list of {field.n} coefficients")
+        if not _INT.issuperset(map(type, row)):
+            raise GeometryFormatError(f"bad element coefficients {_shown(row)}: not all integers")
+        if tuple(row) not in field.coeff_index:
+            raise GeometryFormatError(f"{row} is not an element of {field!r}")
+        coords.append(field.coeff_index[tuple(row)])
+    if not any(coords[:3]):
+        raise GeometryFormatError("line slope is the zero vector")
+    return canonical_line(field, coords[:3], coords[3:])
 
 
-def _entry_lines(field: FieldSpec, triples: list[tuple[int, ...]],
-                 entries: list) -> tuple[Line, ...]:
-    """A class's lines decoded entry by entry through :func:`canonical_line`,
-    for a class that the table loop cannot take.  An entry is a decoded line
-    or an object holding ``slope`` and ``base`` among other keys; the first
-    entry that is not a line raises its format error."""
-    lines = []
-    for entry in entries:
-        if type(entry) is tuple:
-            slope, base = _rows(triples[entry[0]]), _rows(triples[entry[1]])
-        elif isinstance(entry, dict) and {"slope", "base"} <= entry.keys():
-            slope, base = entry["slope"], entry["base"]
-        else:
-            raise GeometryFormatError("line must be an object with slope and base")
-        if not (isinstance(slope, list) and isinstance(base, list)
-                and len(slope) == len(base) == 3):
-            raise GeometryFormatError("slope and base must be coordinate triples")
-        coords = []
-        for row in (*slope, *base):
-            if not isinstance(row, list):
-                raise GeometryFormatError(f"element must be a list of {field.n} coefficients")
-            if not _INT.issuperset(map(type, row)):
-                raise GeometryFormatError(
-                    f"bad element coefficients {_shown(row)}: not all integers")
-            if tuple(row) not in field.coeff_index:
-                raise GeometryFormatError(f"{row} is not an element of {field!r}")
-            coords.append(field.coeff_index[tuple(row)])
-        if not any(coords[:3]):
-            raise GeometryFormatError("line slope is the zero vector")
-        lines.append(canonical_line(field, coords[:3], coords[3:]))
-    return tuple(lines)
+def family_from_json(obj: Any, triples: list[tuple[int, ...]]):
+    """``(classes, class_slopes, class_lines)``, which read the document
+    that :func:`parse_geometry` gave with its interned triples ``triples`` a
+    class at a time, once its version, field and classes map are checked.
+    ``classes()`` yields each class's scale and entries in file order,
+    checking its key and list as it is drawn; ``class_slopes(entries)``
+    gives its slope set (None when its lines are not distinct), its line
+    count and a function that gives its lines; ``class_lines(entries)``
+    decodes them with the cyclic GC paused.
 
-
-def family_from_json(obj: Any, triples: list[tuple[int, ...]]) -> Iterator[LineClass]:
-    """The classes of a document that :func:`parse_geometry` gave with its
-    interned triples ``triples``, in file order, each decoded as it is
-    drawn with the cyclic GC paused.  The version, the field and the classes
-    map are checked at the first draw, and a class's key and lines when it
-    is drawn, so the first format error is the one that decoding every
-    class in turn meets."""
+    Each id's value triple is found once (None where a row is not an
+    element), with the bit of its leading 1 where it is a canonical slope
+    and the bits of its zero coordinates: an id pair is canonical, as
+    :func:`canonical_line` writes it, when the first meets the second.  A
+    class of canonical pairs has one pair per line, so its slope set and
+    count come from the ids, and its lines, when asked for, share its ids'
+    value triples.  Any other class is decoded at once, each other pair of
+    elements through :func:`canonical_line` and any other entry through
+    :func:`_entry_line`, so the first format error is the one that decoding
+    every class in turn meets.
+    """
     if not isinstance(obj, dict):
         raise GeometryFormatError("geometry file must be a JSON object")
     version = obj.get("version")
@@ -239,17 +202,58 @@ def family_from_json(obj: Any, triples: list[tuple[int, ...]]) -> Iterator[LineC
     if not isinstance(classes_obj, dict) or not classes_obj:
         raise GeometryFormatError("geometry file needs a non-empty classes map")
     scales = {str(s): s for s in range(1, field.q)}
-    class_lines = _line_decoder(field, triples)
-    for key, entries in classes_obj.items():
-        if key not in scales:
-            raise GeometryFormatError(
-                f"class key {key!r} is not the decimal form of a scale in [1, {field.q})"
-            )
-        if not isinstance(entries, list):
-            raise GeometryFormatError(f"class {key!r} must map to a list of lines")
+    element = field.coeff_index.get
+    values, leads, zeros = [], [], []
+    for triple in triples:
+        size = len(triple) // 3
+        value = tuple(element(triple[i * size:(i + 1) * size]) for i in range(3))
+        valid = None not in value
+        values.append(value if valid else None)
+        leads.append(1 << value.index(1) if valid and next(filter(None, value), 0) == 1 else 0)
+        zeros.append(sum(1 << i for i, c in enumerate(value) if c == 0) if valid else 0)
+
+    def classes() -> Iterator[tuple[FieldElement, list]]:
+        for key, entries in classes_obj.items():
+            if key not in scales:
+                raise GeometryFormatError(
+                    f"class key {key!r} is not the decimal form of a scale in [1, {field.q})"
+                )
+            if not isinstance(entries, list):
+                raise GeometryFormatError(f"class {key!r} must map to a list of lines")
+            yield field.element(scales[key]), entries
+
+    def class_lines(entries: list) -> tuple[Line, ...]:
+        lines = []
+        append = lines.append
         with _gc_paused():
-            lines = class_lines(entries) or _entry_lines(field, triples, entries)
-        yield LineClass(scale=field.element(scales[key]), lines=lines)
+            for entry in entries:
+                if type(entry) is tuple:
+                    s, b = entry
+                    slope, base = values[s], values[b]
+                    if leads[s] & zeros[b]:
+                        append(Line(slope, base))
+                        continue
+                    if slope is not None and base is not None and any(slope):
+                        append(canonical_line(field, slope, base))
+                        continue
+                append(_entry_line(field, triples, entry))
+        return tuple(lines)
+
+    def class_slopes(entries: list):
+        if {tuple}.issuperset(map(type, entries)):
+            for s, b in entries:
+                if not leads[s] & zeros[b]:
+                    break
+            else:
+                distinct = len(set(entries)) == len(entries)
+                slopes = frozenset([values[s] for s in {s for s, _ in entries}]) if distinct else None
+                return slopes, len(entries), partial(class_lines, entries)
+        lines = class_lines(entries)
+        distinct = len(set(lines)) == len(lines)
+        slopes = frozenset([slope for slope, _ in lines]) if distinct else None
+        return slopes, len(lines), lambda: lines
+
+    return classes, class_slopes, class_lines
 
 
 def family_text(field: FieldSpec, classes: Iterable[LineClass],
@@ -426,9 +430,10 @@ def _json_geometry(text: str) -> tuple[Any, list[tuple[int, ...]]]:
 
 def loads_family(text: str) -> GeometryFamily:
     """The family of geometry JSON text: every class of
-    :func:`family_from_json`, collected."""
-    classes = tuple(family_from_json(*parse_geometry(text)))
-    return GeometryFamily(field=classes[0].field, classes=classes)
+    :func:`family_from_json`, decoded in file order."""
+    classes, _, class_lines = family_from_json(*parse_geometry(text))
+    decoded = tuple(LineClass(scale, class_lines(entries)) for scale, entries in classes())
+    return GeometryFamily(field=decoded[0].field, classes=decoded)
 
 
 # ---------------------------------------------------------------------------

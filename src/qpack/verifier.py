@@ -3,11 +3,12 @@
 Every structure check consumes a :class:`GenericIncidence` (point ids plus
 lines as point-id tuples), so handcrafted counterexamples, mutated
 structures and imported files are all first-class inputs; the two family
-checks read a :class:`GeometryFamily`'s canonical lines, and
-:func:`certify_class` decides a class that holds every line of its slopes
-from the slope set alone.  A failed check
-returns a :class:`Witness` whose items, fed back to :func:`revalidate`,
-reproduce the violation directly against the structure.
+checks read a :class:`GeometryFamily`'s canonical lines.  A class that
+holds every line of its slopes is decided without its lines by
+:func:`certify_slopes`, from its slope set and line count alone.  A failed
+check returns a :class:`Witness` whose items, fed back to
+:func:`revalidate`, reproduce the violation directly against the
+structure.
 
 Checks stop at the first violation by default; pass ``exhaustive=True`` to
 collect every violation instead.  Each check's ``*_violations`` generator
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
 from operator import or_
-from typing import Any, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Any, Collection, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .construction import GeometryFamily, LineClass, Triple, canonical_slope
 from .gf import FieldSpec
@@ -467,22 +468,21 @@ def dependent_slopes(field: FieldSpec,
     return None
 
 
-def certify_class(line_class: LineClass) -> Optional[OrderParams]:
-    """The class's order (q-1, |S|-1) when it is certified from its slope
-    set S alone, else None.
+def certify_slopes(field: FieldSpec, slopes: Optional[Collection[Triple]],
+                   line_count: int) -> Optional[OrderParams]:
+    """The order (q-1, |S|-1) of a class of ``line_count`` canonical lines
+    over ``field`` with the slope set S = ``slopes`` (None when its lines
+    are not distinct) when S alone certifies it, else None.
 
-    Certified means: the class is non-empty, its lines are distinct
-    (``LineClass.slopes`` gives S) and number |S|*q^2, and
-    :func:`dependent_slopes` finds no dependent triple in S.  Lines are
-    canonical (loaded and built lines always are), so each slope has
-    exactly q^2 lines and the count makes the class complete on S.  A
-    certified class passes :func:`check_pls`, :func:`check_order` and
+    Certified means: S is non-empty, the lines number |S|*q^2, so that the
+    class holds every line of each of its slopes, and
+    :func:`dependent_slopes` finds no dependent triple in S.  A certified
+    class passes :func:`check_pls`, :func:`check_order` and
     :func:`check_triangle_free` on its incidence, where
     :func:`counting_bound` gives ``counting_report(q**3, order)``; a class
     of distinct lines complete on S that is not certified has a triangle.
     """
-    field, slopes = line_class.field, line_class.slopes
-    if not slopes or len(line_class.lines) != len(slopes) * field.q**2:
+    if not slopes or line_count != len(slopes) * field.q**2:
         return None
     if dependent_slopes(field, sorted(slopes)) is not None:
         return None

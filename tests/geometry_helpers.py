@@ -3,8 +3,9 @@
 The library works on point ids and value triples; these helpers go between
 the two, solve line intersections exactly by Cramer's rule over the
 field's operation tables, build a class from any slope set or from a
-hyperoval, and take determinants.  ``incidence`` builds an incidence
-structure from lines written in any point order.
+hyperoval, certify a class from its lines, and take determinants.
+``incidence`` builds an incidence structure from lines written in any
+point order.
 """
 
 from itertools import product
@@ -16,7 +17,9 @@ from qpack import (
     Line,
     LineClass,
     MalformedStructureError,
+    OrderParams,
     canonical_line,
+    certify_slopes,
 )
 
 
@@ -86,6 +89,17 @@ def slope_class(field: FieldSpec, slopes) -> LineClass:
     lines = {canonical_line(field, slope, point)
              for slope in slopes for point in product(range(q), repeat=3)}
     return LineClass(scale=field.element(1), lines=tuple(sorted(lines)))
+
+
+def line_slopes(lines) -> Optional[frozenset]:
+    """The slope set of ``lines``, None when a line repeats: what
+    ``certify_slopes`` takes for a class of canonical lines."""
+    return frozenset(line.slope for line in lines) if len(set(lines)) == len(lines) else None
+
+
+def certify_class(cls: LineClass) -> Optional[OrderParams]:
+    """``certify_slopes`` on a class's lines."""
+    return certify_slopes(cls.field, line_slopes(cls.lines), len(cls.lines))
 
 
 def hyperoval_class(field: FieldSpec) -> LineClass:

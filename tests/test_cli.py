@@ -8,7 +8,6 @@ import random
 import re
 import time
 import weakref
-from functools import cached_property
 
 import pytest
 from click.testing import CliRunner
@@ -17,7 +16,7 @@ from perfbench.workloads import inject_triangle, merge_lines
 from qpack import bounds, build_class, class_incidence, cli, formats, make_field, verifier
 from qpack.cli import main
 from qpack.formats import dumps_family, loads_family, parse_plain_incidence
-from qpack import GeometryFamily, LineClass, canonical_line
+from qpack import GeometryFamily, Line, canonical_line
 
 from geometry_helpers import hyperoval_class, intersect, line_points
 
@@ -774,15 +773,12 @@ class TestInputReleasedBeforePrinting:
             parsed.append(weakref.ref(document))
             return document, triples
 
-        def keep_classes(obj, triples, decode=cli.family_from_json):
-            for cls in decode(obj, triples):
-                parsed.append(weakref.ref(cls))
-                yield cls
-
-        def keep_family(*args, build=cli.GeometryFamily, **kwargs):
-            family = build(*args, **kwargs)
-            parsed.append(weakref.ref(family))
-            return family
+        def keep(build):
+            def built(*args, **kwargs):
+                made = build(*args, **kwargs)
+                parsed.append(weakref.ref(made))
+                return made
+            return built
 
         def print_records(records, _print_records=cli._print_records):
             alive.extend(ref() is not None for ref in parsed)
@@ -790,8 +786,8 @@ class TestInputReleasedBeforePrinting:
 
         monkeypatch.setattr(cli, "parse_plain_incidence", keep_structure)
         monkeypatch.setattr(cli, "parse_geometry", keep_document)
-        monkeypatch.setattr(cli, "family_from_json", keep_classes)
-        monkeypatch.setattr(cli, "GeometryFamily", keep_family)
+        monkeypatch.setattr(cli, "LineClass", keep(cli.LineClass))
+        monkeypatch.setattr(cli, "GeometryFamily", keep(cli.GeometryFamily))
         monkeypatch.setattr(cli, "_print_records", print_records)
         return alive
 
@@ -803,34 +799,40 @@ class TestInputReleasedBeforePrinting:
         assert alive_at_emit == [False]
 
     def test_geometry_family(self, runner, geo5, alive_at_emit):
-        """The document and its four classes, each decoded once: the slope
-        sets decide the family checks."""
+        """The document alone: the slope sets certify every class and decide
+        the family checks, so no class is decoded."""
         assert run(runner, "verify", str(geo5)).exit_code == 0
-        assert alive_at_emit == [False] * 5
+        assert alive_at_emit == [False]
 
     def test_one_class_at_a_time(self, runner, geo5, monkeypatch):
-        """When a class is decoded, of the classes before it only the last,
-        still named by ``verify``'s loop, is alive."""
-        held = []
+        """With a line dropped from every class, no class is certified and
+        each is decoded for its scans; when one is, no class before it is
+        still alive."""
+        obj = json.loads(geo5.read_text())
+        for lines in obj["classes"].values():
+            lines.pop(7)
+        held, refs, build = [], [], cli.LineClass
 
-        def count_held(obj, triples, decode=cli.family_from_json):
-            refs = []
-            for cls in decode(obj, triples):
-                held.append(sum(ref() is not None for ref in refs))
-                refs.append(weakref.ref(cls))
-                yield cls
+        def count_held(*args):
+            cls = build(*args)
+            held.append(sum(ref() is not None for ref in refs))
+            refs.append(weakref.ref(cls))
+            return cls
 
-        monkeypatch.setattr(cli, "family_from_json", count_held)
+        monkeypatch.setattr(cli, "LineClass", count_held)
         for checks in ("pls,order,triangle,disjoint,union", "disjoint,union", "counting"):
-            assert run(runner, "verify", str(geo5), "--checks", checks).exit_code == 0
-        assert held == [0, 1, 1, 1] * 3
+            refs.clear()
+            result = run(runner, "verify", "-", "--checks", checks, input=json.dumps(obj))
+            assert result.exit_code == (0 if checks == "disjoint,union" else 1)
+        assert held == [0, 0, 0, 0] * 2
 
     def test_geometry_family_walked(self, runner, dup5, alive_at_emit):
-        """The document, its four classes, decoded one at a time for the
-        structure checks, class 1, decoded again for the walk of the family
-        checks, and the walked family."""
+        """The document, its four classes, each decoded once for the walk
+        of the family checks, and the walked family.  Classes 1 and 2 hold
+        the same lines, but each is certified, so no class is decoded for
+        its structure records."""
         assert run(runner, "verify", "-", input=dup5).exit_code == 1
-        assert alive_at_emit == [False] * 7
+        assert alive_at_emit == [False] * 6
 
 
 @pytest.fixture
@@ -998,10 +1000,20 @@ def _records(result) -> list[dict]:
 
 
 def _sweep_mutants(obj: dict):
-    """The geometry document and five mutants of it, by name: one slope's
+    """The geometry document and seven mutants of it, by name: one slope's
     lines dropped from class 1, one line dropped from class 1, one line of
-    class 2 repeated, one line moved from class 1 to class 2, and the line
-    lists of classes 1 and 2 swapped."""
+    class 2 repeated, one line moved from class 1 to class 2, the line lists
+    of classes 1 and 2 swapped, every base of class 1 moved one step along
+    its slope, and a line of class 1 repeated with its base so moved."""
+    field = make_field(obj["field"]["p"] ** obj["field"]["n"])
+
+    def moved(line):
+        """The same line, spelled with a base that is not its smallest point."""
+        slope, base = ([field.coeff_index[tuple(row)] for row in line[key]]
+                       for key in ("slope", "base"))
+        return {"slope": line["slope"], "base": [list(field.coeff_table[field.add_table[b][c]])
+                                                 for b, c in zip(base, slope)]}
+
     def edited(edit):
         classes = {key: list(lines) for key, lines in obj["classes"].items()}
         edit(classes)
@@ -1013,6 +1025,9 @@ def _sweep_mutants(obj: dict):
     def swap(c):
         c["1"], c["2"] = c["2"], c["1"]
 
+    def move_bases(c):
+        c["1"] = [moved(ln) for ln in c["1"]]
+
     return {
         "clean": json.dumps(obj),
         "slope-dropped": edited(drop_slope),
@@ -1020,7 +1035,17 @@ def _sweep_mutants(obj: dict):
         "line-duplicated": edited(lambda c: c["2"].append(c["2"][5])),
         "line-moved": edited(lambda c: c["2"].append(c["1"].pop(3))),
         "classes-swapped": edited(swap),
+        "bases-moved": edited(move_bases),
+        "line-respelled": edited(lambda c: c["1"].append(moved(c["1"][5]))),
     }
+
+
+def _without_slope_sets(obj, triples, load=cli.family_from_json):
+    """``family_from_json`` with every class's slope set None, as if its
+    lines were not distinct: no class is certified and the family checks
+    walk the lines."""
+    classes, class_slopes, class_lines = load(obj, triples)
+    return classes, lambda entries: (None, *class_slopes(entries)[1:]), class_lines
 
 
 class TestCertificatePath:
@@ -1028,8 +1053,8 @@ class TestCertificatePath:
     its slope set, and ``disjoint`` and ``union`` from the slope sets of the
     classes when no line can repeat; the records must be the scans' and the
     line walk's records.  The sweep takes full families up to q=9 and three
-    classes above, with ``counting`` up to q=13: the scans of the six full
-    q=19 files alone take about 40 s."""
+    classes above, with ``counting`` up to q=13: the scans of the full q=19
+    files alone take about 40 s."""
 
     @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19])
     def test_records_match_the_scans(self, runner, tmp_path, monkeypatch, q):
@@ -1038,28 +1063,50 @@ class TestCertificatePath:
         assert run(runner, "construct", "--q", str(q), "--count", str(count),
                    "--out", str(path)).exit_code == 0
         checks = ["--checks", "pls,order,triangle,counting,disjoint,union"] if q <= 13 else []
-        certify, family = verifier.certify_class, cli.GeometryFamily
+        certify, family = verifier.certify_slopes, cli.GeometryFamily
         for name, text in _sweep_mutants(json.loads(path.read_text())).items():
             certified, walked = [], []
-            monkeypatch.setattr(verifier, "certify_class",
-                                lambda cls: certified.append(certify(cls)) or certified[-1])
+            monkeypatch.setattr(verifier, "certify_slopes",
+                                lambda *args: certified.append(certify(*args)) or certified[-1])
             monkeypatch.setattr(cli, "GeometryFamily",
                                 lambda **fields: walked.append(True) or family(**fields))
             fast = run(runner, "verify", "-", "--exhaustive", *checks, input=text)
             walked.append(False)
-            monkeypatch.setattr(verifier, "certify_class", lambda cls: None)
-            monkeypatch.setattr(LineClass, "slopes", property(lambda cls: None))
+            monkeypatch.setattr(verifier, "certify_slopes", lambda *args: None)
+            monkeypatch.setattr(cli, "family_from_json", _without_slope_sets)
             scans = run(runner, "verify", "-", "--exhaustive", *checks, input=text)
             monkeypatch.undo()
             assert (fast.exit_code, _records(fast)) == (scans.exit_code, _records(scans)), name
-            assert fast.exit_code == (0 if name in ("clean", "slope-dropped", "classes-swapped")
-                                      else 1), name
+            assert fast.exit_code == (0 if name in ("clean", "slope-dropped", "classes-swapped",
+                                                    "bases-moved") else 1), name
             assert len(certified) == count and certified[2:] == [(q - 1, q - 2)] * (count - 2)
             # the slope route or the walk, then the walk for the scans
-            route = [True] if name in ("line-duplicated", "line-moved") else []
+            route = [True] if name in ("line-duplicated", "line-moved", "line-respelled") else []
             assert walked == route + [False, True], name
-            if name == "clean":
-                assert all(order == (q - 1, q - 2) for order in certified)
+            if name in ("clean", "bases-moved"):
+                assert all(order == (q - 1, q - 2) for order in certified), name
+
+    def test_line_twice_in_two_spellings_is_not_certified(self, runner, geo5, monkeypatch):
+        """Class 1 holds its line 5 twice, once as written and once with
+        its base moved along its slope: distinct id pairs, one line.  The
+        class is not certified, and its records are the scans'."""
+        obj = json.loads(geo5.read_text())
+        text = _sweep_mutants(obj)["line-respelled"]
+        certified, certify = [], verifier.certify_slopes
+        monkeypatch.setattr(verifier, "certify_slopes",
+                            lambda *args: certified.append(certify(*args)) or certified[-1])
+        fast = run(runner, "verify", "-", "--exhaustive", input=text)
+        assert certified == [None, (4, 3), (4, 3), (4, 3)]
+        monkeypatch.setattr(cli, "family_from_json", _without_slope_sets)
+        scans = run(runner, "verify", "-", "--exhaustive", input=text)
+        assert (fast.exit_code, _records(fast)) == (scans.exit_code, _records(scans))
+        records = _records(fast)
+        assert [r["verdict"] for r in records if r["scope"] == "class:1"] == [
+            "violation", "violation", "ok"]
+        assert records[-2:] == [
+            {"check": "disjoint", "scope": "family", "verdict": "ok"},
+            {"check": "union", "scope": "family", "verdict": "violation",
+             "witness": {"violations": 10, "witnesses": records[-1]["witness"]["witnesses"]}}]
 
     def test_default_checks_build_no_class_incidence(self, runner, geo5, monkeypatch):
         def refuse(cls):
@@ -1081,23 +1128,36 @@ class TestCertificatePath:
             self, runner, geo5, monkeypatch, checks, timed, certifies):
         """The certificate's time goes into the first record of its class,
         whether or not it certifies the class."""
-        certify, pause = verifier.certify_class, 0.25
+        certify, pause = verifier.certify_slopes, 0.25
 
-        def slow(cls):
+        def slow(*args):
             time.sleep(pause)
-            return certify(cls) if certifies else None
+            return certify(*args) if certifies else None
 
-        monkeypatch.setattr(verifier, "certify_class", slow)
+        monkeypatch.setattr(verifier, "certify_slopes", slow)
         records = json_lines(run(runner, "verify", str(geo5), "--checks", checks).stdout)
         assert [r["scope"] for r in records if r["elapsed"] >= pause] == [
             f"class:{scale}" for scale in (1, 2, 3, 4)]
         assert {r["check"] for r in records if r["elapsed"] >= pause} == {timed}
 
+    def test_incidence_time_is_in_the_first_record(self, runner, geo5, monkeypatch):
+        """An uncertified class's decode and incidence build go into the
+        ``elapsed`` of its first record, as the certificate's time does."""
+        obj = json.loads(geo5.read_text())
+        obj["classes"]["2"].pop(7)
+        build, pause = verifier.class_incidence, 0.25
+        monkeypatch.setattr(verifier, "class_incidence",
+                            lambda cls: time.sleep(pause) or build(cls))
+        result = run(runner, "verify", "-", input=json.dumps(obj))
+        assert result.exit_code == 1
+        assert [(r["scope"], r["check"]) for r in json_lines(result.stdout)
+                if r["elapsed"] >= pause] == [("class:2", "pls")]
+
     def test_no_certificate_without_a_check_it_decides(self, runner, geo5, monkeypatch):
-        def refuse(cls):
+        def refuse(*args):
             raise AssertionError("verify sought a certificate that decides no selected check")
 
-        monkeypatch.setattr(verifier, "certify_class", refuse)
+        monkeypatch.setattr(verifier, "certify_slopes", refuse)
         result = run(runner, "verify", str(geo5), "--checks", "disjoint,union")
         assert result.exit_code == 0
         assert [r["check"] for r in json_lines(result.stdout)] == ["disjoint", "union"]
@@ -1127,7 +1187,7 @@ class TestCertificatePath:
         do."""
         text = dumps_family(GeometryFamily(f4, (hyperoval_class(f4),)), {"q": 4})
         fast = run(runner, "verify", "-", "--checks", "counting", input=text)
-        monkeypatch.setattr(verifier, "certify_class", lambda cls: None)
+        monkeypatch.setattr(verifier, "certify_slopes", lambda *args: None)
         scans = run(runner, "verify", "-", "--checks", "counting", input=text)
         assert fast.exit_code == scans.exit_code == 0
         assert _records(fast) == _records(scans) == [
@@ -1135,41 +1195,90 @@ class TestCertificatePath:
              "s": 3, "t": 5, "bound": 64, "equality": True}]
 
 
+def count_lines(monkeypatch) -> list[int]:
+    """From now on, the number of ``Line`` objects built, in a list."""
+    built, new = [0], Line.__new__
+
+    def counted(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Line, "__new__", counted)
+    return built
+
+
+class TestNoLinesOnTheCleanPath:
+    """``verify`` of ``construct`` output with the default checks reads
+    every class from its id pairs: it builds no ``Line`` and no class
+    incidence.  On the walk path it builds each line of the file once."""
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13, 16])
+    def test_clean_path_builds_no_line(self, runner, tmp_path, monkeypatch, q):
+        path = tmp_path / "geo.json"
+        assert run(runner, "construct", "--q", str(q), "--out", str(path)).exit_code == 0
+
+        def refuse(cls):
+            raise AssertionError("verify built a class incidence")
+
+        built = count_lines(monkeypatch)
+        monkeypatch.setattr(verifier, "class_incidence", refuse)
+        result = run(runner, "verify", str(path))
+        assert result.exit_code == 0
+        assert len(json_lines(result.stdout)) == 3 * (q - 1) + 2
+        assert built == [0]
+
+    @pytest.mark.parametrize("q", [3, 5, 9, 16])
+    def test_walk_builds_each_line_once(self, runner, tmp_path, monkeypatch, q):
+        """Classes 1 and 2 hold the same lines: each class is certified, and
+        the walk decodes every class once."""
+        path = tmp_path / "geo.json"
+        assert run(runner, "construct", "--q", str(q), "--out", str(path)).exit_code == 0
+        obj = json.loads(path.read_text())
+        obj["classes"]["2"] = obj["classes"]["1"]
+        built = count_lines(monkeypatch)
+        result = run(runner, "verify", "-", input=json.dumps(obj))
+        assert result.exit_code == 1
+        assert [r["verdict"] for r in json_lines(result.stdout)][-2:] == ["violation"] * 2
+        assert built == [(q - 1) ** 2 * q**2]
+
+
 class TestFamilyWalk:
-    """``verify`` reads each class's slope set once, and for the line walk
-    decodes again only the classes before the first one whose slope set
-    cannot clear it, keeping that class and every later one."""
+    """``verify`` reads each class's slope set once, and when the slope sets
+    cannot clear the family, decodes every class once more for the walk."""
 
     def test_slope_sets_are_computed_once(self, runner, geo5, monkeypatch):
-        """``certify_class`` and the family checks both read a class's
-        ``slopes``; it is computed on the first read only."""
-        computed, slopes = [], LineClass.slopes.func
-        counted = cached_property(lambda cls: computed.append(cls.scale.value) or slopes(cls))
-        counted.__set_name__(LineClass, "slopes")
-        monkeypatch.setattr(LineClass, "slopes", counted)
-        assert run(runner, "verify", str(geo5)).exit_code == 0
-        assert computed == [1, 2, 3, 4]
+        """The certificate and the family checks share one ``class_slopes``
+        read per class."""
+        read = []
 
-    def test_walk_decodes_the_earlier_classes_again(self, runner, geo5, monkeypatch):
+        def counted(obj, triples, load=cli.family_from_json):
+            classes, class_slopes, class_lines = load(obj, triples)
+            return classes, lambda entries: read.append(len(entries)) or class_slopes(entries), \
+                class_lines
+
+        monkeypatch.setattr(cli, "family_from_json", counted)
+        assert run(runner, "verify", str(geo5)).exit_code == 0
+        assert read == [100] * 4
+
+    def test_walk_decodes_every_class_once(self, runner, geo5, monkeypatch):
         """With one line moved from class 1 to class 2, class 2's slopes
-        meet class 1's: classes 2, 3 and 4 are kept for the walk, and class
-        1 alone is decoded again.  No line repeats, so the walk finds
-        nothing."""
+        meet class 1's, so the walk decodes every class, each once.  Classes
+        1 and 2 are not certified, so they are decoded before that for their
+        scans alone.  No line repeats, so the walk finds nothing."""
         obj = json.loads(geo5.read_text())
         obj["classes"]["2"].append(obj["classes"]["1"].pop(3))
-        decoded = []
-
-        def count_decoded(obj, triples, decode=cli.family_from_json):
-            for cls in decode(obj, triples):
-                decoded.append(cls.scale.value)
-                yield cls
-
-        monkeypatch.setattr(cli, "family_from_json", count_decoded)
+        decoded, build = [], cli.LineClass
+        monkeypatch.setattr(cli, "LineClass",
+                            lambda scale, lines: decoded.append(scale.value) or build(scale, lines))
         result = run(runner, "verify", "-", input=json.dumps(obj))
         assert result.exit_code == 1
         family = [(r["check"], r["verdict"]) for r in json_lines(result.stdout)[-2:]]
         assert family == [("disjoint", "ok"), ("union", "ok")]
-        assert decoded == [1, 2, 3, 4, 1]
+        assert decoded == [1, 2] + [1, 2, 3, 4]
+        decoded.clear()
+        result = run(runner, "verify", "-", "--checks", "disjoint,union", input=json.dumps(obj))
+        assert result.exit_code == 0
+        assert decoded == [1, 2, 3, 4]
 
     def test_classes_keep_file_order(self, runner, tmp_path):
         """A file that lists class 2 before class 1 prints class 2's records

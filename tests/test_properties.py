@@ -15,7 +15,9 @@ name sparse ids;
 which must replay False without raising; the
 plain parser on random input, which must either parse or raise
 :class:`GeometryFormatError`; ``loads_family`` on mutated and hand-edited
-geometry files, which must give the reference loader's family or message;
+geometry files, which must give the reference loader's family or message,
+and each class's slope set, count and certificate read from its id pairs,
+which must be the reference decode's;
 ``qpack verify`` on such input, which must exit 0, 1 or 2 without a
 traceback; and the exponent scan against the one-report-per-point loop on
 grids with repeated alphas, ties and out-of-range values."""
@@ -41,7 +43,7 @@ from qpack import (
     Witness,
     build_family,
     canonical_slope,
-    certify_class,
+    certify_slopes,
     check_disjoint_classes,
     check_order,
     check_pls,
@@ -68,7 +70,14 @@ from qpack.formats import (
     parse_plain_incidence,
 )
 
-from geometry_helpers import determinant, hyperoval_class, incidence, slope_class
+from geometry_helpers import (
+    certify_class,
+    determinant,
+    hyperoval_class,
+    incidence,
+    line_slopes,
+    slope_class,
+)
 from oracles import (
     brute_force_triangle_check,
     gq_oracle,
@@ -220,7 +229,7 @@ def test_verify_family_records_match_the_checks(family, exhaustive):
     sets decide them or the line walk does, are those of
     ``check_disjoint_classes`` and ``check_union_pls`` on the whole
     family."""
-    slopes = [cls.slopes for cls in family.classes]
+    slopes = [line_slopes(cls.lines) for cls in family.classes]
     decided = None not in slopes and sum(map(len, slopes)) == len(frozenset().union(*slopes))
     event("slope sets" if decided else "line walk")
     expected = [family_record("disjoint", check_disjoint_classes(family, exhaustive)),
@@ -251,10 +260,10 @@ def slope_complete_classes(draw) -> tuple:
 @settings(max_examples=150, deadline=None)
 @given(slope_complete_classes())
 def test_certificate_matches_the_scans(drawn):
-    """``certify_class`` is non-None exactly when ``pls``, ``order`` and
-    ``triangle`` all pass on the class incidence, with the same order and
-    the same counting report, and a dependent triple is three of the slopes
-    with determinant 0."""
+    """``certify_slopes`` on a class's lines is non-None exactly when
+    ``pls``, ``order`` and ``triangle`` all pass on the class incidence,
+    with the same order and the same counting report, and a dependent
+    triple is three of the slopes with determinant 0."""
     field, slopes, cls = drawn
     g = class_incidence(cls)
     pls, order, triangle = check_pls(g), check_order(g), check_triangle_free(g)
@@ -662,6 +671,54 @@ def test_loader_matches_reference_on_edited_files(edited):
     stray line object is compared by verdict and family alone."""
     text, stray = edited
     loads_like_reference(text, messages=not stray)
+
+
+def read_by_slopes(text: str):
+    """Each class of ``text`` as ``family_from_json``'s ``class_slopes``
+    reads it: its scale, slope set, line count, certificate and lines, and
+    whether reading it built a ``Line``; or the first format error's
+    message."""
+    built = []
+    line_type, canonical = formats.Line, formats.canonical_line
+    try:
+        classes, class_slopes, _ = formats.family_from_json(*formats.parse_geometry(text))
+        formats.Line = lambda *args: built.append(True) or line_type(*args)
+        formats.canonical_line = lambda *args: built.append(True) or canonical(*args)
+        read = []
+        for scale, entries in classes():
+            built.clear()
+            slopes, count, lines = class_slopes(entries)
+            decoded = bool(built)
+            certificate = certify_slopes(scale.field, slopes, count)
+            read.append((scale.value, slopes, count, certificate, lines(), decoded))
+        return read
+    except GeometryFormatError as exc:
+        return str(exc)
+    finally:
+        formats.Line, formats.canonical_line = line_type, canonical
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(edited_geometry_texts(), mutated_q3_texts().map(lambda text: (text, False))))
+@example((Q3_TEXT.replace('"base":[[0],[0],[0]]', '"base":[[0],[0],[3]]', 1), False))
+def test_id_route_matches_the_reference_decode(edited):
+    """A class read from its id pairs, with no ``Line`` built, has exactly
+    the slope set, line count and certificate of the class that the
+    reference loader decodes line by line; a class that is not in canonical
+    form is decoded at once, to the same.  A file the reference rejects is
+    rejected, with its message unless a stray line object was written.  The
+    example's base is 0 at the slope's leading 1, but its last row is not
+    an element."""
+    text, stray = edited
+    expected = load_outcome(reference_loads_family, text)
+    read = read_by_slopes(text)
+    if isinstance(expected, str):
+        assert isinstance(read, str) and (stray or read == expected)
+        return
+    event("some class decoded" if any(r[-1] for r in read) else "every class from its ids")
+    assert [r[:-1] for r in read] == [
+        (cls.scale.value, line_slopes(cls.lines), len(cls.lines), certify_class(cls), cls.lines)
+        for cls in expected.classes]
 
 
 @st.composite

@@ -23,7 +23,6 @@ from qpack import (
     build_class,
     build_family,
     canonical_line,
-    certify_class,
     check_disjoint_classes,
     check_order,
     check_pls,
@@ -38,7 +37,7 @@ from qpack import (
     union_incidence,
 )
 
-from geometry_helpers import hyperoval_class, incidence, slope_class
+from geometry_helpers import certify_class, hyperoval_class, incidence, slope_class
 from oracles import brute_force_triangle_check, gq_oracle, neighbourhood
 
 
