@@ -17,10 +17,11 @@ from typing import Iterable, Optional
 import click
 
 from . import __version__, bounds, verifier
-from .construction import GeometryFamily, LineClass, build_class, family_scales
+from .construction import GeometryFamily, LineClass, family_scales
 from .formats import (
     MAX_FIELD_ORDER,
     GeometryFormatError,
+    built_blocks,
     family_from_json,
     family_text,
     parse_geometry,
@@ -49,8 +50,9 @@ FAMILY_CHECKS = {
 ALL_CHECKS = (*STRUCTURE_CHECKS, *FAMILY_CHECKS)
 DEFAULT_CHECKS = ("pls", "order", "triangle", "disjoint", "union")
 MAX_SCAN_GRID = 10**6
-# construct holds one class at a time, but verify of the file it writes
-# holds the file's text twice while decoding it, then one id pair per line
+# construct holds one slope block's text at a time, but verify of the file
+# it writes holds the file's text twice while decoding it, then one id pair
+# per line
 MAX_FAMILY_LINES = 10**6
 # exhaustive witnesses per json.dumps call and per write: verify of the
 # benchmark's merged-lines q=23 class peaked at 51.4 MB with 4096, 47.0 MB
@@ -88,8 +90,9 @@ def main():
 def cmd_construct(order: int, count: Optional[int], out: Optional[str]):
     """Build the full line-class family over GF(q) and write a geometry file.
 
-    Each class is built, rendered and written before the next is built, so
-    only one class's lines and text are alive at a time."""
+    Each class is rendered from its slopes and the spelled bases that every
+    slope shares, and written a slope block at a time, so no line is built
+    and only one block's text is alive at a time."""
     if not 3 <= order <= MAX_FIELD_ORDER:
         _fail_usage(f"q must be in [3, {MAX_FIELD_ORDER}], got {order}")
     try:
@@ -108,8 +111,8 @@ def cmd_construct(order: int, count: Optional[int], out: Optional[str]):
         "count": len(scales),
         "tool": f"qpack {__version__}",
     }
-    classes = (build_class(field, field.element(s)) for s in scales)
-    texts = family_text(field, classes, metadata)
+    blocks = built_blocks(field)
+    texts = family_text(field, ((s, blocks(s)) for s in scales), metadata)
     summary = {
         "points": order**3,
         "classes": len(scales),

@@ -176,12 +176,19 @@ def moment_curve(field: FieldSpec, scale: FieldElement) -> list[Triple]:
     return sorted((1, scaled[alpha], mul[scaled[alpha]][alpha]) for alpha in range(1, field.q))
 
 
-def build_class(field: FieldSpec, scale: FieldElement) -> LineClass:
-    """Every canonical line with slope on the scaled moment curve.  Each
-    slope leads with 1, so by the canonical form in the module docstring its
-    q^2 lines have the bases (0, y, z), taken in ascending (y, z) order."""
+def class_bases(field: FieldSpec) -> list[Triple]:
+    """The q^2 bases (0, y, z) in ascending (y, z) order: the bases of the
+    canonical lines of any slope that leads with 1, by the canonical form in
+    the module docstring."""
     q = field.q
-    bases = [(0, y, z) for y in range(q) for z in range(q)]
+    return [(0, y, z) for y in range(q) for z in range(q)]
+
+
+def build_class(field: FieldSpec, scale: FieldElement) -> LineClass:
+    """Every canonical line with slope on the scaled moment curve, slope by
+    slope: each slope leads with 1, so its lines have the bases of
+    :func:`class_bases`."""
+    bases = class_bases(field)
     lines = tuple(Line(slope, base) for slope in moment_curve(field, scale) for base in bases)
     return LineClass(scale=scale, lines=lines)
 

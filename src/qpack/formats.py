@@ -10,10 +10,10 @@ lines remain verifiable.
 A geometry file is read in two steps.  :func:`parse_geometry` turns the text
 into a document in which each line object is the pair of the ids of its
 coordinate triples, interned by their coefficients: text in the exact form
-that :func:`family_text` writes is lexed by compiled patterns, any other text
-parsed by ``json.loads``, to the same document.  :func:`family_from_json`
-then reads it a class at a time, from the ids alone for a class whose lines
-are written in canonical form.
+that :func:`family_text` writes is lexed, a slope block or a line object at a
+time, any other text parsed by ``json.loads``, to the same document.
+:func:`family_from_json` then reads it a class at a time, from the ids alone
+for a class whose lines are written in canonical form.
 """
 
 from __future__ import annotations
@@ -24,22 +24,24 @@ import re
 from collections import Counter
 from contextlib import contextmanager
 from functools import cache, partial
-from typing import Any, Iterable, Iterator, Optional
+from itertools import groupby, product
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .construction import (
     GeometryFamily,
     Line,
     LineClass,
+    Triple,
     canonical_line,
+    class_bases,
+    moment_curve,
 )
 from .gf import FieldElement, FieldSpec, NotPrimePowerError, make_field
 from .verifier import GenericIncidence
 
 FORMAT_VERSION = 1
 MAX_FIELD_ORDER = 256
-# lines per piece of family_text: with one piece per class, construct --q 23
-# peaked at 21.5 MB rather than 19.4 MB, holding a class's line strings at once
-TEXT_LINES = 1024
 
 
 class GeometryFormatError(ValueError):
@@ -256,27 +258,50 @@ def family_from_json(obj: Any, triples: list[tuple[int, ...]]):
     return classes, class_slopes, class_lines
 
 
-def family_text(field: FieldSpec, classes: Iterable[LineClass],
+def _triple_spelling(field: FieldSpec) -> Callable[[Triple], str]:
+    """The function that spells a coordinate triple over ``field`` as
+    geometry JSON writes it: each element is spelled once, as ``json.dumps``
+    writes its row of ``field.coeff_table``."""
+    dumps = partial(json.dumps, separators=(",", ":"))
+    element = [dumps(row) for row in field.coeff_table]
+    return lambda triple: f"[{element[triple[0]]},{element[triple[1]]},{element[triple[2]]}]"
+
+
+def built_blocks(field: FieldSpec) -> Callable[[int], list[tuple[str, list[str]]]]:
+    """The function that gives the slope blocks of ``build_class(field,
+    scale)`` by scale value: each slope of the class's moment curve, spelled,
+    with the spellings of the q^2 bases of :func:`class_bases`, which every
+    slope shares.  The bases are spelled once per call, and no line is
+    built."""
+    spell = _triple_spelling(field)
+    bases = list(map(spell, class_bases(field)))
+    return lambda scale: [(spell(slope), bases)
+                          for slope in moment_curve(field, field.element(scale))]
+
+
+def _slope_block(slope: str, bases: list[str]) -> str:
+    """The text of the lines of one slope, given spelled: a line object per
+    base, in order, comma-separated."""
+    between = '},{"slope":' + slope + ',"base":'
+    return '{"slope":' + slope + ',"base":' + between.join(bases) + "}"
+
+
+def family_text(field: FieldSpec, classes: Iterable[tuple[int, Iterable[tuple[str, list[str]]]]],
                 metadata: Optional[dict[str, Any]] = None) -> Iterator[str]:
     """The geometry JSON text of a family over ``field``, in pieces: the
     head, the text of each class as it is drawn from ``classes``, then the
-    tail.  Each element is spelled once, as ``json.dumps`` writes its row of
-    ``field.coeff_table``, and each line fills one template with six of
-    those spellings."""
+    tail.  ``classes`` gives each class's scale value and its slope blocks,
+    each a slope and its bases, spelled; each block is one piece, written
+    by :func:`_slope_block`."""
     dumps = partial(json.dumps, separators=(",", ":"))
-    element = [dumps(row) for row in field.coeff_table]
-    template = '{"slope":[%s,%s,%s],"base":[%s,%s,%s]}'
     yield f'{{"version":{dumps(FORMAT_VERSION)},"field":{dumps(field_to_json(field))},"classes":{{'
     separator = ""
-    for cls in classes:
-        yield separator + f'"{cls.scale.value}":['
-        lines = cls.lines
-        for start in range(0, len(lines), TEXT_LINES):
-            yield ("," if start else "") + ",".join([
-                template % (element[s0], element[s1], element[s2],
-                            element[b0], element[b1], element[b2])
-                for (s0, s1, s2), (b0, b1, b2) in lines[start:start + TEXT_LINES]
-            ])
+    for scale, blocks in classes:
+        yield separator + f'"{scale}":['
+        comma = ""
+        for slope, bases in blocks:
+            yield comma + _slope_block(slope, bases)
+            comma = ","
         yield "]"
         separator = ","
     tail = f',"metadata":{dumps(metadata)}' if metadata else ""
@@ -285,8 +310,13 @@ def family_text(field: FieldSpec, classes: Iterable[LineClass],
 
 def dumps_family(family: GeometryFamily, metadata: Optional[dict[str, Any]] = None) -> str:
     """The geometry JSON text of ``family``: the pieces of
-    :func:`family_text`, joined."""
-    return "".join(family_text(family.field, family.classes, metadata))
+    :func:`family_text`, with each class's lines grouped into runs of one
+    slope, each run a block."""
+    spell = _triple_spelling(family.field)
+    classes = ((cls.scale.value, ((spell(slope), [spell(base) for _, base in run])
+                                  for slope, run in groupby(cls.lines, itemgetter(0))))
+               for cls in family.classes)
+    return "".join(family_text(family.field, classes, metadata))
 
 
 @contextmanager
@@ -316,9 +346,10 @@ def parse_geometry(text: str) -> tuple[Any, list[tuple[int, ...]]]:
 
 
 # The patterns of _lex_geometry: the head of the document up to the classes
-# map, a class key with its list's bracket, one line object with the comma
-# after it if there is one, and the tail after the classes map.  A triple is
-# three lists of digits and commas, which json.loads then reads or rejects.
+# map, with its field object, a class key with its list's bracket, one line
+# object with the comma after it if there is one, and the tail after the
+# classes map.  A triple is three lists of digits and commas, which
+# json.loads then reads or rejects.
 _TRIPLE = r"(\[\[[0-9,]*\],\[[0-9,]*\],\[[0-9,]*\]\])"
 
 
@@ -326,7 +357,7 @@ _TRIPLE = r"(\[\[[0-9,]*\],\[[0-9,]*\],\[[0-9,]*\]\])"
 def _geometry_patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern, re.Pattern]:
     """The compiled patterns of :func:`_lex_geometry`, compiled on the first
     parse, not at import: ``qpack --version`` never needs them."""
-    return (re.compile(r'\{"version":[0-9]+,"field":\{[^{}]*\},"classes":\{'),
+    return (re.compile(r'\{"version":[0-9]+,"field":(\{[^{}]*\}),"classes":\{'),
             re.compile(r'"([0-9]+)":\['),
             re.compile(rf'\{{"slope":{_TRIPLE},"base":{_TRIPLE}\}}(,?)'),
             re.compile(r'\}(?:,"metadata":\{[^{}]*\})?\}[ \t\n\r]*\Z'))
@@ -357,11 +388,15 @@ def _lex_geometry(text: str) -> Optional[tuple[Any, list[tuple[int, ...]]]]:
     :func:`family_text` writes; it never raises.
 
     Each line object becomes the pair of its slope's and its base's ids, in
-    the order that the hook gives them.  The rest of the document, with
-    each class's list emptied, is parsed by ``json.loads`` with the hook,
-    which judges its keys and values as it would in the whole text; the
-    lexed pairs then fill the emptied lists.  Any error, or a line object in
-    that rest, gives None, and :func:`_json_geometry` reports it.
+    the order that the hook gives them.  A class whose key names a scale of
+    the head's field is read a slope block at a time while the text holds
+    the next block of ``build_class(field, scale)``, as :func:`built_blocks`
+    spells it, compared in place; the rest of the class, from the first
+    block that differs, is read a line object at a time.  The rest of the
+    document, with each class's list emptied, is parsed by ``json.loads``
+    with the hook, which judges its keys and values as it would in the whole
+    text; the lexed pairs then fill the emptied lists.  Any error, or a line
+    object in that rest, gives None, and :func:`_json_geometry` reports it.
     """
     head, class_key, line_object, tail = _geometry_patterns()
     match = head.match(text)
@@ -370,6 +405,8 @@ def _lex_geometry(text: str) -> Optional[tuple[Any, list[tuple[int, ...]]]]:
     start = pos = match.end()
     ids: dict[tuple[int, ...], int] = {}
     spelled = _Spellings(ids)
+    blocks = _class_blocks(match[1], len(text))
+    base_ids = None
     classes = []
     try:
         while True:
@@ -381,6 +418,19 @@ def _lex_geometry(text: str) -> Optional[tuple[Any, list[tuple[int, ...]]]]:
             classes.append((match[1], lines))
             append = lines.append
             more = text.startswith("{", pos)
+            for slope, bases in blocks(match[1]) if more else ():
+                block = _slope_block(slope, bases)
+                if not text.startswith(block, pos):
+                    break
+                slope_id = spelled[slope]
+                if base_ids is None:  # every block has the same bases
+                    base_ids = [spelled[base] for base in bases]
+                lines.extend(product((slope_id,), base_ids))
+                pos += len(block)
+                more = text.startswith(",", pos)
+                if not more:
+                    break
+                pos += 1
             while more:
                 match = line_object.match(text, pos)
                 if match is None:
@@ -406,6 +456,25 @@ def _lex_geometry(text: str) -> Optional[tuple[Any, list[tuple[int, ...]]]]:
     for key, lines in classes:
         obj["classes"][key] = lines
     return obj, list(ids)
+
+
+def _class_blocks(field_text: str, size: int) -> Callable[[str], list[tuple[str, list[str]]]]:
+    """The slope blocks of the class that a key names in a geometry text of
+    ``size`` characters whose head spells its field as ``field_text``: the
+    blocks of :func:`built_blocks` for a key that is the decimal form of a
+    scale, and none for any other key.  A field that plain ``json.loads``
+    and :func:`field_from_json` do not read gives no blocks, and so does a
+    text too short to hold one block: q^2 line objects of at least 45
+    characters each."""
+    try:
+        field = field_from_json(json.loads(field_text))
+    except (ValueError, RecursionError):
+        return lambda key: []
+    if size < 45 * field.q**2:
+        return lambda key: []
+    built = built_blocks(field)
+    scales = {str(s): s for s in range(1, field.q)}
+    return lambda key: built(scales[key]) if key in scales else []
 
 
 def _json_geometry(text: str) -> tuple[Any, list[tuple[int, ...]]]:

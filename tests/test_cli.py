@@ -13,7 +13,17 @@ import pytest
 from click.testing import CliRunner
 
 from perfbench.workloads import inject_triangle, merge_lines
-from qpack import bounds, build_class, class_incidence, cli, formats, make_field, verifier
+from qpack import (
+    __version__,
+    bounds,
+    build_class,
+    build_family,
+    class_incidence,
+    cli,
+    formats,
+    make_field,
+    verifier,
+)
 from qpack.cli import main
 from qpack.formats import dumps_family, loads_family, parse_plain_incidence
 from qpack import GeometryFamily, Line, canonical_line
@@ -110,6 +120,19 @@ class TestConstruct:
         assert run(runner, "construct", "--q", "16", "--out", str(path)).exit_code == 0
         digest = "c10012a3937eeff11c1ac0fd3ffc977162c929f9c4876daea20605d68baf649b"
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13, 16])
+    def test_file_is_the_built_family_s(self, runner, tmp_path, monkeypatch, q):
+        """construct renders each class from its slopes and the spelled
+        bases they share, building no line: its file is the text that
+        ``dumps_family`` writes for the built family."""
+        metadata = {"q": q, "count": q - 1, "tool": f"qpack {__version__}"}
+        expected = dumps_family(build_family(make_field(q)), metadata) + "\n"
+        path = tmp_path / "g.json"
+        built = count_lines(monkeypatch)
+        assert run(runner, "construct", "--q", str(q), "--out", str(path)).exit_code == 0
+        assert built == [0]
+        assert path.read_text() == expected
 
     def test_family_above_the_line_budget_exits_2(self, runner):
         """q=256 means 4.3e9 lines: refused at once, before any is built."""

@@ -5,11 +5,13 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from qpack import (
     GeometryFamily,
@@ -21,6 +23,7 @@ from qpack import (
     formats,
     make_field,
 )
+from qpack.cli import main
 from qpack.formats import (
     MAX_FIELD_ORDER,
     GeometryFormatError,
@@ -439,6 +442,15 @@ LEXED_EDITS = {
                                  + text[text.index("}]", text.index('"2":[')) + 1:]),
     "classes-out-of-order": lambda text: (
         text.replace('"1":', '"3":').replace('"2":', '"1":').replace('"3":', '"2":')),
+    # at the slope blocks of class "1": (1,1,1)'s nine lines, then (1,2,1)'s
+    "line-appended": lambda text: text.replace(
+        '}],"2":[', '},{"slope":[[1],[1],[2]],"base":[[0],[0],[0]]}],"2":[', 1),
+    "base-moved-mid-block": lambda text: text.replace(
+        '"base":[[0],[1],[1]]', '"base":[[1],[2],[2]]', 1),
+    "last-line-missing": lambda text: (text[:text.rindex(",{", 0, text.index('],"2":['))]
+                                       + text[text.index('],"2":['):]),
+    "block-missing": lambda text: (text[:text.index('"1":[') + 5]
+                                   + text[text.index('{"slope":[[1],[2],[1]]'):]),
     "version-99": lambda text: text.replace('"version":1', '"version":99'),
     "class-key-01": lambda text: text.replace('"1":', '"01":'),
 }
@@ -501,6 +513,42 @@ class TestLexer:
         assert text != Q3_TEXT
         assert self.lexed(text) is not None
 
+    @pytest.mark.parametrize("edit, lines", [
+        (None, 0), ("line-appended", 1), ("base-moved-mid-block", 18),
+        ("last-line-missing", 8), ("block-missing", 9),
+    ])
+    def test_blocks_are_matched_in_place(self, monkeypatch, edit, lines):
+        """Each class reads the slope blocks of its scale's built class as
+        long as the text holds them; from the first block that differs, the
+        rest of the class is read a line object at a time."""
+        head, class_key, line_object, tail = formats._geometry_patterns()
+        matched = []
+
+        class Counted:
+            def match(self, text, pos):
+                matched.append(pos)
+                return line_object.match(text, pos)
+
+        monkeypatch.setattr(formats, "_geometry_patterns",
+                            lambda: (head, class_key, Counted(), tail))
+        text = LEXED_EDITS[edit](Q3_TEXT) if edit else Q3_TEXT
+        assert self.lexed(text) is not None
+        assert len(matched) == lines
+
+    @pytest.mark.parametrize("edit", list(LEXED_EDITS))
+    def test_verify_gives_the_json_route_s_records(self, request, edit):
+        """``verify`` prints the same records, errors and exit code when the
+        JSON route reads the text."""
+        text = LEXED_EDITS[edit](Q3_TEXT)
+        runner = CliRunner()
+        lexed = runner.invoke(main, ["verify", "-"], input=text)
+        request.getfixturevalue("json_route")
+        parsed = runner.invoke(main, ["verify", "-"], input=text)
+        mask = re.compile(r'"elapsed": [^,}]*')
+        assert lexed.exit_code == parsed.exit_code
+        assert mask.sub("", lexed.stdout) == mask.sub("", parsed.stdout)
+        assert lexed.stderr == parsed.stderr
+
     @pytest.mark.parametrize("edit", list(DECLINED_EDITS))
     def test_declines_other_forms(self, edit):
         text = DECLINED_EDITS[edit](Q3_TEXT)
@@ -508,10 +556,12 @@ class TestLexer:
         assert formats._lex_geometry(text) is None
 
     def test_patterns_are_compiled_on_first_parse(self):
-        """Importing ``qpack.formats`` compiles none of the lexer's
-        patterns."""
-        script = ("import qpack.cli, qpack.formats as f; "
-                  "assert f._geometry_patterns.cache_info().currsize == 0")
+        """Importing ``qpack.cli`` compiles none of the lexer's patterns and
+        makes no field, so it spells no element, base or slope block: the
+        writer and the lexer spell them per call, from the field."""
+        script = ("import qpack.cli, qpack.formats as f, qpack.gf as g; "
+                  "assert f._geometry_patterns.cache_info().currsize == 0; "
+                  "assert g.make_field.cache_info().currsize == 0")
         src = str(Path(formats.__file__).parents[1])
         subprocess.run([sys.executable, "-c", script], check=True,
                        env={**os.environ, "PYTHONPATH": src})
