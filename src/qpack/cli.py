@@ -21,6 +21,7 @@ from .construction import GeometryFamily, LineClass, family_scales
 from .formats import (
     MAX_FIELD_ORDER,
     GeometryFormatError,
+    _gc_paused,
     built_blocks,
     family_from_json,
     family_text,
@@ -374,7 +375,8 @@ def cmd_verify(input_path: str, checks_option: str, exhaustive: bool):
         _fail_usage(f"repeated checks {repeated}")
 
     try:
-        results = _verify_records(input_path, checks, exhaustive)
+        with _gc_paused():
+            results = _verify_records(input_path, checks, exhaustive)
     except IndexBudgetError as exc:
         _fail_usage(str(exc))
     _print_records(results)

@@ -9,11 +9,13 @@ lines remain verifiable.
 
 A geometry file is read in two steps.  :func:`parse_geometry` turns the text
 into a document in which each line object is the pair of the ids of its
-coordinate triples, interned by their coefficients: text in the exact form
-that :func:`family_text` writes is lexed, a slope block or a line object at a
-time, any other text parsed by ``json.loads``, to the same document.
-:func:`family_from_json` then reads it a class at a time, from the ids alone
-for a class whose lines are written in canonical form.
+coordinate triples, interned by their coefficients by one object hook: text
+laid out as :func:`family_text` writes it is lexed, each class a slope block
+at a time where it holds the built class's blocks, and any other text is
+parsed by ``json.loads``, to the same document.  :func:`family_from_json`
+then reads it a class at a time, from the ids alone for a class whose lines
+are written in canonical form.  Neither step pauses the cyclic GC; callers
+that parse and decode a whole file do, once (:func:`loads_family`).
 """
 
 from __future__ import annotations
@@ -115,8 +117,9 @@ _INT = {int}
 
 
 def _decode_object(ids: dict[tuple[int, ...], int], pairs: list[tuple[str, Any]]):
-    """``object_pairs_hook`` of :func:`_json_geometry`, and of the parse of
-    the document around the lines in :func:`_lex_geometry`.
+    """``object_pairs_hook`` of :func:`_json_geometry`, and of every parse
+    in :func:`_lex_geometry`: the only code that turns a line object into
+    ids.
 
     A repeated key is a format error.  A line object whose ``slope`` and
     ``base`` are each three lists of ints (not bools or floats), all six of
@@ -181,7 +184,7 @@ def family_from_json(obj: Any, triples: list[tuple[int, ...]]):
     checking its key and list as it is drawn; ``class_slopes(entries)``
     gives its slope set (None when its lines are not distinct), its line
     count and a function that gives its lines; ``class_lines(entries)``
-    decodes them with the cyclic GC paused.
+    decodes them.
 
     Each id's value triple is found once (None where a row is not an
     element), with the bit of its leading 1 where it is a canonical slope
@@ -227,18 +230,17 @@ def family_from_json(obj: Any, triples: list[tuple[int, ...]]):
     def class_lines(entries: list) -> tuple[Line, ...]:
         lines = []
         append = lines.append
-        with _gc_paused():
-            for entry in entries:
-                if type(entry) is tuple:
-                    s, b = entry
-                    slope, base = values[s], values[b]
-                    if leads[s] & zeros[b]:
-                        append(Line(slope, base))
-                        continue
-                    if slope is not None and base is not None and any(slope):
-                        append(canonical_line(field, slope, base))
-                        continue
-                append(_entry_line(field, triples, entry))
+        for entry in entries:
+            if type(entry) is tuple:
+                s, b = entry
+                slope, base = values[s], values[b]
+                if leads[s] & zeros[b]:
+                    append(Line(slope, base))
+                    continue
+                if slope is not None and base is not None and any(slope):
+                    append(canonical_line(field, slope, base))
+                    continue
+            append(_entry_line(field, triples, entry))
         return tuple(lines)
 
     def class_slopes(entries: list):
@@ -323,7 +325,9 @@ def dumps_family(family: GeometryFamily, metadata: Optional[dict[str, Any]] = No
 def _gc_paused():
     """The cyclic GC paused, and re-enabled on exit only if it was enabled.
     No object that a parse or a class decode builds can form a cycle, and a
-    large file would otherwise trigger full collections that find nothing."""
+    large file would otherwise trigger full collections that find nothing.
+    Each entry point pauses once, around its parse and every class decode:
+    :func:`loads_family` here, and ``qpack verify`` around its records."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -334,77 +338,53 @@ def _gc_paused():
 
 
 def parse_geometry(text: str) -> tuple[Any, list[tuple[int, ...]]]:
-    """The document of geometry JSON text, parsed once with the cyclic GC
-    paused, and its interned triples in id order: what
-    :func:`family_from_json` decodes.  Text in the form that
-    :func:`family_text` writes is read by :func:`_lex_geometry`; any other
-    text, and any text that it declines, by :func:`_json_geometry`.  Both
-    give the same document and triples."""
-    with _gc_paused():
-        lexed = _lex_geometry(text)
-    return lexed or _json_geometry(text)
-
-
-# The patterns of _lex_geometry: the head of the document up to the classes
-# map, with its field object, a class key with its list's bracket, one line
-# object with the comma after it if there is one, and the tail after the
-# classes map.  A triple is three lists of digits and commas, which
-# json.loads then reads or rejects.
-_TRIPLE = r"(\[\[[0-9,]*\],\[[0-9,]*\],\[[0-9,]*\]\])"
+    """The document of geometry JSON text, parsed once, and its interned
+    triples in id order: what :func:`family_from_json` decodes.  Text laid
+    out as :func:`family_text` writes it is read by :func:`_lex_geometry`;
+    any other text, and any text that it declines, by
+    :func:`_json_geometry`.  Both give the same document and triples.  The
+    cyclic GC is left as the caller set it."""
+    return _lex_geometry(text) or _json_geometry(text)
 
 
 @cache
-def _geometry_patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern, re.Pattern]:
-    """The compiled patterns of :func:`_lex_geometry`, compiled on the first
-    parse, not at import: ``qpack --version`` never needs them."""
+def _geometry_patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
+    """The compiled patterns of :func:`_lex_geometry`: the head of the
+    document up to the classes map, with its field object; a class key with
+    its list's bracket; and the tail after the classes map.  They are
+    compiled on the first parse, not at import: ``qpack --version`` never
+    needs them."""
     return (re.compile(r'\{"version":[0-9]+,"field":(\{[^{}]*\}),"classes":\{'),
             re.compile(r'"([0-9]+)":\['),
-            re.compile(rf'\{{"slope":{_TRIPLE},"base":{_TRIPLE}\}}(,?)'),
             re.compile(r'\}(?:,"metadata":\{[^{}]*\})?\}[ \t\n\r]*\Z'))
 
 
-class _Spellings(dict):
-    """The id of each spelling of a coordinate triple, made on first sight:
-    the id in ``ids`` of its flat coefficient tuple, as
-    :func:`_decode_object` interns it.  Raises ValueError on a spelling that
-    ``json.loads`` rejects or whose rows differ in length."""
-
-    def __init__(self, ids: dict[tuple[int, ...], int]):
-        super().__init__()
-        self.ids = ids
-
-    def __missing__(self, spelling: str) -> int:
-        r0, r1, r2 = json.loads(spelling)
-        if not len(r0) == len(r1) == len(r2):
-            raise ValueError(f"rows of unequal length in {spelling}")
-        flat = (*r0, *r1, *r2)
-        value = self[spelling] = self.ids.setdefault(flat, len(self.ids))
-        return value
-
-
 def _lex_geometry(text: str) -> Optional[tuple[Any, list[tuple[int, ...]]]]:
-    """What :func:`_json_geometry` gives for ``text``, read by compiled
-    patterns, or None when ``text`` is not in the form that
-    :func:`family_text` writes; it never raises.
+    """What :func:`_json_geometry` gives for ``text``, with the slope blocks
+    that :func:`family_text` writes matched in place, or None when ``text``
+    is not laid out as that function writes it; it never raises.
 
-    Each line object becomes the pair of its slope's and its base's ids, in
-    the order that the hook gives them.  A class whose key names a scale of
-    the head's field is read a slope block at a time while the text holds
-    the next block of ``build_class(field, scale)``, as :func:`built_blocks`
-    spells it, compared in place; the rest of the class, from the first
-    block that differs, is read a line object at a time.  The rest of the
-    document, with each class's list emptied, is parsed by ``json.loads``
-    with the hook, which judges its keys and values as it would in the whole
-    text; the lexed pairs then fill the emptied lists.  Any error, or a line
-    object in that rest, gives None, and :func:`_json_geometry` reports it.
+    A class whose key names a scale of the head's field is read a slope
+    block at a time while the text holds the next block of
+    ``build_class(field, scale)``, as :func:`built_blocks` spells it.  The
+    ids come from :func:`_decode_object`, the JSON route's hook, in the
+    order that route gives them: each matched block's first line object is
+    decoded in place for its slope's id, and the first matched block's text
+    once for the ids of the bases, which every block shares.  A class that
+    is not exactly a run of built blocks closed by ``]`` has its whole list
+    decoded by the hook's parser.  The rest of the document, with each
+    class's list emptied, is parsed by ``json.loads`` with the hook, which
+    judges its keys and values as it would in the whole text; the classes
+    then fill the emptied lists.  Any error, or a line object in that rest,
+    gives None, and :func:`_json_geometry` reports it.
     """
-    head, class_key, line_object, tail = _geometry_patterns()
+    head, class_key, tail = _geometry_patterns()
     match = head.match(text)
     if match is None:
         return None
     start = pos = match.end()
     ids: dict[tuple[int, ...], int] = {}
-    spelled = _Spellings(ids)
+    decode = json.JSONDecoder(object_pairs_hook=partial(_decode_object, ids)).raw_decode
     blocks = _class_blocks(match[1], len(text))
     base_ids = None
     classes = []
@@ -415,38 +395,29 @@ def _lex_geometry(text: str) -> Optional[tuple[Any, list[tuple[int, ...]]]]:
                 return None
             pos = match.end()
             lines = []
-            classes.append((match[1], lines))
-            append = lines.append
-            more = text.startswith("{", pos)
-            for slope, bases in blocks(match[1]) if more else ():
+            for slope, bases in blocks(match[1]):
                 block = _slope_block(slope, bases)
                 if not text.startswith(block, pos):
                     break
-                slope_id = spelled[slope]
+                slope_id = decode(text, pos)[0][0]
                 if base_ids is None:  # every block has the same bases
-                    base_ids = [spelled[base] for base in bases]
+                    base_ids = [base for _, base in decode(f"[{block}]")[0]]
                 lines.extend(product((slope_id,), base_ids))
                 pos += len(block)
-                more = text.startswith(",", pos)
-                if not more:
+                if not text.startswith(",", pos):
                     break
                 pos += 1
-            while more:
-                match = line_object.match(text, pos)
-                if match is None:
-                    return None
-                slope, base, more = match.groups()
-                append((spelled[slope], spelled[base]))
-                pos = match.end()
-            if not text.startswith("]", pos):
-                return None
-            if not text.startswith(",", pos + 1):
+            if text[pos - 1] == "," or not text.startswith("]", pos):
+                lines, pos = decode(text, match.end() - 1)
+            else:
+                pos += 1
+            classes.append((match[1], lines))
+            if not text.startswith(",", pos):
                 break
-            pos += 2
-        # all triples of one length, so each line's six rows are of one length
-        if tail.match(text, pos + 1) is None or len(set(map(len, ids))) > 1:
+            pos += 1
+        if tail.match(text, pos) is None:
             return None
-        skeleton = text[:start] + ",".join(f'"{key}":[]' for key, _ in classes) + text[pos + 1:]
+        skeleton = text[:start] + ",".join(f'"{key}":[]' for key, _ in classes) + text[pos:]
         rest: dict[tuple[int, ...], int] = {}
         obj = json.loads(skeleton, object_pairs_hook=partial(_decode_object, rest))
     except (ValueError, RecursionError):
@@ -479,15 +450,14 @@ def _class_blocks(field_text: str, size: int) -> Callable[[str], list[tuple[str,
 
 def _json_geometry(text: str) -> tuple[Any, list[tuple[int, ...]]]:
     """The document of geometry JSON text in any form, parsed by
-    ``json.loads`` with the cyclic GC paused.  A repeated key in any object
-    is a format error, since ``json.loads`` would silently keep only its
-    last value.  Each line object is decoded by :func:`_decode_object` as
-    the parser closes it, so the document's coefficient lists are freed line
-    by line and never exist all at once."""
+    ``json.loads``.  A repeated key in any object is a format error, since
+    ``json.loads`` would silently keep only its last value.  Each line
+    object is decoded by :func:`_decode_object` as the parser closes it, so
+    the document's coefficient lists are freed line by line and never exist
+    all at once."""
     ids: dict[tuple[int, ...], int] = {}
     try:
-        with _gc_paused():
-            obj = json.loads(text, object_pairs_hook=partial(_decode_object, ids))
+        obj = json.loads(text, object_pairs_hook=partial(_decode_object, ids))
     except GeometryFormatError:
         raise
     except ValueError as exc:  # a decode error, or an integer too long for int
@@ -499,9 +469,11 @@ def _json_geometry(text: str) -> tuple[Any, list[tuple[int, ...]]]:
 
 def loads_family(text: str) -> GeometryFamily:
     """The family of geometry JSON text: every class of
-    :func:`family_from_json`, decoded in file order."""
-    classes, _, class_lines = family_from_json(*parse_geometry(text))
-    decoded = tuple(LineClass(scale, class_lines(entries)) for scale, entries in classes())
+    :func:`family_from_json`, decoded in file order with the cyclic GC
+    paused."""
+    with _gc_paused():
+        classes, _, class_lines = family_from_json(*parse_geometry(text))
+        decoded = tuple(LineClass(scale, class_lines(entries)) for scale, entries in classes())
     return GeometryFamily(field=decoded[0].field, classes=decoded)
 
 

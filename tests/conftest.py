@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from qpack import GenericIncidence, formats, make_field
@@ -48,6 +50,16 @@ def json_route(monkeypatch):
         return None
 
     monkeypatch.setattr(formats, "_lex_geometry", declined)
+
+
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def gc_on_entry(request):
+    """The cyclic GC enabled or disabled for the test, as its parameter
+    says, and set back as it was afterwards."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
 
 
 def cycle(n: int) -> GenericIncidence:

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: commands, formats, witnesses and exit codes."""
 
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -474,17 +475,18 @@ class TestLexedInput:
 
     def test_construct_output_takes_the_lexer(self, runner, geo5, monkeypatch):
         """The hook sees the document, the field, the classes map and the
-        metadata, and none of the 400 line objects, which the JSON route
-        hands it one by one."""
+        metadata, the first line object of each of the 16 slope blocks and
+        the 25 bases once: 45 calls, where the JSON route hands it each of
+        the 400 line objects."""
         calls = []
         decode = formats._decode_object
         monkeypatch.setattr(formats, "_decode_object",
                             lambda ids, pairs: calls.append(pairs) or decode(ids, pairs))
         lexed = run(runner, "verify", str(geo5))
-        assert lexed.exit_code == 0 and len(calls) == 4
+        assert lexed.exit_code == 0 and len(calls) == 45
         monkeypatch.setattr(formats, "_lex_geometry", lambda text: None)
         parsed = run(runner, "verify", str(geo5))
-        assert len(calls) == 4 + 404
+        assert len(calls) == 45 + 404
         mask = re.compile(r'"elapsed": [^,}]*')
         assert mask.sub("", lexed.stdout) == mask.sub("", parsed.stdout)
 
@@ -504,6 +506,33 @@ class TestLexedInput:
         assert result.stderr.startswith("error: not valid JSON: ")
         monkeypatch.setattr(formats, "_lex_geometry", lambda text: None)
         assert run(runner, "verify", "-", input=text).stderr == result.stderr
+
+
+class TestGcPausedOnce:
+    """``verify`` pauses the cyclic GC once, around its parse and every
+    class decode, and leaves it as it found it on each exit code."""
+
+    @pytest.mark.parametrize("case, code", [("ok", 0), ("walked", 1), ("bad-element", 2)])
+    def test_paused_while_parsing_and_decoding(self, runner, geo5, dup5, monkeypatch,
+                                               gc_on_entry, case, code):
+        text = {"ok": geo5.read_text(), "walked": dup5,
+                "bad-element": geo5.read_text().replace('"base":[[0]', '"base":[[7]', 1)}[case]
+        seen = []
+        parse, read = cli.parse_geometry, cli.family_from_json
+
+        def spied(function):
+            return lambda *args: seen.append(gc.isenabled()) or function(*args)
+
+        def family_from_json(obj, triples):
+            classes, class_slopes, class_lines = read(obj, triples)
+            return classes, spied(class_slopes), spied(class_lines)
+
+        monkeypatch.setattr(cli, "parse_geometry", spied(parse))
+        monkeypatch.setattr(cli, "family_from_json", family_from_json)
+        result = run(runner, "verify", "-", input=text)
+        assert result.exit_code == code
+        assert seen and not any(seen)
+        assert gc.isenabled() is gc_on_entry
 
 
 class TestBound:

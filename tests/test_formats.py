@@ -382,15 +382,9 @@ class TestWriterOracle:
 
 
 class TestLoaderGc:
-    """``loads_family`` pauses the cyclic GC and leaves it as it found it,
-    on success and on each error path."""
-
-    @pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
-    def gc_on_entry(self, request):
-        was_enabled = gc.isenabled()
-        (gc.enable if request.param else gc.disable)()
-        yield request.param
-        (gc.enable if was_enabled else gc.disable)()
+    """``loads_family`` pauses the cyclic GC once, around its parse and
+    every class decode, and leaves it as it found it, on success and on
+    each error path."""
 
     @pytest.mark.parametrize("edit, error", [
         (lambda text: text, None),
@@ -432,8 +426,10 @@ class TestLoaderGc:
 
 Q3_TEXT = dumps_family(build_family(make_field(3)), {"q": 3})
 
-# Edits of the q=3 file that leave it in the form that family_text writes;
-# family_from_json rejects the last two
+# Edits of the q=3 file that the lexer reads: the head, the class keys and
+# the tail stay as family_text writes them.  A class whose list is not a run
+# of its built class's slope blocks is decoded whole by the JSON route's
+# hook; family_from_json rejects the last two
 LEXED_EDITS = {
     "trailing-newline": lambda text: text + "\n",
     "no-metadata": lambda text: text.replace(',"metadata":{"q":3}', ""),
@@ -451,6 +447,14 @@ LEXED_EDITS = {
                                        + text[text.index('],"2":['):]),
     "block-missing": lambda text: (text[:text.index('"1":[') + 5]
                                    + text[text.index('{"slope":[[1],[2],[1]]'):]),
+    "base-first": lambda text: text.replace('{"slope":[[1],[1],[1]],"base":[[0],[0],[0]]}',
+                                            '{"base":[[0],[0],[0]],"slope":[[1],[1],[1]]}', 1),
+    "extra-key": lambda text: text.replace('{"slope":', '{"note":0,"slope":', 1),
+    "rows-unequal-in-a-triple": lambda text: text.replace(
+        '"base":[[0],[0],[0]]', '"base":[[0,0],[0],[]]', 1),
+    "rows-unequal-across-a-line": lambda text: text.replace(
+        '"base":[[0],[0],[0]]', '"base":[[0,0],[0,0],[0,0]]', 1),
+    "whitespace-in-a-class": lambda text: text.replace('}],"2":[', '}\n ],"2":[', 1),
     "version-99": lambda text: text.replace('"version":1', '"version":99'),
     "class-key-01": lambda text: text.replace('"1":', '"01":'),
 }
@@ -459,17 +463,10 @@ LEXED_EDITS = {
 DECLINED_EDITS = {
     "leading-whitespace": lambda text: " " + text,
     "space-between-tokens": lambda text: text.replace('"version":1', '"version": 1'),
-    "base-first": lambda text: text.replace('{"slope":[[1],[1],[1]],"base":[[0],[0],[0]]}',
-                                            '{"base":[[0],[0],[0]],"slope":[[1],[1],[1]]}', 1),
-    "extra-key": lambda text: text.replace('{"slope":', '{"note":0,"slope":', 1),
     "version-01": lambda text: text.replace('"version":1', '"version":01'),
     "leading-zero": lambda text: text.replace('"base":[[0]', '"base":[[00]', 1),
     "empty-coefficient": lambda text: text.replace('"base":[[0]', '"base":[[0,]', 1),
     "long-coefficient": lambda text: text.replace('"base":[[0]', '"base":[[' + "9" * 5000 + "]", 1),
-    "rows-unequal-in-a-triple": lambda text: text.replace(
-        '"base":[[0],[0],[0]]', '"base":[[0,0],[0],[]]', 1),
-    "rows-unequal-across-a-line": lambda text: text.replace(
-        '"base":[[0],[0],[0]]', '"base":[[0,0],[0,0],[0,0]]', 1),
     "nested-metadata": lambda text: text.replace('{"q":3}', '{"q":{"r":3}}'),
     "line-object-as-field": lambda text: text.replace(
         '{"p":3,"n":1,"modulus":[0,1]}', '{"slope":[[1],[0],[0]],"base":[[0],[0],[0]]}'),
@@ -487,8 +484,9 @@ DECLINED_EDITS = {
 
 
 class TestLexer:
-    """``parse_geometry`` reads the text that ``family_text`` writes with
-    compiled patterns, and any other text with ``json.loads`` and its hook.
+    """``parse_geometry`` reads the text that ``family_text`` writes by
+    matching slope blocks in place, and any other text with ``json.loads``
+    and its hook, which also gives the lexer every id it hands out.
     The JSON route is the lexer's reference: where the lexer gives a result,
     it is the JSON route's, keys in the same order; elsewhere it gives None
     and the JSON route reports the error."""
@@ -513,27 +511,26 @@ class TestLexer:
         assert text != Q3_TEXT
         assert self.lexed(text) is not None
 
-    @pytest.mark.parametrize("edit, lines", [
-        (None, 0), ("line-appended", 1), ("base-moved-mid-block", 18),
-        ("last-line-missing", 8), ("block-missing", 9),
+    @pytest.mark.parametrize("edit, calls", [
+        (None, 17), ("line-appended", 36), ("base-moved-mid-block", 33),
+        ("last-line-missing", 33), ("block-missing", 24), ("extra-key", 33),
+        ("whitespace-in-a-class", 35),
     ])
-    def test_blocks_are_matched_in_place(self, monkeypatch, edit, lines):
-        """Each class reads the slope blocks of its scale's built class as
-        long as the text holds them; from the first block that differs, the
-        rest of the class is read a line object at a time."""
-        head, class_key, line_object, tail = formats._geometry_patterns()
-        matched = []
-
-        class Counted:
-            def match(self, text, pos):
-                matched.append(pos)
-                return line_object.match(text, pos)
-
-        monkeypatch.setattr(formats, "_geometry_patterns",
-                            lambda: (head, class_key, Counted(), tail))
+    def test_blocks_are_matched_in_place(self, monkeypatch, edit, calls):
+        """Each class reads the slope blocks of its scale's built class in
+        place; a class whose list is anything else is decoded whole, and the
+        others stay matched.  The hook sees the 4 objects around the
+        classes, the first line object of each matched block, the 9 bases
+        once, and each line object of a class decoded whole: 4 + 4 + 9 for
+        the written text, whose 2 classes hold 2 blocks of 9 lines each."""
+        seen = []
+        decode = formats._decode_object
+        monkeypatch.setattr(formats, "_decode_object",
+                            lambda ids, pairs: seen.append(pairs) or decode(ids, pairs))
         text = LEXED_EDITS[edit](Q3_TEXT) if edit else Q3_TEXT
-        assert self.lexed(text) is not None
-        assert len(matched) == lines
+        lexed = formats._lex_geometry(text)
+        assert len(seen) == calls
+        assert repr(lexed) == repr(formats._json_geometry(text))
 
     @pytest.mark.parametrize("edit", list(LEXED_EDITS))
     def test_verify_gives_the_json_route_s_records(self, request, edit):
