@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 import click
 
 from . import __version__, bounds, verifier
-from .construction import GeometryFamily, LineClass, family_scales
+from .construction import Line, LineClass, family_scales, repeated_lines
 from .formats import (
     MAX_FIELD_ORDER,
     GeometryFormatError,
@@ -44,9 +44,10 @@ STRUCTURE_CHECKS = {
     "triangle": (verifier.triangle_violations, lambda g: None),
     "counting": (lambda g: iter(()), verifier.counting_bound),
 }
+# the family checks run on the line walk's (repeats, scales, field)
 FAMILY_CHECKS = {
-    "disjoint": (verifier.overlap_violations, lambda family: None),
-    "union": (verifier.union_violations, lambda family: None),
+    "disjoint": (lambda walk: verifier.overlap_violations(walk[0], walk[1]), lambda walk: None),
+    "union": (lambda walk: verifier.union_violations(walk[0], walk[2]), lambda walk: None),
 }
 ALL_CHECKS = (*STRUCTURE_CHECKS, *FAMILY_CHECKS)
 DEFAULT_CHECKS = ("pls", "order", "triangle", "disjoint", "union")
@@ -169,7 +170,7 @@ def _write_output(path: str, texts: Iterable[str]):
 def _run_checks(scope: str, target, checks: list, exhaustive: bool) -> list[dict]:
     """One JSON record per ``(name, (violations, settled))`` pair in
     ``checks``, in order, each check run on ``target``: an incidence structure
-    for the structure checks, a geometry family for the family checks.  An
+    for the structure checks, the line walk for the family checks.  An
     exhaustive check's witnesses are encoded by one ``json.dumps`` call per
     :data:`WITNESS_BATCH`, so no list of :class:`Witness` objects is built."""
     results = []
@@ -199,20 +200,28 @@ def _run_checks(scope: str, target, checks: list, exhaustive: bool) -> list[dict
     return results
 
 
-def _class_records(scale, slopes, count: int, lines, checks: list, exhaustive: bool,
+def _class_slopes(values: list, pairs: list) -> Optional[frozenset]:
+    """The slope set of a class's canonical id pairs, or None if one repeats."""
+    distinct = len(set(pairs)) == len(pairs)
+    return frozenset([values[s] for s in {s for s, _ in pairs}]) if distinct else None
+
+
+def _class_records(scale, slopes, pairs: list, values: list, checks: list, exhaustive: bool,
                    start: float) -> list[dict]:
     """The structure records of the class of ``scale`` in a geometry file,
-    with the slope set ``slopes`` and ``count`` lines, given by ``lines()``.
-    A class that :func:`verifier.certify_slopes` certifies passes ``pls``
-    and ``triangle``, has the certificate's order and the counting report of
+    with the slope set ``slopes`` and the canonical id pairs ``pairs``.  A
+    class that :func:`verifier.certify_slopes` certifies passes ``pls`` and
+    ``triangle``, has the certificate's order and the counting report of
     q^3 points at that order, which is what the scans would report: every
-    record is printed from the certificate.  An uncertified class is decoded
-    and gets its incidence and every scan, and so every witness.  The time
-    from ``start`` to the first check goes into the first record."""
+    record is printed from the certificate.  An uncertified class's lines
+    are built from its pairs for its incidence and every scan, and so every
+    witness.  The time from ``start`` to the first check goes into the
+    first record."""
     scope = f"class:{scale.value}"
-    order = verifier.certify_slopes(scale.field, slopes, count)
+    order = verifier.certify_slopes(scale.field, slopes, len(pairs))
     if order is None:
-        target = verifier.class_incidence(LineClass(scale, lines()))
+        lines = tuple(Line(values[s], values[b]) for s, b in pairs)
+        target = verifier.class_incidence(LineClass(scale, lines))
         setup_s = time.perf_counter() - start
         records = _run_checks(scope, target, checks, exhaustive)
     else:
@@ -265,46 +274,40 @@ def _parse_input(input_path: str) -> tuple:
 def _family_records(obj, triples: list, structure_checks: list, family_checks: list,
                     exhaustive: bool) -> list[dict]:
     """The records of a geometry document: each class's structure records,
-    made as a first pass reads the classes one at a time, then the family
+    made from its canonical id pairs one class at a time, then the family
     checks'.  A line in two classes puts its slope in both, so no line
     repeats while each class's slope set is set (its lines are distinct)
     and meets no earlier class's: if every class passes, each family check
-    is ``ok`` with no walk, and the test's time goes into the first family
-    record.  Otherwise a second pass decodes every class once, clearing its
-    id pairs as it goes, and ``GeometryFamily.repeats`` walks them in file
-    order."""
-    classes, class_slopes, class_lines = family_from_json(obj, triples)
-    results, seen, walk, slopes_s = [], set(), False, 0.0
-    drawn = classes()
-    try:
-        for scale, entries in drawn:
+    is ``ok`` with no walk.  Otherwise :func:`repeated_lines` walks the id
+    pairs in file order, and a ``Line`` is built for each repeated copy
+    alone, for its witnesses.  The time of the test and of the walk goes
+    into the first family record."""
+    field, values, classes = family_from_json(obj, triples)
+    results, seen, walk, family_s = [], set(), False, 0.0
+    for scale, pairs in classes:
+        start = time.perf_counter()
+        slopes = _class_slopes(values, pairs)
+        if structure_checks:
+            results.extend(_class_records(field.element(scale), slopes, pairs, values,
+                                          structure_checks, exhaustive, start))
             start = time.perf_counter()
-            slopes, count, lines = class_slopes(entries)
-            if structure_checks:
-                results.extend(_class_records(scale, slopes, count, lines, structure_checks,
-                                              exhaustive, start))
-                start = time.perf_counter()
-            if family_checks and not walk:
-                walk = slopes is None or not seen.isdisjoint(slopes)
-                seen.update(slopes or ())
-                slopes_s += time.perf_counter() - start
-    except IndexBudgetError:
-        for _, entries in drawn:  # a later class's format error is reported first:
-            class_slopes(entries)  # this decodes each class not in canonical form
-        raise
+        if family_checks and not walk:
+            walk = slopes is None or not seen.isdisjoint(slopes)
+            seen.update(slopes or ())
+            family_s += time.perf_counter() - start
     if not family_checks:
         return results
     if walk:
-        walked = []
-        for scale, entries in classes():
-            walked.append(LineClass(scale, class_lines(entries)))
-            entries.clear()  # its lines live on in the family
-        family = GeometryFamily(field=walked[0].field, classes=tuple(walked))
-        family_results = _run_checks("family", family, family_checks, exhaustive)
+        start = time.perf_counter()
+        walked = ([(Line(values[s], values[b]), first, copy) for (s, b), first, copy
+                   in repeated_lines([pairs for _, pairs in classes])],
+                  [scale for scale, _ in classes], field)
+        family_s += time.perf_counter() - start
+        family_results = _run_checks("family", walked, family_checks, exhaustive)
     else:
         family_results = [{"check": name, "scope": "family", "verdict": "ok", "elapsed": 0.0}
                           for name, _ in family_checks]
-    family_results[0]["elapsed"] = round(family_results[0]["elapsed"] + slopes_s, 6)
+    family_results[0]["elapsed"] = round(family_results[0]["elapsed"] + family_s, 6)
     return results + family_results
 
 

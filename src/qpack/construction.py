@@ -21,8 +21,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
-from typing import Iterator, NamedTuple, Optional, Sequence
+from itertools import accumulate, chain
+from typing import Hashable, NamedTuple, Optional, Sequence
 
 from .gf import FieldElement, FieldSpec
 
@@ -129,38 +129,38 @@ class GeometryFamily:
 
     @cached_property
     def repeats(self) -> list[tuple[Line, tuple[int, int], tuple[int, int]]]:
-        """Each later copy of a line, in union order (the classes in order,
-        each in line order): the line, then the (union index, class index)
-        of its first copy and of this copy.  Found on first use, so the
-        family checks share it.  A first pass finds the lines that have a
-        copy with a set of the lines seen; a second keeps the union index of
-        the first copy of those lines alone, and finds a class index only
-        for a copy.  On a q=23 family, a union index for every line, each a
-        fresh int, set the peak of ``verify``."""
-        starts = list(accumulate((len(cls.lines) for cls in self.classes), initial=0))
+        """:func:`repeated_lines` of the classes, found once for both checks."""
+        return repeated_lines([cls.lines for cls in self.classes])
 
-        def at(idx: int) -> tuple[int, int]:
-            return idx, bisect_right(starts, idx) - 1
 
-        def union() -> Iterator[Line]:
-            return (line for cls in self.classes for line in cls.lines)
+def repeated_lines(classes: Sequence[Sequence[Hashable]]) -> list[tuple]:
+    """Each later copy of a line, in union order (the classes in order, each
+    in line order): the line, then the (union index, class index) of its
+    first copy and of this copy.  A line is any hashable that is equal
+    exactly for equal lines: a canonical ``Line``, or its id pair.  A first
+    pass finds the lines that have a copy with a set of the lines seen; a
+    second keeps the union index of the first copy of those lines alone,
+    and finds a class index only for a copy.  On a q=23 family, a union
+    index for every line, each a fresh int, set the peak of ``verify``."""
+    starts = list(accumulate(map(len, classes), initial=0))
 
-        seen: set[Line] = set()
-        again: set[Line] = set()
-        for line in union():
-            if line in seen:
-                again.add(line)
-            else:
-                seen.add(line)
-        del seen
-        first: dict[Line, int] = {}
-        found = []
-        for idx, line in enumerate(union()):
-            if line in again:
-                prior = first.setdefault(line, idx)
-                if prior != idx:
-                    found.append((line, at(prior), at(idx)))
-        return found
+    def at(idx: int) -> tuple[int, int]:
+        return idx, bisect_right(starts, idx) - 1
+
+    seen, again = set(), set()
+    for line in chain.from_iterable(classes):
+        if line in seen:
+            again.add(line)
+        else:
+            seen.add(line)
+    del seen
+    first, found = {}, []
+    for idx, line in enumerate(chain.from_iterable(classes)):
+        if line in again:
+            prior = first.setdefault(line, idx)
+            if prior != idx:
+                found.append((line, at(prior), at(idx)))
+    return found
 
 
 def moment_curve(field: FieldSpec, scale: FieldElement) -> list[Triple]:

@@ -13,9 +13,9 @@ coordinate triples, interned by their coefficients by one object hook: text
 laid out as :func:`family_text` writes it is lexed, each class a slope block
 at a time where it holds the built class's blocks, and any other text is
 parsed by ``json.loads``, to the same document.  :func:`family_from_json`
-then reads it a class at a time, from the ids alone for a class whose lines
-are written in canonical form.  Neither step pauses the cyclic GC; callers
-that parse and decode a whole file do, once (:func:`loads_family`).
+then checks it and gives each class as canonical id pairs, respelling any
+other line in place.  Neither step builds a ``Line`` or pauses the cyclic
+GC; callers that read a whole file do, once (:func:`loads_family`).
 """
 
 from __future__ import annotations
@@ -36,10 +36,11 @@ from .construction import (
     LineClass,
     Triple,
     canonical_line,
+    canonical_slope,
     class_bases,
     moment_curve,
 )
-from .gf import FieldElement, FieldSpec, NotPrimePowerError, make_field
+from .gf import FieldSpec, NotPrimePowerError, make_field
 from .verifier import GenericIncidence
 
 FORMAT_VERSION = 1
@@ -177,26 +178,19 @@ def _entry_line(field: FieldSpec, triples: list[tuple[int, ...]], entry: Any) ->
 
 
 def family_from_json(obj: Any, triples: list[tuple[int, ...]]):
-    """``(classes, class_slopes, class_lines)``, which read the document
-    that :func:`parse_geometry` gave with its interned triples ``triples`` a
-    class at a time, once its version, field and classes map are checked.
-    ``classes()`` yields each class's scale and entries in file order,
-    checking its key and list as it is drawn; ``class_slopes(entries)``
-    gives its slope set (None when its lines are not distinct), its line
-    count and a function that gives its lines; ``class_lines(entries)``
-    decodes them.
+    """``(field, values, classes)`` of the document that
+    :func:`parse_geometry` gave with its interned triples ``triples``:
+    ``classes`` lists each class's scale value and its lines as canonical id
+    pairs, in file order, and ``values[i]`` is the value triple of id i, or
+    None where a row is not an element.  Every format error is raised here,
+    in file order.
 
-    Each id's value triple is found once (None where a row is not an
-    element), with the bit of its leading 1 where it is a canonical slope
-    and the bits of its zero coordinates: an id pair is canonical, as
-    :func:`canonical_line` writes it, when the first meets the second.  A
-    class of canonical pairs has one pair per line, so its slope set and
-    count come from the ids, and its lines, when asked for, share its ids'
-    value triples.  Any other class is decoded at once, each other pair of
-    elements through :func:`canonical_line` and any other entry through
-    :func:`_entry_line`, so the first format error is the one that decoding
-    every class in turn meets.
-    """
+    A pair is canonical, as :func:`canonical_line` writes it, when its slope
+    leads with 1 where its base is 0.  Any other entry is replaced in its
+    list by the ids of its canonical slope and base: a pair of elements by
+    its slope id's canonical slope and lead, found once per slope id, any
+    other entry by :func:`_entry_line`.  A new value triple gets the next id
+    once, so equal lines have equal pairs."""
     if not isinstance(obj, dict):
         raise GeometryFormatError("geometry file must be a JSON object")
     version = obj.get("version")
@@ -216,48 +210,45 @@ def family_from_json(obj: Any, triples: list[tuple[int, ...]]):
         values.append(value if valid else None)
         leads.append(1 << value.index(1) if valid and next(filter(None, value), 0) == 1 else 0)
         zeros.append(sum(1 << i for i, c in enumerate(value) if c == 0) if valid else 0)
+    # each id's value triple, or the id itself where it has none, by id
+    ids = {i if value is None else value: i for i, value in enumerate(values)}
+    add, mul, neg, slopes = field.add_table, field.mul_table, field.neg_table, {}
 
-    def classes() -> Iterator[tuple[FieldElement, list]]:
-        for key, entries in classes_obj.items():
-            if key not in scales:
-                raise GeometryFormatError(
-                    f"class key {key!r} is not the decimal form of a scale in [1, {field.q})"
-                )
-            if not isinstance(entries, list):
-                raise GeometryFormatError(f"class {key!r} must map to a list of lines")
-            yield field.element(scales[key]), entries
+    def intern(value: Triple) -> int:
+        return ids.setdefault(value, len(ids))
 
-    def class_lines(entries: list) -> tuple[Line, ...]:
-        lines = []
-        append = lines.append
-        for entry in entries:
-            if type(entry) is tuple:
-                s, b = entry
-                slope, base = values[s], values[b]
-                if leads[s] & zeros[b]:
-                    append(Line(slope, base))
-                    continue
-                if slope is not None and base is not None and any(slope):
-                    append(canonical_line(field, slope, base))
-                    continue
-            append(_entry_line(field, triples, entry))
-        return tuple(lines)
+    def pair(entry: Any) -> tuple[int, int]:
+        if type(entry) is tuple:
+            s, b = entry
+            slope, base = values[s], values[b]
+            if leads[s] & zeros[b]:
+                return entry
+            if slope is not None and base is not None and any(slope):
+                if s not in slopes:
+                    slope = canonical_slope(field, slope)
+                    slopes[s] = intern(slope), slope.index(1), slope
+                s, lead, (s0, s1, s2) = slopes[s]
+                (b0, b1, b2), row = base, mul[neg[base[lead]]]
+                return s, intern((add[b0][row[s0]], add[b1][row[s1]], add[b2][row[s2]]))
+        slope, base = _entry_line(field, triples, entry)
+        return intern(slope), intern(base)
 
-    def class_slopes(entries: list):
+    classes = []
+    for key, entries in classes_obj.items():
+        if key not in scales:
+            raise GeometryFormatError(f"class key {key!r} is not the decimal form of a scale "
+                                      f"in [1, {field.q})")
+        if not isinstance(entries, list):
+            raise GeometryFormatError(f"class {key!r} must map to a list of lines")
+        classes.append((scales[key], entries))
         if {tuple}.issuperset(map(type, entries)):
             for s, b in entries:
                 if not leads[s] & zeros[b]:
                     break
             else:
-                distinct = len(set(entries)) == len(entries)
-                slopes = frozenset([values[s] for s in {s for s, _ in entries}]) if distinct else None
-                return slopes, len(entries), partial(class_lines, entries)
-        lines = class_lines(entries)
-        distinct = len(set(lines)) == len(lines)
-        slopes = frozenset([slope for slope, _ in lines]) if distinct else None
-        return slopes, len(lines), lambda: lines
-
-    return classes, class_slopes, class_lines
+                continue
+        entries[:] = map(pair, entries)
+    return field, [None if type(value) is int else value for value in ids], classes
 
 
 def _triple_spelling(field: FieldSpec) -> Callable[[Triple], str]:
@@ -324,9 +315,9 @@ def dumps_family(family: GeometryFamily, metadata: Optional[dict[str, Any]] = No
 @contextmanager
 def _gc_paused():
     """The cyclic GC paused, and re-enabled on exit only if it was enabled.
-    No object that a parse or a class decode builds can form a cycle, and a
-    large file would otherwise trigger full collections that find nothing.
-    Each entry point pauses once, around its parse and every class decode:
+    No object that a parse or a decode builds can form a cycle, and a large
+    file would otherwise trigger full collections that find nothing.  Each
+    entry point pauses once, around its parse and its decode:
     :func:`loads_family` here, and ``qpack verify`` around its records."""
     enabled = gc.isenabled()
     gc.disable()
@@ -469,12 +460,14 @@ def _json_geometry(text: str) -> tuple[Any, list[tuple[int, ...]]]:
 
 def loads_family(text: str) -> GeometryFamily:
     """The family of geometry JSON text: every class of
-    :func:`family_from_json`, decoded in file order with the cyclic GC
-    paused."""
+    :func:`family_from_json`, its lines built from its id pairs, in file
+    order with the cyclic GC paused."""
     with _gc_paused():
-        classes, _, class_lines = family_from_json(*parse_geometry(text))
-        decoded = tuple(LineClass(scale, class_lines(entries)) for scale, entries in classes())
-    return GeometryFamily(field=decoded[0].field, classes=decoded)
+        field, values, classes = family_from_json(*parse_geometry(text))
+        decoded = tuple(LineClass(field.element(scale), tuple(Line(values[s], values[b])
+                                                              for s, b in pairs))
+                        for scale, pairs in classes)
+    return GeometryFamily(field=field, classes=decoded)
 
 
 # ---------------------------------------------------------------------------

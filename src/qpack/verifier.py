@@ -3,7 +3,8 @@
 Every structure check consumes a :class:`GenericIncidence` (point ids plus
 lines as point-id tuples), so handcrafted counterexamples, mutated
 structures and imported files are all first-class inputs; the two family
-checks read a :class:`GeometryFamily`'s canonical lines.  A class that
+checks read the repeated canonical lines of a family's walk,
+:func:`construction.repeated_lines`.  A class that
 holds every line of its slopes is decided without its lines by
 :func:`certify_slopes`, from its slope set and line count alone.  A failed
 check returns a :class:`Witness` whose items, fed back to
@@ -399,12 +400,13 @@ def _distinct_pair(first: list[int], second: list[int]) -> Optional[tuple[int, i
 def check_disjoint_classes(family: GeometryFamily, exhaustive: bool = False):
     """No canonical line in two classes; witness names both scales and the
     shared line."""
-    return _first_or_all(overlap_violations(family), exhaustive)
-
-
-def overlap_violations(family: GeometryFamily) -> Iterator[Witness]:
     scales = [cls.scale.value for cls in family.classes]
-    for line, (_, first_cls), (_, cls_idx) in family.repeats:
+    return _first_or_all(overlap_violations(family.repeats, scales), exhaustive)
+
+
+def overlap_violations(repeats: list, scales: Sequence[int]) -> Iterator[Witness]:
+    """A witness per copy in ``repeats`` in a later class than its first."""
+    for line, (_, first_cls), (_, cls_idx) in repeats:
         if first_cls != cls_idx:
             yield Witness(CLASS_OVERLAP, {"scales": (scales[first_cls], scales[cls_idx]),
                                           "slope": line.slope, "base": line.base})
@@ -420,12 +422,13 @@ def check_union_pls(family: GeometryFamily, exhaustive: bool = False):
     point ids, the witness (i, j), (a, b) that :func:`check_pls` gives on
     :func:`union_incidence`, in the same order.
     """
-    return _first_or_all(union_violations(family), exhaustive)
+    return _first_or_all(union_violations(family.repeats, family.field), exhaustive)
 
 
-def union_violations(family: GeometryFamily) -> Iterator[Witness]:
-    for line, (first, _), (idx, _) in family.repeats:
-        for pair in combinations(line.point_ids(family.field), 2):
+def union_violations(repeats: list, field: FieldSpec) -> Iterator[Witness]:
+    """The witnesses of each copy in ``repeats``, a line over ``field``."""
+    for line, (first, _), (idx, _) in repeats:
+        for pair in combinations(line.point_ids(field), 2):
             yield Witness(PLS_VIOLATION, {"lines": (first, idx), "points": pair})
 
 

@@ -509,8 +509,8 @@ class TestLexedInput:
 
 
 class TestGcPausedOnce:
-    """``verify`` pauses the cyclic GC once, around its parse and every
-    class decode, and leaves it as it found it on each exit code."""
+    """``verify`` pauses the cyclic GC once, around its parse, its decode
+    and its line walk, and leaves it as it found it on each exit code."""
 
     @pytest.mark.parametrize("case, code", [("ok", 0), ("walked", 1), ("bad-element", 2)])
     def test_paused_while_parsing_and_decoding(self, runner, geo5, dup5, monkeypatch,
@@ -518,20 +518,15 @@ class TestGcPausedOnce:
         text = {"ok": geo5.read_text(), "walked": dup5,
                 "bad-element": geo5.read_text().replace('"base":[[0]', '"base":[[7]', 1)}[case]
         seen = []
-        parse, read = cli.parse_geometry, cli.family_from_json
 
         def spied(function):
             return lambda *args: seen.append(gc.isenabled()) or function(*args)
 
-        def family_from_json(obj, triples):
-            classes, class_slopes, class_lines = read(obj, triples)
-            return classes, spied(class_slopes), spied(class_lines)
-
-        monkeypatch.setattr(cli, "parse_geometry", spied(parse))
-        monkeypatch.setattr(cli, "family_from_json", family_from_json)
+        for name in ("parse_geometry", "family_from_json", "repeated_lines"):
+            monkeypatch.setattr(cli, name, spied(getattr(cli, name)))
         result = run(runner, "verify", "-", input=text)
         assert result.exit_code == code
-        assert seen and not any(seen)
+        assert len(seen) == (3 if case == "walked" else 2) and not any(seen)
         assert gc.isenabled() is gc_on_entry
 
 
@@ -804,42 +799,38 @@ class TestInputReleasedBeforePrinting:
 
     @pytest.fixture
     def alive_at_emit(self, monkeypatch):
-        """Whether each input parsed so far, and each class or family decoded
-        from a geometry document, is still alive when ``_print_records`` is
-        called, one bool per object.  A document is a dict, which takes no weak
-        reference, so ``verify`` is handed a copy of it as a dict subclass,
-        which does."""
+        """Whether each input parsed so far, each class decoded from a
+        geometry document and each line walk's repeats are still alive when
+        ``_print_records`` is called, one bool per object.  A document is a
+        dict and the repeats a list, which take no weak reference, so
+        ``verify`` is handed a copy of each as a subclass, which does."""
         parsed, alive = [], []
 
         class Document(dict):
             pass
 
-        def keep_structure(text, parse=cli.parse_plain_incidence):
-            structure = parse(text)
-            parsed.append(weakref.ref(structure))
-            return structure
+        class Repeats(list):
+            pass
 
-        def keep_document(text, parse=cli.parse_geometry):
-            obj, triples = parse(text)
-            document = Document(obj)
-            parsed.append(weakref.ref(document))
-            return document, triples
-
-        def keep(build):
+        def keep(build, kind=lambda made: made):
             def built(*args, **kwargs):
-                made = build(*args, **kwargs)
+                made = kind(build(*args, **kwargs))
                 parsed.append(weakref.ref(made))
                 return made
             return built
+
+        def keep_document(text, parse=cli.parse_geometry):
+            obj, triples = parse(text)
+            return keep(Document)(obj), triples
 
         def print_records(records, _print_records=cli._print_records):
             alive.extend(ref() is not None for ref in parsed)
             _print_records(records)
 
-        monkeypatch.setattr(cli, "parse_plain_incidence", keep_structure)
+        monkeypatch.setattr(cli, "parse_plain_incidence", keep(cli.parse_plain_incidence))
         monkeypatch.setattr(cli, "parse_geometry", keep_document)
         monkeypatch.setattr(cli, "LineClass", keep(cli.LineClass))
-        monkeypatch.setattr(cli, "GeometryFamily", keep(cli.GeometryFamily))
+        monkeypatch.setattr(cli, "repeated_lines", keep(cli.repeated_lines, Repeats))
         monkeypatch.setattr(cli, "_print_records", print_records)
         return alive
 
@@ -879,12 +870,11 @@ class TestInputReleasedBeforePrinting:
         assert held == [0, 0, 0, 0] * 2
 
     def test_geometry_family_walked(self, runner, dup5, alive_at_emit):
-        """The document, its four classes, each decoded once for the walk
-        of the family checks, and the walked family.  Classes 1 and 2 hold
-        the same lines, but each is certified, so no class is decoded for
-        its structure records."""
+        """The document and the repeats of the walk of the family checks,
+        which reads the document's id pairs.  Classes 1 and 2 hold the same
+        lines, but each is certified, so no class is decoded."""
         assert run(runner, "verify", "-", input=dup5).exit_code == 1
-        assert alive_at_emit == [False] * 6
+        assert alive_at_emit == [False] * 2
 
 
 @pytest.fixture
@@ -1092,12 +1082,10 @@ def _sweep_mutants(obj: dict):
     }
 
 
-def _without_slope_sets(obj, triples, load=cli.family_from_json):
-    """``family_from_json`` with every class's slope set None, as if its
-    lines were not distinct: no class is certified and the family checks
-    walk the lines."""
-    classes, class_slopes, class_lines = load(obj, triples)
-    return classes, lambda entries: (None, *class_slopes(entries)[1:]), class_lines
+def _without_slope_sets(monkeypatch):
+    """Every class's slope set None from now on, as if its lines were not
+    distinct: no class is certified and the family checks walk the lines."""
+    monkeypatch.setattr(cli, "_class_slopes", lambda values, pairs: None)
 
 
 class TestCertificatePath:
@@ -1115,17 +1103,17 @@ class TestCertificatePath:
         assert run(runner, "construct", "--q", str(q), "--count", str(count),
                    "--out", str(path)).exit_code == 0
         checks = ["--checks", "pls,order,triangle,counting,disjoint,union"] if q <= 13 else []
-        certify, family = verifier.certify_slopes, cli.GeometryFamily
+        certify, walk = verifier.certify_slopes, cli.repeated_lines
         for name, text in _sweep_mutants(json.loads(path.read_text())).items():
             certified, walked = [], []
             monkeypatch.setattr(verifier, "certify_slopes",
                                 lambda *args: certified.append(certify(*args)) or certified[-1])
-            monkeypatch.setattr(cli, "GeometryFamily",
-                                lambda **fields: walked.append(True) or family(**fields))
+            monkeypatch.setattr(cli, "repeated_lines",
+                                lambda classes: walked.append(True) or walk(classes))
             fast = run(runner, "verify", "-", "--exhaustive", *checks, input=text)
             walked.append(False)
             monkeypatch.setattr(verifier, "certify_slopes", lambda *args: None)
-            monkeypatch.setattr(cli, "family_from_json", _without_slope_sets)
+            _without_slope_sets(monkeypatch)
             scans = run(runner, "verify", "-", "--exhaustive", *checks, input=text)
             monkeypatch.undo()
             assert (fast.exit_code, _records(fast)) == (scans.exit_code, _records(scans)), name
@@ -1149,7 +1137,7 @@ class TestCertificatePath:
                             lambda *args: certified.append(certify(*args)) or certified[-1])
         fast = run(runner, "verify", "-", "--exhaustive", input=text)
         assert certified == [None, (4, 3), (4, 3), (4, 3)]
-        monkeypatch.setattr(cli, "family_from_json", _without_slope_sets)
+        _without_slope_sets(monkeypatch)
         scans = run(runner, "verify", "-", "--exhaustive", input=text)
         assert (fast.exit_code, _records(fast)) == (scans.exit_code, _records(scans))
         records = _records(fast)
@@ -1262,7 +1250,8 @@ def count_lines(monkeypatch) -> list[int]:
 class TestNoLinesOnTheCleanPath:
     """``verify`` of ``construct`` output with the default checks reads
     every class from its id pairs: it builds no ``Line`` and no class
-    incidence.  On the walk path it builds each line of the file once."""
+    incidence.  The walk reads the id pairs too, and builds a ``Line`` for
+    each repeated copy alone, for its witnesses."""
 
     @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13, 16])
     def test_clean_path_builds_no_line(self, runner, tmp_path, monkeypatch, q):
@@ -1282,7 +1271,7 @@ class TestNoLinesOnTheCleanPath:
     @pytest.mark.parametrize("q", [3, 5, 9, 16])
     def test_walk_builds_each_line_once(self, runner, tmp_path, monkeypatch, q):
         """Classes 1 and 2 hold the same lines: each class is certified, and
-        the walk decodes every class once."""
+        each of class 2's (q-1)*q^2 lines is a repeated copy, built once."""
         path = tmp_path / "geo.json"
         assert run(runner, "construct", "--q", str(q), "--out", str(path)).exit_code == 0
         obj = json.loads(path.read_text())
@@ -1291,46 +1280,46 @@ class TestNoLinesOnTheCleanPath:
         result = run(runner, "verify", "-", input=json.dumps(obj))
         assert result.exit_code == 1
         assert [r["verdict"] for r in json_lines(result.stdout)][-2:] == ["violation"] * 2
-        assert built == [(q - 1) ** 2 * q**2]
+        assert built == [(q - 1) * q**2]
 
 
 class TestFamilyWalk:
     """``verify`` reads each class's slope set once, and when the slope sets
-    cannot clear the family, decodes every class once more for the walk."""
+    cannot clear the family, walks the document's id pairs once."""
 
     def test_slope_sets_are_computed_once(self, runner, geo5, monkeypatch):
-        """The certificate and the family checks share one ``class_slopes``
+        """The certificate and the family checks share one ``_class_slopes``
         read per class."""
-        read = []
-
-        def counted(obj, triples, load=cli.family_from_json):
-            classes, class_slopes, class_lines = load(obj, triples)
-            return classes, lambda entries: read.append(len(entries)) or class_slopes(entries), \
-                class_lines
-
-        monkeypatch.setattr(cli, "family_from_json", counted)
+        read, slopes = [], cli._class_slopes
+        monkeypatch.setattr(cli, "_class_slopes",
+                            lambda values, pairs: read.append(len(pairs)) or slopes(values, pairs))
         assert run(runner, "verify", str(geo5)).exit_code == 0
         assert read == [100] * 4
 
-    def test_walk_decodes_every_class_once(self, runner, geo5, monkeypatch):
+    def test_walk_decodes_no_class(self, runner, geo5, monkeypatch):
         """With one line moved from class 1 to class 2, class 2's slopes
-        meet class 1's, so the walk decodes every class, each once.  Classes
-        1 and 2 are not certified, so they are decoded before that for their
-        scans alone.  No line repeats, so the walk finds nothing."""
+        meet class 1's, so the walk reads every class's id pairs, once, and
+        decodes no class.  Classes 1 and 2 are not certified, so they are
+        decoded for their scans alone.  No line repeats, so the walk finds
+        nothing."""
         obj = json.loads(geo5.read_text())
         obj["classes"]["2"].append(obj["classes"]["1"].pop(3))
-        decoded, build = [], cli.LineClass
+        decoded, walked, build, walk = [], [], cli.LineClass, cli.repeated_lines
         monkeypatch.setattr(cli, "LineClass",
                             lambda scale, lines: decoded.append(scale.value) or build(scale, lines))
+        monkeypatch.setattr(cli, "repeated_lines",
+                            lambda classes: walked.append(list(map(len, classes))) or walk(classes))
         result = run(runner, "verify", "-", input=json.dumps(obj))
         assert result.exit_code == 1
         family = [(r["check"], r["verdict"]) for r in json_lines(result.stdout)[-2:]]
         assert family == [("disjoint", "ok"), ("union", "ok")]
-        assert decoded == [1, 2] + [1, 2, 3, 4]
+        assert decoded == [1, 2]
+        assert walked == [[99, 101, 100, 100]]
         decoded.clear()
+        walked.clear()
         result = run(runner, "verify", "-", "--checks", "disjoint,union", input=json.dumps(obj))
         assert result.exit_code == 0
-        assert decoded == [1, 2, 3, 4]
+        assert (decoded, walked) == ([], [[99, 101, 100, 100]])
 
     def test_classes_keep_file_order(self, runner, tmp_path):
         """A file that lists class 2 before class 1 prints class 2's records

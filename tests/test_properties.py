@@ -22,6 +22,7 @@ which must be the reference decode's;
 traceback; and the exponent scan against the one-report-per-point loop on
 grids with repeated alphas, ties and out-of-range values."""
 
+import copy
 import json
 import math
 import re
@@ -36,6 +37,7 @@ from hypothesis import strategies as st
 from qpack import (
     GenericIncidence,
     GeometryFamily,
+    Line,
     LineClass,
     MalformedStructureError,
     NotPartialLinearSpaceError,
@@ -44,6 +46,7 @@ from qpack import (
     OrderParams,
     Witness,
     build_family,
+    canonical_line,
     canonical_slope,
     certify_slopes,
     check_disjoint_classes,
@@ -62,7 +65,7 @@ from qpack import (
     revalidate,
     union_incidence,
 )
-from qpack.cli import ALL_CHECKS, main
+from qpack.cli import ALL_CHECKS, _class_slopes, main
 from qpack.formats import (
     MAX_FIELD_ORDER,
     GeometryFormatError,
@@ -224,23 +227,48 @@ def family_record(check: str, found) -> dict:
     return json.loads(json.dumps(record))
 
 
+def respelled_text(family: GeometryFamily, stride: int) -> str:
+    """The geometry JSON text of ``family`` with the base of every
+    ``stride``-th line, in union order from the first, moved one step along
+    its slope: the same lines, each so moved spelled not as
+    :func:`canonical_line` writes it, so a copy may be spelled otherwise
+    than its first copy."""
+    field = family.field
+
+    def spelled(triple) -> list:
+        return [list(field.coeff_table[v]) for v in triple]
+
+    classes, idx = {}, 0
+    for cls in family.classes:
+        entries = classes[str(cls.scale.value)] = []
+        for slope, base in cls.lines:
+            if idx % stride == 0:
+                base = [field.add_table[b][c] for b, c in zip(base, slope)]
+            entries.append({"slope": spelled(slope), "base": spelled(base)})
+            idx += 1
+    return json.dumps({"version": 1, "field": field_to_json(field), "classes": classes})
+
+
 @settings(max_examples=150, deadline=None)
-@given(families_with_copies(), st.booleans())
-def test_verify_family_records_match_the_checks(family, exhaustive):
+@given(families_with_copies(), st.booleans(), st.integers(1, 3))
+def test_verify_family_records_match_the_checks(family, exhaustive, stride):
     """``verify``'s ``disjoint`` and ``union`` records, whether the slope
     sets decide them or the line walk does, are those of
     ``check_disjoint_classes`` and ``check_union_pls`` on the whole
-    family."""
+    family: on the family's text, and on its text with the bases of every
+    ``stride``-th line moved along their slopes, where a copy in another
+    spelling is the same line."""
     slopes = [line_slopes(cls.lines) for cls in family.classes]
     decided = None not in slopes and sum(map(len, slopes)) == len(frozenset().union(*slopes))
     event("slope sets" if decided else "line walk")
     expected = [family_record("disjoint", check_disjoint_classes(family, exhaustive)),
                 family_record("union", check_union_pls(family, exhaustive))]
     args = ["verify", "-", "--checks", "disjoint,union"] + ["--exhaustive"] * exhaustive
-    result = CliRunner().invoke(main, args, input=dumps_family(family))
-    records = [json.loads(row) for row in result.stdout.splitlines()]
-    assert [{k: v for k, v in r.items() if k != "elapsed"} for r in records] == expected
-    assert result.exit_code == (1 if any(r["verdict"] != "ok" for r in expected) else 0)
+    for text in (dumps_family(family), respelled_text(family, stride)):
+        result = CliRunner().invoke(main, args, input=text)
+        records = [json.loads(row) for row in result.stdout.splitlines()]
+        assert [{k: v for k, v in r.items() if k != "elapsed"} for r in records] == expected
+        assert result.exit_code == (1 if any(r["verdict"] != "ok" for r in expected) else 0)
     assert not decided or not any(r["verdict"] != "ok" for r in expected)
 
 
@@ -713,38 +741,37 @@ def test_loader_matches_reference_on_edited_files(edited):
 
 
 def read_by_slopes(text: str):
-    """Each class of ``text`` as ``family_from_json``'s ``class_slopes``
-    reads it: its scale, slope set, line count, certificate and lines, and
-    whether reading it built a ``Line``; or the first format error's
-    message."""
-    built = []
-    line_type, canonical = formats.Line, formats.canonical_line
+    """Each class of ``text`` as ``family_from_json`` gives it and
+    ``verify`` reads it: its scale, slope set, line count, certificate and
+    the lines of its id pairs, and whether an entry was respelled; or the
+    first format error's message.  Each pair must name a canonical line,
+    and each value triple must have one id."""
     try:
-        classes, class_slopes, _ = formats.family_from_json(*formats.parse_geometry(text))
-        formats.Line = lambda *args: built.append(True) or line_type(*args)
-        formats.canonical_line = lambda *args: built.append(True) or canonical(*args)
-        read = []
-        for scale, entries in classes():
-            built.clear()
-            slopes, count, lines = class_slopes(entries)
-            decoded = bool(built)
-            certificate = certify_slopes(scale.field, slopes, count)
-            read.append((scale.value, slopes, count, certificate, lines(), decoded))
-        return read
+        obj, triples = formats.parse_geometry(text)
+        written = copy.deepcopy(obj)
+        field, values, classes = formats.family_from_json(obj, triples)
     except GeometryFormatError as exc:
         return str(exc)
-    finally:
-        formats.Line, formats.canonical_line = line_type, canonical
+    interned = [value for value in values if value is not None]
+    assert len(set(interned)) == len(interned)
+    read = []
+    for scale, pairs in classes:
+        slopes = _class_slopes(values, pairs)
+        lines = tuple(Line(values[s], values[b]) for s, b in pairs)
+        assert all(canonical_line(field, *line) == line for line in lines)
+        read.append((scale, slopes, len(pairs), certify_slopes(field, slopes, len(pairs)), lines,
+                     pairs != written["classes"][str(scale)]))
+    return read
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(edited_geometry_texts(), mutated_q3_texts().map(lambda text: (text, False))))
 @example((Q3_TEXT.replace('"base":[[0],[0],[0]]', '"base":[[0],[0],[3]]', 1), False))
 def test_id_route_matches_the_reference_decode(edited):
-    """A class read from its id pairs, with no ``Line`` built, has exactly
-    the slope set, line count and certificate of the class that the
-    reference loader decodes line by line; a class that is not in canonical
-    form is decoded at once, to the same.  A file the reference rejects is
+    """A class read from its id pairs has exactly the slope set, line
+    count, certificate and lines of the class that the reference loader
+    decodes line by line; a class that is not in canonical form has its
+    entries respelled as canonical pairs, to the same.  A file the reference rejects is
     rejected, with its message unless a stray line object was written.  The
     example's base is 0 at the slope's leading 1, but its last row is not
     an element."""
@@ -754,7 +781,7 @@ def test_id_route_matches_the_reference_decode(edited):
     if isinstance(expected, str):
         assert isinstance(read, str) and (stray or read == expected)
         return
-    event("some class decoded" if any(r[-1] for r in read) else "every class from its ids")
+    event("some entry respelled" if any(r[-1] for r in read) else "every class as written")
     assert [r[:-1] for r in read] == [
         (cls.scale.value, line_slopes(cls.lines), len(cls.lines), certify_class(cls), cls.lines)
         for cls in expected.classes]
