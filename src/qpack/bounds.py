@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import asdict, dataclass, fields
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .gf import next_prime_geq
 
@@ -178,8 +178,13 @@ def bound_hrs(k: int, r: int, constant: float = 1.0) -> tuple[FlaggedBound, bool
         raise OutOfRangeError(f"need k >= 2 and r >= 2, got k={k}, r={r}")
     if not 0 < constant < math.inf:
         raise OutOfRangeError(f"constant must be positive and finite, got {constant}")
-    value = constant * (r * math.log(r)) ** 3 * (k * math.log(k)) ** 2
+    value = _hrs_value(k, r, math.log(k), math.log(r), constant)
     return FlaggedBound(value=value, constant=constant), r < k * k
+
+
+def _hrs_value(k: int, r: int, ln_k: float, ln_r: float, constant: float) -> float:
+    """C * (r ln r)^3 * (k ln k)^2, from ln(k) and ln(r)."""
+    return constant * (r * ln_r) ** 3 * (k * ln_k) ** 2
 
 
 def bound_bbl(k: int, r: int, constant: float = 1.0) -> FlaggedBound:
@@ -187,7 +192,12 @@ def bound_bbl(k: int, r: int, constant: float = 1.0) -> FlaggedBound:
     _require_range(k, r)
     if not 0 < constant < math.inf:
         raise OutOfRangeError(f"constant must be positive and finite, got {constant}")
-    return FlaggedBound(value=constant * k**5 * r**2.5, constant=constant)
+    return FlaggedBound(value=_bbl_value(k, r, constant), constant=constant)
+
+
+def _bbl_value(k: int, r: int, constant: float) -> float:
+    """C * k^5 * r^(5/2)."""
+    return constant * k**5 * r**2.5
 
 
 def eq1_range(
@@ -303,3 +313,26 @@ def csv_row(report: BoundReport) -> str:
         else str(v)
         for v in _csv_values(report)
     ])
+
+
+# csv_row's text of a cell: floats as str() gives them, bools as true/false
+_CSV_TEMPLATE = "%d,%d,%r,%d,%d,%r,%d,%r,%s,%r,%s"
+
+
+def scan_rows(ks: range, rs: range) -> Iterator[str]:
+    """The CSV row of each cell of the grid ``ks`` x ``rs``, k outer, each
+    equal to ``csv_row(compare(k, r))``.  A cell's values come from
+    :func:`bound_main`, :func:`bound_fglps` and the expressions behind
+    :func:`bound_hrs` and :func:`bound_bbl`, with ln(k) taken once per row
+    and ln(r) once per column; no record is built and ``eq1_range``, which
+    no column reads, is not evaluated."""
+    columns = [(r, math.log(r)) for r in rs]
+    for k in ks:
+        ln_k, square = math.log(k), k * k
+        for r, ln_r in columns:
+            floor, q, value, cap, _ = bound_main(k, r)
+            fglps = bound_fglps(k, r)
+            yield _CSV_TEMPLATE % (
+                k, r, floor, q, value, cap, fglps, _hrs_value(k, r, ln_k, ln_r, 1.0),
+                "true" if r < square else "false", _bbl_value(k, r, 1.0),
+                "fglps" if fglps < value else "main")

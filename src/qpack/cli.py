@@ -4,15 +4,19 @@ the degree bounds.
 Machine-readable output (line-delimited JSON, or CSV for scans) goes to
 stdout; human summaries go to stderr.  Exit codes: 0 all good, 1 a
 verification check failed (witness printed), 2 usage or input-format errors.
+A reader that closes stdout early ends the output, not the run: the command
+exits as it would have, with nothing more on stdout.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 import time
 from itertools import chain, islice
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import click
 
@@ -60,11 +64,31 @@ MAX_FAMILY_LINES = 10**6
 # benchmark's merged-lines q=23 class peaked at 51.4 MB with 4096, 47.0 MB
 # with 512 and 46.8 MB with 128, against 46.7 MB with one call per witness
 WITNESS_BATCH = 128
+# scan rows per write: the grid is never held whole, so a run's memory does
+# not grow with it
+SCAN_BLOCK = 1024
 
 
 def _fail_usage(message: str):
     click.echo(f"error: {message}", err=True)
     raise SystemExit(2)
+
+
+def _echo(texts: Iterable[str]):
+    """Write ``texts`` to stdout in turn, as each is drawn, then flush it: the
+    CLI's one stdout writer.  At the first :class:`BrokenPipeError` (the reader
+    closed the pipe) it draws no more texts, and stdout is pointed at the null
+    device, so later writes and the flush at exit fail nowhere: no traceback,
+    and no "Exception ignored" line."""
+    stdout = sys.stdout
+    try:
+        for text in texts:
+            stdout.write(text)
+        stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stdout.fileno())
+        os.close(devnull)
 
 
 def _to_json(value):
@@ -122,9 +146,7 @@ def cmd_construct(order: int, count: Optional[int], out: Optional[str]):
         "total_lines": total_lines,
     }
     if out is None:
-        for text in texts:
-            click.echo(text, nl=False)
-        click.echo()
+        _echo(chain(texts, ["\n"]))
         click.echo(f"construct: {json.dumps(summary)}", err=True)
     else:
         _write_output(out, chain(texts, ["\n"]))
@@ -345,14 +367,19 @@ def _print_records(records: Iterable):
             lines.append((json.dumps(record, allow_nan=False, default=_to_json), batches))
     except ValueError as exc:
         _fail_usage(f"a result is not a finite number: {exc}")
+    _echo(_record_texts(lines))
+
+
+def _record_texts(lines: list) -> Iterator[str]:
+    """The texts of :func:`_print_records`'s encoded lines, in order."""
     for line, batches in lines:
         if batches:
             head, tail = line.rsplit("[]", 1)
-            click.echo(head + "[" + batches[0], nl=False)
+            yield head + "[" + batches[0]
             for batch in batches[1:]:
-                click.echo(", " + batch, nl=False)
+                yield ", " + batch
             line = "]" + tail
-        click.echo(line)
+        yield line + "\n"
 
 
 @main.command("verify")
@@ -440,7 +467,10 @@ def _parse_range(text: str, name: str) -> range:
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
               help="CSV output file; omit for stdout.")
 def cmd_scan(k_range: str, r_range: str, out: Optional[str]):
-    """Evaluate the bound grid and emit one CSV row per (k, r) cell."""
+    """Evaluate the bound grid and emit one CSV row per (k, r) cell.
+
+    The grid is checked whole before any cell is computed; its rows are then
+    written :data:`SCAN_BLOCK` at a time, as they are computed."""
     ks = _parse_range(k_range, "k")
     rs = _parse_range(r_range, "r")
     if ks.start < 2 or rs.start < 3:
@@ -453,16 +483,20 @@ def cmd_scan(k_range: str, r_range: str, out: Optional[str]):
         bounds.threshold(ks.stop - 1, rs.stop - 1)
     except bounds.OutOfRangeError as exc:
         _fail_usage(str(exc))
-    rows = [bounds.CSV_HEADER]
-    for k in ks:
-        for r in rs:
-            rows.append(bounds.csv_row(bounds.compare(k, r)))
-    text = "\n".join(rows) + "\n"
     if out is None:
-        click.echo(text, nl=False)
+        _echo(_scan_text(ks, rs))
     else:
-        _write_output(out, [text])
-        click.echo(f"scan: wrote {len(rows) - 1} rows to {out}", err=True)
+        _write_output(out, _scan_text(ks, rs))
+        click.echo(f"scan: wrote {cells} rows to {out}", err=True)
+
+
+def _scan_text(ks: range, rs: range) -> Iterator[str]:
+    """The CSV header line, then the grid's rows, :data:`SCAN_BLOCK` lines
+    to a text."""
+    rows = bounds.scan_rows(ks, rs)
+    yield bounds.CSV_HEADER + "\n"
+    while block := list(islice(rows, SCAN_BLOCK)):
+        yield "\n".join(block) + "\n"
 
 
 @main.command("exponent")

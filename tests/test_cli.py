@@ -5,10 +5,14 @@ import gc
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -652,10 +656,11 @@ class TestScan:
         assert str(bounds.MAX_THRESHOLD) in result.stderr
 
     def test_largest_cell_checked_first(self, runner, monkeypatch):
-        """A grid whose last cell is over the limit computes no cell."""
+        """A grid whose last cell is over the limit computes no cell: each
+        cell's row starts from its own bound_main call."""
         calls = []
-        compare = bounds.compare
-        monkeypatch.setattr(bounds, "compare", lambda k, r: calls.append(k) or compare(k, r))
+        bound_main = bounds.bound_main
+        monkeypatch.setattr(bounds, "bound_main", lambda k, r: calls.append(k) or bound_main(k, r))
         monkeypatch.setattr(bounds, "MAX_THRESHOLD", bounds.threshold(4, 5))
         assert run(runner, "scan", "--k", "2..4", "--r", "3..5").exit_code == 0
         assert len(calls) == 9
@@ -1375,3 +1380,67 @@ class TestPinnedOutput:
             stdout = run(runner, "construct", "--q", "5", "--out", "geo5.json").stdout
         digest = "597efa12cae90fe93f2fefc6c517b0fd6a886b26645d58aabbc106ce097345e5"
         assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early ends the output, not the run.  Each
+    command runs as a child whose stdout is a pipe with its read end already
+    closed, so its first write fails every time: no traceback and no
+    "Exception ignored" line on stderr; ``verify`` keeps its summary and
+    exits with its verdict's code, every other command with 0."""
+
+    SRC = str(Path(bounds.__file__).resolve().parents[1])
+
+    def child(self, *args: str) -> subprocess.CompletedProcess:
+        env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run([sys.executable, "-m", "qpack.cli", *args], stdout=write_end,
+                                    stderr=subprocess.PIPE, text=True, timeout=120,
+                                    env={**env, "PYTHONPATH": self.SRC})
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in result.stderr
+        assert "Exception ignored" not in result.stderr
+        return result
+
+    def test_clean_verify_exits_0(self, geo5):
+        result = self.child("verify", str(geo5))
+        assert result.returncode == 0
+        assert result.stderr == "verify: 14/14 checks ok\n"
+
+    def test_failing_verify_exits_1(self, tmp_path):
+        path = tmp_path / "triangle.txt"
+        path.write_text("points 3\n0 1\n1 2\n2 0\n")
+        result = self.child("verify", str(path), "--checks", "pls,triangle")
+        assert result.returncode == 1
+        assert result.stderr == "verify: 1/2 checks ok\n"
+
+    def test_scan_exits_0(self):
+        result = self.child("scan", "--k", "2..150", "--r", "3..150")
+        assert (result.returncode, result.stderr) == (0, "")
+
+    def test_writer_stops_at_the_first_broken_pipe(self, monkeypatch, tmp_path):
+        """No text is drawn after the write that failed, and stdout's file
+        descriptor then writes to the null device."""
+
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+            def fileno(self):
+                return handle.fileno()
+
+        drawn = []
+        with open(tmp_path / "stdout", "wb") as handle:
+            monkeypatch.setattr(sys, "stdout", Closed())
+            cli._echo(drawn.append(text) or text for text in "abc")
+            os.write(handle.fileno(), b"lost")
+        assert drawn == ["a"]
+        assert (tmp_path / "stdout").read_bytes() == b""
+
+    def test_construct_exits_0(self):
+        result = self.child("construct", "--q", "5")
+        assert result.returncode == 0
+        assert result.stderr.startswith("construct: ")

@@ -19,8 +19,10 @@ geometry files, which must give the reference loader's family or message,
 and each class's slope set, count and certificate read from its id pairs,
 which must be the reference decode's;
 ``qpack verify`` on such input, which must exit 0, 1 or 2 without a
-traceback; and the exponent scan against the one-report-per-point loop on
-grids with repeated alphas, ties and out-of-range values."""
+traceback; the exponent scan against the one-report-per-point loop on
+grids with repeated alphas, ties and out-of-range values; and the bound
+scan's rows against ``csv_row(compare(k, r))`` on small sub-grids, some of
+them at the prime search floor's limit."""
 
 import copy
 import json
@@ -65,6 +67,7 @@ from qpack import (
     revalidate,
     union_incidence,
 )
+from qpack.bounds import MAX_THRESHOLD, OutOfRangeError, compare, csv_row, scan_rows, threshold
 from qpack.cli import ALL_CHECKS, _class_slopes, main
 from qpack.formats import (
     MAX_FIELD_ORDER,
@@ -843,3 +846,40 @@ def test_min_total_degree_matches_report_loop(grid):
     expected = _scan_outcome(report_min_total_degree, grid)
     event("refused" if len(expected) == 2 else "scanned")
     assert _scan_outcome(min_total_degree, grid) == expected
+
+
+def _largest_r(k: int) -> int:
+    """The largest r whose floor 4*k*r*ln(k) at k is within MAX_THRESHOLD."""
+    r = int(MAX_THRESHOLD / (4.0 * k * math.log(k))) + 2
+    while True:
+        try:
+            threshold(k, r)
+            return r
+        except OutOfRangeError:
+            r -= 1
+
+
+@st.composite
+def scan_grids(draw) -> tuple:
+    """A sub-grid of at most 4 x 4 cells: k and r up to 400, or, one time in
+    five, k up to 10^9 with the last few r whose floor is within
+    MAX_THRESHOLD at the grid's largest k."""
+    near = draw(st.integers(0, 4)) == 0
+    k_lo = draw(st.integers(2, 10**9 if near else 400))
+    ks = range(k_lo, k_lo + draw(st.integers(1, 4)))
+    if near:
+        r_hi = _largest_r(ks[-1])
+        return ks, range(max(3, r_hi - draw(st.integers(0, 3))), r_hi + 1)
+    r_lo = draw(st.integers(3, 400))
+    return ks, range(r_lo, r_lo + draw(st.integers(1, 4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scan_grids())
+@example((range(2, 4), range(_largest_r(3) - 1, _largest_r(3) + 1)))
+@example((range(2, 151), range(3, 5)))
+def test_scan_rows_match_compare(grid):
+    """Each row of ``scan_rows`` is ``csv_row(compare(k, r))``, k outer."""
+    ks, rs = grid
+    event("at the limit" if rs[-1] == _largest_r(ks[-1]) else "below it")
+    assert list(scan_rows(ks, rs)) == [csv_row(compare(k, r)) for k in ks for r in rs]
