@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import asdict, dataclass, fields
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .gf import next_prime_geq
+from .gf import next_prime_finder, next_prime_geq
 
 
 class OutOfRangeError(ValueError):
@@ -128,7 +128,7 @@ def threshold(k: int, r: int) -> float:
     _require_range(k, r)
     # either of k, r above the limit puts the floor above it: compared as
     # integers, a huge one never reaches float()
-    floor = 4.0 * k * r * math.log(k) if k <= MAX_THRESHOLD and r <= MAX_THRESHOLD else math.inf
+    floor = _floor(k, r, math.log(k)) if k <= MAX_THRESHOLD and r <= MAX_THRESHOLD else math.inf
     if floor > MAX_THRESHOLD:
         raise OutOfRangeError(f"threshold 4*k*r*ln(k) at k={k}, r={r} is above the limit "
                               f"of {MAX_THRESHOLD}")
@@ -145,11 +145,7 @@ def lemma_conditions(q: int, k: int, r: int) -> LemmaConditions:
     classes."""
     if q < 3:
         raise OutOfRangeError(f"need q >= 3, got {q}")
-    return LemmaConditions(
-        s_large_enough=q - 1 >= 3.0 * r * k * math.log(k),
-        t_large_enough=q - 2 >= 3.0 * k * (1.0 + math.log(r)),
-        enough_classes=r <= q - 1,
-    )
+    return LemmaConditions(*_verdicts(q, k, r, math.log(k), math.log(r)))
 
 
 def bound_main(k: int, r: int) -> MainBound:
@@ -157,18 +153,46 @@ def bound_main(k: int, r: int) -> MainBound:
     lemma hypotheses at q."""
     floor = threshold(k, r)
     q = next_prime_geq(math.ceil(floor))
-    assert q <= 8.0 * k * r * math.log(k), f"q={q} escaped the Bertrand cap at k={k}, r={r}"
-    assert r <= q - 1, f"not enough classes: r={r} > q-1={q - 1}"
     conditions = lemma_conditions(q, k, r)
-    if not conditions.all_ok():
-        raise ConditionsFailedError(f"hypotheses failed at q={q}, k={k}, r={r}: {conditions}")
-    cap = (8.0 * k * r * math.log(k)) ** 3
+    cap = _checked_cap(q, k, r, math.log(k), conditions)
     return MainBound(threshold=floor, q=q, value=q**3, cap=cap, conditions=conditions)
+
+
+# The one spelling of each expression of a cell of the main bound, from
+# ln(k) and ln(r).  threshold() and lemma_conditions() check their arguments
+# before calling them; scan_rows() checks its whole grid once, then calls
+# them per cell.
+
+def _floor(k: int, r: int, ln_k: float) -> float:
+    """The prime search floor 4*k*r*ln(k)."""
+    return 4.0 * k * r * ln_k
+
+
+def _verdicts(q: int, k: int, r: int, ln_k: float, ln_r: float) -> tuple[bool, bool, bool]:
+    """The lemma's hypotheses at q, in the order of :class:`LemmaConditions`."""
+    return q - 1 >= 3.0 * r * k * ln_k, q - 2 >= 3.0 * k * (1.0 + ln_r), r <= q - 1
+
+
+def _checked_cap(q: int, k: int, r: int, ln_k: float, verdicts: tuple) -> float:
+    """The cap (8*k*r*ln(k))^3, once q is at most 8*k*r*ln(k), r at most
+    q - 1 and every verdict true."""
+    limit = 8.0 * k * r * ln_k
+    assert q <= limit, f"q={q} escaped the Bertrand cap at k={k}, r={r}"
+    assert r <= q - 1, f"not enough classes: r={r} > q-1={q - 1}"
+    if not all(verdicts):
+        raise ConditionsFailedError(f"hypotheses failed at q={q}, k={k}, r={r}: "
+                                    f"{LemmaConditions(*verdicts)}")
+    return limit ** 3
 
 
 def bound_fglps(k: int, r: int) -> int:
     """8 * k^6 * r^3, exact."""
     _require_range(k, r)
+    return _fglps_value(k, r)
+
+
+def _fglps_value(k: int, r: int) -> int:
+    """8 * k^6 * r^3."""
     return 8 * k**6 * r**3
 
 
@@ -321,18 +345,34 @@ _CSV_TEMPLATE = "%d,%d,%r,%d,%d,%r,%d,%r,%s,%r,%s"
 
 def scan_rows(ks: range, rs: range) -> Iterator[str]:
     """The CSV row of each cell of the grid ``ks`` x ``rs``, k outer, each
-    equal to ``csv_row(compare(k, r))``.  A cell's values come from
-    :func:`bound_main`, :func:`bound_fglps` and the expressions behind
+    equal to ``csv_row(compare(k, r))``.
+
+    Both ranges ascend.  The floor rises with k and with r, so the grid is
+    checked whole, before any row is drawn, at its first and last cells,
+    and every cell's prime lies in one window that
+    :func:`gf.next_prime_finder` sieves once.  A cell then takes its values
+    from the expressions behind :func:`bound_main`, :func:`bound_fglps`,
     :func:`bound_hrs` and :func:`bound_bbl`, with ln(k) taken once per row
     and ln(r) once per column; no record is built and ``eq1_range``, which
     no column reads, is not evaluated."""
+    if not ks or not rs:
+        return iter(())
+    find = next_prime_finder(math.ceil(threshold(ks[0], rs[0])),
+                             math.ceil(threshold(ks[-1], rs[-1])))
+    return _grid_rows(ks, rs, find)
+
+
+def _grid_rows(ks: range, rs: range, find: Callable[[int], int]) -> Iterator[str]:
+    """:func:`scan_rows`' rows of a checked grid, with ``find`` mapping each
+    ceil(floor) to its prime."""
     columns = [(r, math.log(r)) for r in rs]
     for k in ks:
         ln_k, square = math.log(k), k * k
         for r, ln_r in columns:
-            floor, q, value, cap, _ = bound_main(k, r)
-            fglps = bound_fglps(k, r)
+            floor = _floor(k, r, ln_k)
+            q = find(math.ceil(floor))
+            value, fglps = q**3, _fglps_value(k, r)
             yield _CSV_TEMPLATE % (
-                k, r, floor, q, value, cap, fglps, _hrs_value(k, r, ln_k, ln_r, 1.0),
-                "true" if r < square else "false", _bbl_value(k, r, 1.0),
-                "fglps" if fglps < value else "main")
+                k, r, floor, q, value, _checked_cap(q, k, r, ln_k, _verdicts(q, k, r, ln_k, ln_r)),
+                fglps, _hrs_value(k, r, ln_k, ln_r, 1.0), "true" if r < square else "false",
+                _bbl_value(k, r, 1.0), "fglps" if fglps < value else "main")

@@ -64,8 +64,8 @@ MAX_FAMILY_LINES = 10**6
 # benchmark's merged-lines q=23 class peaked at 51.4 MB with 4096, 47.0 MB
 # with 512 and 46.8 MB with 128, against 46.7 MB with one call per witness
 WITNESS_BATCH = 128
-# scan rows per write: the grid is never held whole, so a run's memory does
-# not grow with it
+# scan rows per write: the rows are never held whole, so a run's memory
+# grows with its prime window (gf.MAX_SIEVE_WINDOW), not with its rows
 SCAN_BLOCK = 1024
 
 
@@ -86,9 +86,14 @@ def _echo(texts: Iterable[str]):
             stdout.write(text)
         stdout.flush()
     except BrokenPipeError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, stdout.fileno())
-        os.close(devnull)
+        _drop_stdout()
+
+
+def _drop_stdout():
+    """Point stdout's file descriptor at the null device."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def _to_json(value):
@@ -97,7 +102,29 @@ def _to_json(value):
     return value.to_json()
 
 
-@click.group()
+class _ClosedStdoutExits0:
+    """click writes ``--version`` and each ``--help`` with ``click.echo``
+    while it makes a command's context, not through :func:`_echo`, and exits
+    1 when that write meets a closed pipe.  Here it ends the output as
+    :func:`_echo` does, and the command exits 0."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except BrokenPipeError:
+            _drop_stdout()
+            raise click.exceptions.Exit(0) from None
+
+
+class _Command(_ClosedStdoutExits0, click.Command):
+    pass
+
+
+class _Group(_ClosedStdoutExits0, click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="qpack")
 def main():
     """Triangle-free line packings over finite fields: build, verify, bound."""
@@ -479,21 +506,20 @@ def cmd_scan(k_range: str, r_range: str, out: Optional[str]):
     cells = (ks.stop - ks.start) * (rs.stop - rs.start)
     if cells > MAX_SCAN_GRID:
         _fail_usage(f"scan grid of {cells} cells is above the limit of {MAX_SCAN_GRID}")
-    try:  # the threshold grows in k and r, so the last cell has the largest
-        bounds.threshold(ks.stop - 1, rs.stop - 1)
+    try:
+        rows = bounds.scan_rows(ks, rs)
     except bounds.OutOfRangeError as exc:
         _fail_usage(str(exc))
     if out is None:
-        _echo(_scan_text(ks, rs))
+        _echo(_scan_text(rows))
     else:
-        _write_output(out, _scan_text(ks, rs))
+        _write_output(out, _scan_text(rows))
         click.echo(f"scan: wrote {cells} rows to {out}", err=True)
 
 
-def _scan_text(ks: range, rs: range) -> Iterator[str]:
-    """The CSV header line, then the grid's rows, :data:`SCAN_BLOCK` lines
-    to a text."""
-    rows = bounds.scan_rows(ks, rs)
+def _scan_text(rows: Iterator[str]) -> Iterator[str]:
+    """The CSV header line, then ``rows``, :data:`SCAN_BLOCK` lines to a
+    text."""
     yield bounds.CSV_HEADER + "\n"
     while block := list(islice(rows, SCAN_BLOCK)):
         yield "\n".join(block) + "\n"

@@ -151,6 +151,19 @@ class TestBoundMain:
         compare(5, 5)
         assert sorted(calls) == ["lemma_conditions", "threshold"]
 
+    @pytest.mark.parametrize("ks", [range(2, 40), range(12000000, 12000001)],
+                             ids=["sieve", "fallback"])
+    def test_failed_hypothesis_raises_in_bound_and_scan(self, monkeypatch, ks):
+        """Each cell, in bound_main and on either path of scan_rows, raises
+        on a false lemma verdict."""
+        monkeypatch.setattr(bounds, "_verdicts", lambda q, k, r, ln_k, ln_r: (True, r != 4, True))
+        with pytest.raises(bounds.ConditionsFailedError, match="t_large_enough=False"):
+            bound_main(5, 4)
+        rows = bounds.scan_rows(ks, range(3, 5))
+        assert next(rows).startswith(f"{ks[0]},3,")
+        with pytest.raises(bounds.ConditionsFailedError, match=f"k={ks[0]}, r=4"):
+            next(rows)
+
 
 class TestOtherBounds:
     def test_fglps_frozen(self):

@@ -657,10 +657,11 @@ class TestScan:
 
     def test_largest_cell_checked_first(self, runner, monkeypatch):
         """A grid whose last cell is over the limit computes no cell: each
-        cell's row starts from its own bound_main call."""
+        cell's row is settled by its own _checked_cap call."""
         calls = []
-        bound_main = bounds.bound_main
-        monkeypatch.setattr(bounds, "bound_main", lambda k, r: calls.append(k) or bound_main(k, r))
+        checked_cap = bounds._checked_cap
+        monkeypatch.setattr(bounds, "_checked_cap",
+                            lambda q, k, *args: calls.append(k) or checked_cap(q, k, *args))
         monkeypatch.setattr(bounds, "MAX_THRESHOLD", bounds.threshold(4, 5))
         assert run(runner, "scan", "--k", "2..4", "--r", "3..5").exit_code == 0
         assert len(calls) == 9
@@ -1353,6 +1354,10 @@ class TestPinnedOutput:
     @pytest.mark.parametrize("k,r,digest", [
         ("2..150", "3..150", "06f787a47a37ca0d9d27cfe7609bd930c39ca784264037954c3fa198e2a2d2a9"),
         ("2..40", "3..40", "388ead5057d52709cb58048bed5e43339776f576d5e2264169dfdb1b1381a8c0"),
+        # a prime window past the sieve's cap, so each cell searches with
+        # Miller-Rabin; pinned from the release that searched every cell
+        ("12000000..12000000", "3..1000",
+         "36fc13441fe1424b69f59dc30a9edaf4fca1be9b78c67b8e5b1d502895bc99b8"),
     ])
     def test_scan(self, runner, k, r, digest):
         stdout = run(runner, "scan", "--k", k, "--r", r).stdout
@@ -1419,6 +1424,14 @@ class TestClosedStdout:
 
     def test_scan_exits_0(self):
         result = self.child("scan", "--k", "2..150", "--r", "3..150")
+        assert (result.returncode, result.stderr) == (0, "")
+
+    @pytest.mark.parametrize("args", [["--version"], ["--help"], ["scan", "--help"]],
+                             ids=["version", "help", "scan-help"])
+    def test_click_output_exits_0(self, args):
+        """click's own version and help text, written outside the CLI's
+        stdout writer."""
+        result = self.child(*args)
         assert (result.returncode, result.stderr) == (0, "")
 
     def test_writer_stops_at_the_first_broken_pipe(self, monkeypatch, tmp_path):

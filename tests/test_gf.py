@@ -4,7 +4,8 @@ Expected values are frozen from independent oracles: an in-test irreducible
 scan for moduli, exhaustive multiplication tables for inverses, sha256 pins
 of the operation tables, a sieve and trial division for primes, and the
 published smallest strong pseudoprimes, with their factors, for the bases of
-the Miller-Rabin test.
+the Miller-Rabin test.  The prime window sieve is checked against
+:func:`next_prime_geq` and trial division.
 """
 
 import hashlib
@@ -14,7 +15,10 @@ import math
 import random
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from qpack import gf
 from qpack import (
     FieldSpec,
     NotPrimePowerError,
@@ -22,7 +26,7 @@ from qpack import (
     make_field,
     next_prime_geq,
 )
-from qpack.gf import prime_power_decomposition
+from qpack.gf import next_prime_finder, prime_power_decomposition
 
 from oracles import trial_division_is_prime
 
@@ -254,6 +258,76 @@ class TestPrimes:
     def test_requires_m_at_least_two(self):
         with pytest.raises(ValueError):
             next_prime_geq(1)
+
+
+def _check_window(lo: int, hi: int) -> str:
+    """Check ``next_prime_finder(lo, hi)`` at every m in [lo, hi] against
+    next_prime_geq and trial division; name the path it took."""
+    find = next_prime_finder(lo, hi)
+    top = next_prime_geq(hi)
+    primes = [p for p in range(lo, top + 1) if trial_division_is_prime(p)]
+    assert primes[-1] == top
+    for m in range(lo, hi + 1):
+        expected = next(p for p in primes if p >= m)
+        assert find(m) == next_prime_geq(m) == expected, (lo, hi, m)
+    return "fallback" if find is next_prime_geq else "sieve"
+
+
+class TestNextPrimeFinder:
+    """The cap is patched to 64 integers so both paths stay cheap."""
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(gf, "MAX_SIEVE_WINDOW", 64)
+
+    @pytest.mark.parametrize("lo", [2, 3, 4, 17])
+    def test_every_window_from_lo(self, lo):
+        paths = {_check_window(lo, hi) for hi in range(lo, lo + 60)}
+        assert "sieve" in paths
+
+    @pytest.mark.parametrize("m,path", [
+        (2, "sieve"), (3, "sieve"), (4, "sieve"), (17, "fallback"), (18, "fallback"),
+        (24, "sieve"), (90, "fallback"), (97, "fallback"),
+    ])
+    def test_zero_width_windows(self, m, path):
+        assert _check_window(m, m) == path
+
+    @pytest.mark.parametrize("hi", [19, 23, 29, 31, 37, 41, 43, 47])
+    def test_windows_that_end_on_a_prime(self, hi):
+        assert _check_window(5, hi) == "sieve"
+
+    def test_window_at_the_cap_sieves(self):
+        # [34, 97]: 64 integers, 97 prime
+        assert _check_window(34, 90) == "sieve"
+
+    def test_window_just_over_the_cap_falls_back(self):
+        # [33, 97]: 65 integers
+        assert next_prime_finder(33, 90) is next_prime_geq
+        assert _check_window(33, 90) == "fallback"
+
+    def test_window_under_its_square_root_falls_back(self):
+        """[lo, top] narrower than sqrt(top) is left to Miller-Rabin: its
+        sieving primes would cost more than the window."""
+        assert next_prime_finder(1000, 1009) is next_prime_geq  # 10 < 31
+
+    def test_outside_the_window_raises(self):
+        find = next_prime_finder(5, 40)
+        for m in (4, 41, -1):
+            with pytest.raises(ValueError, match="outside the sieved window"):
+                find(m)
+
+    @pytest.mark.parametrize("lo,hi", [(1, 5), (0, 0), (9, 8)])
+    def test_bad_windows_raise(self, lo, hi):
+        with pytest.raises(ValueError, match="2 <= lo <= hi"):
+            next_prime_finder(lo, hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 10**6 - 2000), st.integers(0, 2000))
+def test_next_prime_finder_matches_the_oracles(lo, width):
+    """Random windows below 10^6, at the real cap: each is under it, so a
+    window takes the sieve unless it is narrower than its square root."""
+    event(_check_window(lo, lo + width))
 
 
 # OEIS A014233 with a factorisation of each entry: entry n is the smallest

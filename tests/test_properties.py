@@ -77,6 +77,7 @@ from qpack.formats import (
     loads_family,
     parse_plain_incidence,
 )
+from qpack.gf import next_prime_finder, next_prime_geq
 
 from geometry_helpers import (
     certify_class,
@@ -878,8 +879,13 @@ def scan_grids(draw) -> tuple:
 @given(scan_grids())
 @example((range(2, 4), range(_largest_r(3) - 1, _largest_r(3) + 1)))
 @example((range(2, 151), range(3, 5)))
+@example((range(12000000, 12000001), range(3, 6)))  # a window of 1.6e9 integers
 def test_scan_rows_match_compare(grid):
-    """Each row of ``scan_rows`` is ``csv_row(compare(k, r))``, k outer."""
+    """Each row of ``scan_rows`` is ``csv_row(compare(k, r))``, k outer,
+    whether its primes come from the window's sieve or, past the sieve's cap
+    or under the window's square root, from ``next_prime_geq``."""
     ks, rs = grid
     event("at the limit" if rs[-1] == _largest_r(ks[-1]) else "below it")
+    window = math.ceil(threshold(ks[0], rs[0])), math.ceil(threshold(ks[-1], rs[-1]))
+    event("fallback" if next_prime_finder(*window) is next_prime_geq else "sieve")
     assert list(scan_rows(ks, rs)) == [csv_row(compare(k, r)) for k in ks for r in rs]
