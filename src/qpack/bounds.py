@@ -350,7 +350,8 @@ def scan_rows(ks: range, rs: range) -> Iterator[str]:
     Both ranges ascend.  The floor rises with k and with r, so the grid is
     checked whole, before any row is drawn, at its first and last cells,
     and every cell's prime lies in one window that
-    :func:`gf.next_prime_finder` sieves once.  A cell then takes its values
+    :func:`gf.next_prime_finder` sieves once, if that costs less than a
+    Miller-Rabin search per cell.  A cell then takes its values
     from the expressions behind :func:`bound_main`, :func:`bound_fglps`,
     :func:`bound_hrs` and :func:`bound_bbl`, with ln(k) taken once per row
     and ln(r) once per column; no record is built and ``eq1_range``, which
@@ -358,7 +359,7 @@ def scan_rows(ks: range, rs: range) -> Iterator[str]:
     if not ks or not rs:
         return iter(())
     find = next_prime_finder(math.ceil(threshold(ks[0], rs[0])),
-                             math.ceil(threshold(ks[-1], rs[-1])))
+                             math.ceil(threshold(ks[-1], rs[-1])), len(ks) * len(rs))
     return _grid_rows(ks, rs, find)
 
 

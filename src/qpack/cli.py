@@ -64,9 +64,6 @@ MAX_FAMILY_LINES = 10**6
 # benchmark's merged-lines q=23 class peaked at 51.4 MB with 4096, 47.0 MB
 # with 512 and 46.8 MB with 128, against 46.7 MB with one call per witness
 WITNESS_BATCH = 128
-# scan rows per write: the rows are never held whole, so a run's memory
-# grows with its prime window (gf.MAX_SIEVE_WINDOW), not with its rows
-SCAN_BLOCK = 1024
 
 
 def _fail_usage(message: str):
@@ -74,19 +71,28 @@ def _fail_usage(message: str):
     raise SystemExit(2)
 
 
-def _echo(texts: Iterable[str]):
-    """Write ``texts`` to stdout in turn, as each is drawn, then flush it: the
-    CLI's one stdout writer.  At the first :class:`BrokenPipeError` (the reader
-    closed the pipe) it draws no more texts, and stdout is pointed at the null
-    device, so later writes and the flush at exit fail nowhere: no traceback,
-    and no "Exception ignored" line."""
-    stdout = sys.stdout
+def _write(texts: Iterable[str], path: Optional[str] = None):
+    """Write ``texts`` in turn, each as it is drawn, to stdout, then flush it,
+    or to the file ``path``: the CLI's one writer.  On stdout, at the first
+    :class:`BrokenPipeError` (the reader closed the pipe) it draws no more
+    texts, and stdout is pointed at the null device, so later writes and the
+    flush at exit fail nowhere: no traceback, and no "Exception ignored"
+    line.  A failure to write the file is a usage error."""
+    if path is None:
+        stdout = sys.stdout
+        try:
+            for text in texts:
+                stdout.write(text)
+            stdout.flush()
+        except BrokenPipeError:
+            _drop_stdout()
+        return
     try:
-        for text in texts:
-            stdout.write(text)
-        stdout.flush()
-    except BrokenPipeError:
-        _drop_stdout()
+        with open(path, "w", encoding="utf-8") as handle:
+            for text in texts:
+                handle.write(text)
+    except OSError as exc:
+        _fail_usage(f"cannot write {path}: {exc}")
 
 
 def _drop_stdout():
@@ -104,9 +110,9 @@ def _to_json(value):
 
 class _ClosedStdoutExits0:
     """click writes ``--version`` and each ``--help`` with ``click.echo``
-    while it makes a command's context, not through :func:`_echo`, and exits
+    while it makes a command's context, not through :func:`_write`, and exits
     1 when that write meets a closed pipe.  Here it ends the output as
-    :func:`_echo` does, and the command exits 0."""
+    :func:`_write` does, and the command exits 0."""
 
     def make_context(self, *args, **kwargs):
         try:
@@ -138,7 +144,7 @@ def main():
 @click.option("--q", "order", type=int, required=True,
               help=f"Field order (prime power in [3, {MAX_FIELD_ORDER}]).")
 @click.option("--count", type=int, default=None, help="Number of classes (default q-1).")
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
+@click.option("--out", metavar="FILE", default=None,
               help="Output file; omit to write the geometry JSON to stdout.")
 def cmd_construct(order: int, count: Optional[int], out: Optional[str]):
     """Build the full line-class family over GF(q) and write a geometry file.
@@ -172,11 +178,10 @@ def cmd_construct(order: int, count: Optional[int], out: Optional[str]):
         "lines_per_class": (order - 1) * order**2,
         "total_lines": total_lines,
     }
+    _write(chain(texts, ["\n"]), out)
     if out is None:
-        _echo(chain(texts, ["\n"]))
         click.echo(f"construct: {json.dumps(summary)}", err=True)
     else:
-        _write_output(out, chain(texts, ["\n"]))
         summary["out"] = out
         _print_records([summary])
         click.echo(
@@ -203,17 +208,6 @@ def _read_input(path: str) -> str:
         _fail_usage(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
         _fail_usage(f"{'stdin' if path == '-' else path} is not UTF-8 text: {exc}")
-
-
-def _write_output(path: str, texts: Iterable[str]):
-    """Write ``texts`` in turn to the file ``path``, each as it is drawn; a
-    failure to write is a usage error."""
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            for text in texts:
-                handle.write(text)
-    except OSError as exc:
-        _fail_usage(f"cannot write {path}: {exc}")
 
 
 def _run_checks(scope: str, target, checks: list, exhaustive: bool) -> list[dict]:
@@ -394,7 +388,7 @@ def _print_records(records: Iterable):
             lines.append((json.dumps(record, allow_nan=False, default=_to_json), batches))
     except ValueError as exc:
         _fail_usage(f"a result is not a finite number: {exc}")
-    _echo(_record_texts(lines))
+    _write(_record_texts(lines))
 
 
 def _record_texts(lines: list) -> Iterator[str]:
@@ -491,17 +485,14 @@ def _parse_range(text: str, name: str) -> range:
 @main.command("scan")
 @click.option("--k", "k_range", required=True, help="Clique range, e.g. 2..12.")
 @click.option("--r", "r_range", required=True, help="Colour range, e.g. 3..12.")
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
-              help="CSV output file; omit for stdout.")
+@click.option("--out", metavar="FILE", default=None, help="CSV output file; omit for stdout.")
 def cmd_scan(k_range: str, r_range: str, out: Optional[str]):
     """Evaluate the bound grid and emit one CSV row per (k, r) cell.
 
-    The grid is checked whole before any cell is computed; its rows are then
-    written :data:`SCAN_BLOCK` at a time, as they are computed."""
+    The grid is checked whole before any cell is computed; each row is then
+    written as it is computed."""
     ks = _parse_range(k_range, "k")
     rs = _parse_range(r_range, "r")
-    if ks.start < 2 or rs.start < 3:
-        _fail_usage(f"supported domain is k >= 2 and r >= 3, got k={k_range} r={r_range}")
     # by arithmetic: len() of a range longer than sys.maxsize raises OverflowError
     cells = (ks.stop - ks.start) * (rs.stop - rs.start)
     if cells > MAX_SCAN_GRID:
@@ -510,19 +501,9 @@ def cmd_scan(k_range: str, r_range: str, out: Optional[str]):
         rows = bounds.scan_rows(ks, rs)
     except bounds.OutOfRangeError as exc:
         _fail_usage(str(exc))
-    if out is None:
-        _echo(_scan_text(rows))
-    else:
-        _write_output(out, _scan_text(rows))
+    _write(chain([bounds.CSV_HEADER + "\n"], (row + "\n" for row in rows)), out)
+    if out is not None:
         click.echo(f"scan: wrote {cells} rows to {out}", err=True)
-
-
-def _scan_text(rows: Iterator[str]) -> Iterator[str]:
-    """The CSV header line, then ``rows``, :data:`SCAN_BLOCK` lines to a
-    text."""
-    yield bounds.CSV_HEADER + "\n"
-    while block := list(islice(rows, SCAN_BLOCK)):
-        yield "\n".join(block) + "\n"
 
 
 @main.command("exponent")

@@ -89,32 +89,45 @@ def next_prime_geq(m: int) -> int:
     return p
 
 
-# integers a prime window sieve may span: 2**24 is 8 MiB of odd flags, about
-# half of what a scan holds without them.  `scan --k 2..700 --r 3..900`
-# (627,702 cells, a window of about 16.5M integers) took 3.1 s at a 27.9 MB
-# peak with the sieve, against 8.5 s at 17.7 MB with a Miller-Rabin search
-# per cell; the 3-cell `scan --k 100000 --r 3..5` (a 9.2M window) 0.082 s
-# at 22.5 MB against 0.061 s at 16.4 MB, the most a sieve under the cap
-# costs a small grid (child wall time and ru_maxrss on 2 vCPU)
+# integers a prime window sieve, and its sieving range, may span: 2**24 is
+# 8 MiB of odd flags, about half of what a scan holds without them.  `scan
+# --k 2..700 --r 3..900` (627,702 cells, a window of about 16.5M integers)
+# took 3.1 s at a 27.9 MB peak with the sieve, against 8.5 s at 17.7 MB with
+# a Miller-Rabin search per cell (child wall time and ru_maxrss on 2 vCPU)
 MAX_SIEVE_WINDOW = 1 << 24
+# integers of window and sieving range that one lookup may pay for.
+# scan_rows of one k over r = 3..3000, the sieve against a Miller-Rabin
+# search per cell (best of 5 in one process, the cap lifted, 2 vCPU): 21.6
+# against 40.3 ms at 983 integers per cell (k=60), 31.5 against 47.4 ms at
+# 2,414 (k=125) and 63.8 against 48.7 ms at 6,844 (k=300); over r =
+# 3..20000, 283.5 against 461.0 ms at 2,414 and 890 against 400 ms at 6,845.
+# Runs put the break-even between 3,000 and 5,500 and the sieve's flags
+# cost memory too, so it is taken only where it measured 1.5 times as fast.
+# The 3 cells of `scan --k 100000 --r 3..5`, a 9.2M window, now search:
+# 0.128 s at 16.5 MB, where the sieve took 0.155 s at 22.4 MB (child wall
+# time and ru_maxrss, median of 9)
+SIEVE_INTEGERS_PER_LOOKUP = 2500
 
 
-def next_prime_finder(lo: int, hi: int) -> Callable[[int], int]:
-    """``m -> next_prime_geq(m)`` for every m in [lo, hi] (2 <= lo <= hi).
+def next_prime_finder(lo: int, hi: int, lookups: int) -> Callable[[int], int]:
+    """``m -> next_prime_geq(m)`` for every m in [lo, hi] (2 <= lo <= hi),
+    to be called about ``lookups`` times.
 
     The odd numbers of the window [lo, next_prime_geq(hi)] are sieved once
-    into a bytearray, a slice write per sieving prime, and each m is then
-    read off it with ``bytearray.index``, under the same Bertrand assertion
-    as :func:`next_prime_geq`.  A window of more than
-    :data:`MAX_SIEVE_WINDOW` integers, or of fewer than the square root of
-    its top (whose sieving primes would cost more than the window), gets
+    into a bytearray, a slice write per sieving prime up to the square root
+    of its top, and each m is then read off it with ``bytearray.index``,
+    under the same Bertrand assertion as :func:`next_prime_geq`.  The sieve
+    is taken when the window and its sieving range together hold at most
+    :data:`SIEVE_INTEGERS_PER_LOOKUP` integers per lookup and neither holds
+    more than :data:`MAX_SIEVE_WINDOW`; otherwise the result is
     :func:`next_prime_geq` itself.
     """
     if not 2 <= lo <= hi:
         raise ValueError(f"next_prime_finder needs 2 <= lo <= hi, got {lo}, {hi}")
     top = next_prime_geq(hi)
-    root = math.isqrt(top)
-    if not root <= top - lo + 1 <= MAX_SIEVE_WINDOW:
+    window, root = top - lo + 1, math.isqrt(top)
+    if (window + root > SIEVE_INTEGERS_PER_LOOKUP * lookups
+            or max(window, root) > MAX_SIEVE_WINDOW):
         return next_prime_geq
     base = lo | 1  # flags[i] is the odd number base + 2*i
     flags = bytearray(b"\x01") * ((top - base >> 1) + 1)

@@ -102,6 +102,12 @@ class TestConstruct:
         assert_usage_error(result)
         assert "cannot write" in result.stderr
 
+    def test_directory_out_exits_2(self, runner, tmp_path):
+        """A directory gets the same one-line message as a missing parent."""
+        result = run(runner, "construct", "--q", "3", "--out", str(tmp_path))
+        assert_usage_error(result)
+        assert result.stderr.startswith(f"error: cannot write {tmp_path}: ")
+
     def test_count_option(self, runner, tmp_path):
         path = tmp_path / "g9.json"
         result = run(runner, "construct", "--q", "9", "--count", "3", "--out", str(path))
@@ -649,6 +655,19 @@ class TestScan:
                      "--out", str(tmp_path / "missing" / "x.csv"))
         assert_usage_error(result)
         assert "cannot write" in result.stderr
+
+    def test_directory_out_exits_2(self, runner, tmp_path):
+        result = run(runner, "scan", "--k", "2", "--r", "3..4", "--out", str(tmp_path))
+        assert_usage_error(result)
+        assert result.stderr.startswith(f"error: cannot write {tmp_path}: ")
+
+    @pytest.mark.parametrize("command", ["scan", "bound"])
+    @pytest.mark.parametrize("k,r", [("1", "3"), ("2", "2")])
+    def test_domain_message_is_bounds(self, runner, command, k, r):
+        """scan reports a cell outside the domain as bound does."""
+        result = run(runner, command, "--k", k, "--r", r)
+        assert_usage_error(result)
+        assert result.stderr == f"error: need k >= 2 and r >= 3, got k={k}, r={r}\n"
 
     def test_threshold_over_limit_exits_2(self, runner):
         result = run(runner, "scan", "--k", str(10**309), "--r", "3")
@@ -1448,7 +1467,7 @@ class TestClosedStdout:
         drawn = []
         with open(tmp_path / "stdout", "wb") as handle:
             monkeypatch.setattr(sys, "stdout", Closed())
-            cli._echo(drawn.append(text) or text for text in "abc")
+            cli._write(drawn.append(text) or text for text in "abc")
             os.write(handle.fileno(), b"lost")
         assert drawn == ["a"]
         assert (tmp_path / "stdout").read_bytes() == b""
@@ -1457,3 +1476,20 @@ class TestClosedStdout:
         result = self.child("construct", "--q", "5")
         assert result.returncode == 0
         assert result.stderr.startswith("construct: ")
+
+
+def test_writer_refuses_a_directory(tmp_path, capsys):
+    """A file that cannot be opened for writing is a usage error."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli._write(iter(["text"]), str(tmp_path))
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
+
+
+@pytest.mark.parametrize("args", [["construct", "--q", "5"], ["scan", "--k", "2..6", "--r", "3..7"]],
+                         ids=["construct", "scan"])
+def test_out_file_is_the_stdout_bytes(runner, tmp_path, args):
+    path = tmp_path / "out"
+    stdout = run(runner, *args).stdout_bytes
+    assert run(runner, *args, "--out", str(path)).exit_code == 0
+    assert path.read_bytes() == stdout

@@ -261,9 +261,10 @@ class TestPrimes:
 
 
 def _check_window(lo: int, hi: int) -> str:
-    """Check ``next_prime_finder(lo, hi)`` at every m in [lo, hi] against
-    next_prime_geq and trial division; name the path it took."""
-    find = next_prime_finder(lo, hi)
+    """Check ``next_prime_finder(lo, hi, lookups)`` at every m in [lo, hi],
+    one lookup each, against next_prime_geq and trial division; name the
+    path it took."""
+    find = next_prime_finder(lo, hi, hi - lo + 1)
     top = next_prime_geq(hi)
     primes = [p for p in range(lo, top + 1) if trial_division_is_prime(p)]
     assert primes[-1] == top
@@ -274,11 +275,14 @@ def _check_window(lo: int, hi: int) -> str:
 
 
 class TestNextPrimeFinder:
-    """The cap is patched to 64 integers so both paths stay cheap."""
+    """The cap is patched to 64 integers so both paths stay cheap, and the
+    integers a lookup may pay for to 4, so the cost rule decides windows this
+    small too."""
 
     @pytest.fixture(autouse=True)
     def small_cap(self, monkeypatch):
         monkeypatch.setattr(gf, "MAX_SIEVE_WINDOW", 64)
+        monkeypatch.setattr(gf, "SIEVE_INTEGERS_PER_LOOKUP", 4)
 
     @pytest.mark.parametrize("lo", [2, 3, 4, 17])
     def test_every_window_from_lo(self, lo):
@@ -287,9 +291,11 @@ class TestNextPrimeFinder:
 
     @pytest.mark.parametrize("m,path", [
         (2, "sieve"), (3, "sieve"), (4, "sieve"), (17, "fallback"), (18, "fallback"),
-        (24, "sieve"), (90, "fallback"), (97, "fallback"),
+        (24, "fallback"), (90, "fallback"), (97, "fallback"),
     ])
     def test_zero_width_windows(self, m, path):
+        """One lookup pays for 4 integers: [4, 5] and its sieving range up
+        to 2 are 4, [17, 17] and its range up to 4 are 5."""
         assert _check_window(m, m) == path
 
     @pytest.mark.parametrize("hi", [19, 23, 29, 31, 37, 41, 43, 47])
@@ -302,16 +308,32 @@ class TestNextPrimeFinder:
 
     def test_window_just_over_the_cap_falls_back(self):
         # [33, 97]: 65 integers
-        assert next_prime_finder(33, 90) is next_prime_geq
+        assert next_prime_finder(33, 90, 10**6) is next_prime_geq
         assert _check_window(33, 90) == "fallback"
 
+    def test_sieving_range_over_the_cap_falls_back(self):
+        """A one-integer window whose sieving range, up to sqrt(4099) = 64
+        and then 65, is at the cap and just over it."""
+        assert next_prime_finder(4099, 4099, 10**6) is not next_prime_geq
+        assert next_prime_finder(4229, 4229, 10**6) is next_prime_geq
+
     def test_window_under_its_square_root_falls_back(self):
-        """[lo, top] narrower than sqrt(top) is left to Miller-Rabin: its
-        sieving primes would cost more than the window."""
-        assert next_prime_finder(1000, 1009) is next_prime_geq  # 10 < 31
+        """[1000, 1009] and its sieving range up to 31 are 41 integers: more
+        than 10 lookups pay for, and no more than 11 do."""
+        assert next_prime_finder(1000, 1009, 10) is next_prime_geq
+        assert next_prime_finder(1000, 1009, 11) is not next_prime_geq
+
+    def test_cost_per_lookup_decides(self, monkeypatch):
+        """At the real cost, the 3 cells of `scan --k 100000 --r 3..5`, a
+        9.2M-integer window, search with Miller-Rabin, and 22,052 cells over
+        a 451k window sieve, as calc's grid does."""
+        monkeypatch.setattr(gf, "MAX_SIEVE_WINDOW", 1 << 24)
+        monkeypatch.setattr(gf, "SIEVE_INTEGERS_PER_LOOKUP", 2500)
+        assert next_prime_finder(13815511, 23025851, 3) is next_prime_geq
+        assert next_prime_finder(17, 450958, 22052) is not next_prime_geq
 
     def test_outside_the_window_raises(self):
-        find = next_prime_finder(5, 40)
+        find = next_prime_finder(5, 40, 36)
         for m in (4, 41, -1):
             with pytest.raises(ValueError, match="outside the sieved window"):
                 find(m)
@@ -319,14 +341,15 @@ class TestNextPrimeFinder:
     @pytest.mark.parametrize("lo,hi", [(1, 5), (0, 0), (9, 8)])
     def test_bad_windows_raise(self, lo, hi):
         with pytest.raises(ValueError, match="2 <= lo <= hi"):
-            next_prime_finder(lo, hi)
+            next_prime_finder(lo, hi, 1)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 10**6 - 2000), st.integers(0, 2000))
 def test_next_prime_finder_matches_the_oracles(lo, width):
-    """Random windows below 10^6, at the real cap: each is under it, so a
-    window takes the sieve unless it is narrower than its square root."""
+    """Random windows below 10^6, at the real cap and cost, one lookup per
+    integer: each is under the cap, and its sieving range is under 1,000
+    integers, so every window sieves."""
     event(_check_window(lo, lo + width))
 
 

@@ -880,12 +880,14 @@ def scan_grids(draw) -> tuple:
 @example((range(2, 4), range(_largest_r(3) - 1, _largest_r(3) + 1)))
 @example((range(2, 151), range(3, 5)))
 @example((range(12000000, 12000001), range(3, 6)))  # a window of 1.6e9 integers
+@example((range(100000, 100001), range(3, 6)))  # 3.1M integers per cell, under the cap
 def test_scan_rows_match_compare(grid):
     """Each row of ``scan_rows`` is ``csv_row(compare(k, r))``, k outer,
     whether its primes come from the window's sieve or, past the sieve's cap
-    or under the window's square root, from ``next_prime_geq``."""
+    or past the integers its cells pay for, from ``next_prime_geq``."""
     ks, rs = grid
     event("at the limit" if rs[-1] == _largest_r(ks[-1]) else "below it")
     window = math.ceil(threshold(ks[0], rs[0])), math.ceil(threshold(ks[-1], rs[-1]))
-    event("fallback" if next_prime_finder(*window) is next_prime_geq else "sieve")
+    find = next_prime_finder(*window, len(ks) * len(rs))
+    event("fallback" if find is next_prime_geq else "sieve")
     assert list(scan_rows(ks, rs)) == [csv_row(compare(k, r)) for k in ks for r in rs]
