@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass, fields
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .gf import next_prime_finder, next_prime_geq
@@ -59,8 +58,7 @@ class MainBound(NamedTuple):
     conditions: LemmaConditions
 
 
-@dataclass(frozen=True)
-class FlaggedBound:
+class FlaggedBound(NamedTuple):
     """A bound evaluated at a placeholder for an unspecified constant."""
 
     value: float
@@ -69,11 +67,10 @@ class FlaggedBound:
 
     def to_json(self) -> dict:
         """JSON has no infinity, so a value that overflowed is written as null."""
-        return dict(asdict(self), value=self.value if math.isfinite(self.value) else None)
+        return dict(self._asdict(), value=self.value if math.isfinite(self.value) else None)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Every bound at one (k, r), plus the hypothesis verdicts and the winner
     among the fully specified bounds.  Each field name is its JSON key."""
 
@@ -94,7 +91,7 @@ class BoundReport:
 
     def to_json(self) -> dict:
         """A flagged bound as its own record, the lemma verdicts as a list."""
-        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+        return {name: _json_value(value) for name, value in zip(self._fields, self)}
 
 
 def _json_value(value):
@@ -103,8 +100,7 @@ def _json_value(value):
     return list(value) if type(value) is LemmaConditions else value
 
 
-@dataclass(frozen=True)
-class ExponentReport:
+class ExponentReport(NamedTuple):
     """Forced point-count exponents for packings of order (q, q^alpha) or
     (q^alpha, q)."""
 
@@ -115,7 +111,7 @@ class ExponentReport:
     total_degree: float
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _require_range(k: int, r: int):

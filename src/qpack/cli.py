@@ -3,22 +3,24 @@ the degree bounds.
 
 Machine-readable output (line-delimited JSON, or CSV for scans) goes to
 stdout; human summaries go to stderr.  Exit codes: 0 all good, 1 a
-verification check failed (witness printed), 2 usage or input-format errors.
-A reader that closes stdout early ends the output, not the run: the command
-exits as it would have, with nothing more on stdout.
+verification check failed (witness printed), 2 usage or input-format errors,
+the parser's own included, each one ``error:`` line on stderr.  A reader
+that closes stdout early ends the output, not the run: the command exits as
+it would have, with nothing more on stdout; ``--version`` and ``--help``
+exit 0.  The parser is the standard library's :mod:`argparse`.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
 import sys
+import textwrap
 import time
 from itertools import chain, islice
 from typing import Iterable, Iterator, Optional
-
-import click
 
 from . import __version__, bounds, verifier
 from .construction import Line, LineClass, family_scales, repeated_lines
@@ -67,7 +69,7 @@ WITNESS_BATCH = 128
 
 
 def _fail_usage(message: str):
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     raise SystemExit(2)
 
 
@@ -102,50 +104,10 @@ def _drop_stdout():
     os.close(devnull)
 
 
-def _to_json(value):
-    """A value that JSON has no form for, such as a
-    :class:`bounds.BoundReport`, as what its ``to_json`` returns."""
-    return value.to_json()
-
-
-class _ClosedStdoutExits0:
-    """click writes ``--version`` and each ``--help`` with ``click.echo``
-    while it makes a command's context, not through :func:`_write`, and exits
-    1 when that write meets a closed pipe.  Here it ends the output as
-    :func:`_write` does, and the command exits 0."""
-
-    def make_context(self, *args, **kwargs):
-        try:
-            return super().make_context(*args, **kwargs)
-        except BrokenPipeError:
-            _drop_stdout()
-            raise click.exceptions.Exit(0) from None
-
-
-class _Command(_ClosedStdoutExits0, click.Command):
-    pass
-
-
-class _Group(_ClosedStdoutExits0, click.Group):
-    command_class = _Command
-
-
-@click.group(cls=_Group)
-@click.version_option(version=__version__, prog_name="qpack")
-def main():
-    """Triangle-free line packings over finite fields: build, verify, bound."""
-
-
 # ---------------------------------------------------------------------------
 # construct
 # ---------------------------------------------------------------------------
 
-@main.command("construct")
-@click.option("--q", "order", type=int, required=True,
-              help=f"Field order (prime power in [3, {MAX_FIELD_ORDER}]).")
-@click.option("--count", type=int, default=None, help="Number of classes (default q-1).")
-@click.option("--out", metavar="FILE", default=None,
-              help="Output file; omit to write the geometry JSON to stdout.")
 def cmd_construct(order: int, count: Optional[int], out: Optional[str]):
     """Build the full line-class family over GF(q) and write a geometry file.
 
@@ -180,15 +142,13 @@ def cmd_construct(order: int, count: Optional[int], out: Optional[str]):
     }
     _write(chain(texts, ["\n"]), out)
     if out is None:
-        click.echo(f"construct: {json.dumps(summary)}", err=True)
+        print(f"construct: {json.dumps(summary)}", file=sys.stderr)
     else:
         summary["out"] = out
         _print_records([summary])
-        click.echo(
-            f"construct: wrote {summary['total_lines']} lines in "
-            f"{summary['classes']} classes over {summary['points']} points to {out}",
-            err=True,
-        )
+        print(f"construct: wrote {summary['total_lines']} lines in "
+              f"{summary['classes']} classes over {summary['points']} points to {out}",
+              file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +159,7 @@ def _read_input(path: str) -> str:
     """The input as UTF-8 text, from a file or from stdin for ``-``."""
     try:
         if path == "-":
-            data = click.get_binary_stream("stdin").read()
+            data = sys.stdin.buffer.read()
         else:
             with open(path, "rb") as handle:
                 data = handle.read()
@@ -375,17 +335,20 @@ def _verify_records(input_path: str, checks: tuple, exhaustive: bool) -> list[di
 
 
 def _print_records(records: Iterable):
-    """Print each record as one JSON line, values converted by :func:`_to_json`.
+    """Print each record as one JSON line: a dict as it is, a report as what
+    its ``to_json`` returns, since ``json`` writes a named tuple as a list.
     Every line is encoded before any is written, so a non-finite number, which
     JSON lacks, is a usage error with nothing printed.  An exhaustive record
     holds its witnesses as batch texts, each written into its line by one write."""
     lines = []
     try:
         for record in records:
-            batches = isinstance(record, dict) and record.get("witness", {}).get("witnesses")
+            if type(record) is not dict:
+                record = record.to_json()
+            batches = record.get("witness", {}).get("witnesses")
             if batches:
                 record = record | {"witness": record["witness"] | {"witnesses": []}}
-            lines.append((json.dumps(record, allow_nan=False, default=_to_json), batches))
+            lines.append((json.dumps(record, allow_nan=False), batches))
     except ValueError as exc:
         _fail_usage(f"a result is not a finite number: {exc}")
     _write(_record_texts(lines))
@@ -403,12 +366,6 @@ def _record_texts(lines: list) -> Iterator[str]:
         yield line + "\n"
 
 
-@main.command("verify")
-@click.argument("input_path", metavar="INPUT")
-@click.option("--checks", "checks_option", default=",".join(DEFAULT_CHECKS),
-              show_default=True,
-              help="Comma-separated subset of: " + ",".join(ALL_CHECKS))
-@click.option("--exhaustive", is_flag=True, help="Collect every violation, not just the first.")
 def cmd_verify(input_path: str, checks_option: str, exhaustive: bool):
     """Verify a geometry JSON file or a plain 'points N' incidence file.
 
@@ -433,7 +390,7 @@ def cmd_verify(input_path: str, checks_option: str, exhaustive: bool):
     _print_records(results)
     counted = [r for r in results if r["verdict"] != "skipped"]
     ok = sum(1 for r in counted if r["verdict"] == "ok")
-    click.echo(f"verify: {ok}/{len(counted)} checks ok", err=True)
+    print(f"verify: {ok}/{len(counted)} checks ok", file=sys.stderr)
     if any(r["verdict"] == "malformed" for r in results):
         raise SystemExit(2)
     if any(r["verdict"] not in ("ok", "skipped") for r in results):
@@ -444,13 +401,6 @@ def cmd_verify(input_path: str, checks_option: str, exhaustive: bool):
 # bound / scan / exponent
 # ---------------------------------------------------------------------------
 
-@main.command("bound")
-@click.option("--k", type=int, required=True, help="Clique parameter (bounds target K_{k+1}).")
-@click.option("--r", type=int, required=True, help="Number of colours.")
-@click.option("--hrs-constant", type=float, default=1.0, show_default=True)
-@click.option("--bbl-constant", type=float, default=1.0, show_default=True)
-@click.option("--eq1-lower-constant", type=float, default=1.0, show_default=True)
-@click.option("--eq1-upper-constant", type=float, default=1.0, show_default=True)
 def cmd_bound(k, r, hrs_constant, bbl_constant, eq1_lower_constant, eq1_upper_constant):
     """Evaluate every bound at one (k, r) and print the report as JSON."""
     try:
@@ -482,10 +432,6 @@ def _parse_range(text: str, name: str) -> range:
     return range(lo, hi + 1)
 
 
-@main.command("scan")
-@click.option("--k", "k_range", required=True, help="Clique range, e.g. 2..12.")
-@click.option("--r", "r_range", required=True, help="Colour range, e.g. 3..12.")
-@click.option("--out", metavar="FILE", default=None, help="CSV output file; omit for stdout.")
 def cmd_scan(k_range: str, r_range: str, out: Optional[str]):
     """Evaluate the bound grid and emit one CSV row per (k, r) cell.
 
@@ -503,19 +449,9 @@ def cmd_scan(k_range: str, r_range: str, out: Optional[str]):
         _fail_usage(str(exc))
     _write(chain([bounds.CSV_HEADER + "\n"], (row + "\n" for row in rows)), out)
     if out is not None:
-        click.echo(f"scan: wrote {cells} rows to {out}", err=True)
+        print(f"scan: wrote {cells} rows to {out}", file=sys.stderr)
 
 
-@main.command("exponent")
-@click.option("--alpha", type=float, default=None, help="Order-shape exponent (>= 1).")
-@click.option("--orientation", type=click.Choice(bounds.ORIENTATIONS), default=None,
-              help="Which side of the order carries the alpha power (default: both).")
-@click.option("--scan", "do_scan", is_flag=True,
-              help="Minimize total degree over an alpha grid instead.")
-@click.option("--alpha-max", type=float, default=None,
-              help="Largest alpha of the --scan grid.  [default: 3.0]")
-@click.option("--alpha-step", type=float, default=None,
-              help="Step of the --scan grid.  [default: 0.01]")
 def cmd_exponent(alpha, orientation, do_scan, alpha_max, alpha_step):
     """Point-count exponents forced by packings of skewed order."""
     if do_scan:
@@ -549,6 +485,91 @@ def cmd_exponent(alpha, orientation, do_scan, alpha_max, alpha_step):
     except bounds.AlphaOutOfRangeError as exc:
         _fail_usage(str(exc))
     _print_records(reports)
+
+
+# ---------------------------------------------------------------------------
+# the parser
+# ---------------------------------------------------------------------------
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are one ``error:`` line, exit 2."""
+
+    def error(self, message: str):
+        _fail_usage(message)
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The ``qpack`` parser: one subcommand per ``cmd_*`` function, its
+    docstring the command's help, each option's destination a parameter of
+    the function, which ``command`` names."""
+    parser = _Parser(prog="qpack", allow_abbrev=False, description=(
+        "Triangle-free line packings over finite fields: build, verify, bound."))
+    parser.add_argument("--version", action="version", version=f"qpack, version {__version__}")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(func) -> argparse.ArgumentParser:
+        summary, _, details = func.__doc__.partition("\n")
+        sub = commands.add_parser(
+            func.__name__.removeprefix("cmd_"), help=summary, allow_abbrev=False,
+            description=summary + "\n" + textwrap.dedent(details),
+            formatter_class=argparse.RawDescriptionHelpFormatter)
+        sub.set_defaults(command=func)
+        return sub
+
+    sub = command(cmd_construct)
+    sub.add_argument("--q", dest="order", metavar="Q", type=int, required=True,
+                     help=f"Field order (prime power in [3, {MAX_FIELD_ORDER}]).")
+    sub.add_argument("--count", type=int, help="Number of classes (default q-1).")
+    sub.add_argument("--out", metavar="FILE",
+                     help="Output file; omit to write the geometry JSON to stdout.")
+
+    sub = command(cmd_verify)
+    sub.add_argument("input_path", metavar="INPUT")
+    sub.add_argument("--checks", dest="checks_option", metavar="CHECKS",
+                     default=",".join(DEFAULT_CHECKS),
+                     help="Comma-separated subset of: " + ",".join(ALL_CHECKS)
+                     + "  [default: %(default)s]")
+    sub.add_argument("--exhaustive", action="store_true",
+                     help="Collect every violation, not just the first.")
+
+    sub = command(cmd_bound)
+    sub.add_argument("--k", type=int, required=True,
+                     help="Clique parameter (bounds target K_{k+1}).")
+    sub.add_argument("--r", type=int, required=True, help="Number of colours.")
+    for name in ("hrs", "bbl", "eq1-lower", "eq1-upper"):
+        sub.add_argument(f"--{name}-constant", metavar="C", type=float, default=1.0,
+                         help="[default: %(default)s]")
+
+    sub = command(cmd_scan)
+    sub.add_argument("--k", dest="k_range", metavar="RANGE", required=True,
+                     help="Clique range, e.g. 2..12.")
+    sub.add_argument("--r", dest="r_range", metavar="RANGE", required=True,
+                     help="Colour range, e.g. 3..12.")
+    sub.add_argument("--out", metavar="FILE", help="CSV output file; omit for stdout.")
+
+    sub = command(cmd_exponent)
+    sub.add_argument("--alpha", type=float, help="Order-shape exponent (>= 1).")
+    sub.add_argument("--orientation", choices=bounds.ORIENTATIONS,
+                     help="Which side of the order carries the alpha power (default: both).")
+    sub.add_argument("--scan", dest="do_scan", action="store_true",
+                     help="Minimize total degree over an alpha grid instead.")
+    sub.add_argument("--alpha-max", type=float,
+                     help="Largest alpha of the --scan grid.  [default: 3.0]")
+    sub.add_argument("--alpha-step", type=float,
+                     help="Step of the --scan grid.  [default: 0.01]")
+    return parser
+
+
+def main(argv: Optional[list[str]] = None):
+    """The ``qpack`` command on ``argv`` (default: the process's arguments).
+    The parser writes ``--version`` and ``--help`` to stdout and exits 0; a
+    closed pipe fails only at the flush, which :func:`_write` absorbs."""
+    try:
+        options = vars(_parser().parse_args(argv))
+    except SystemExit:
+        _write(())
+        raise
+    options.pop("command")(**options)
 
 
 if __name__ == "__main__":

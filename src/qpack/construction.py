@@ -19,7 +19,6 @@ exhaustively.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
 from typing import Hashable, NamedTuple, Optional, Sequence
@@ -91,14 +90,22 @@ def canonical_line(field: FieldSpec, direction: Sequence[int], anchor: Sequence[
     return Line(slope, (add[a0][row[slope[0]]], add[a1][row[slope[1]]], add[a2][row[slope[2]]]))
 
 
-@dataclass(frozen=True)
 class LineClass:
     """The canonical lines of one scale's class: a built class holds the
     (q-1)*q^2 lines whose slope lies on the scaled moment curve, a loaded
-    class whatever lines its file lists, for the verifier to check."""
+    class whatever lines its file lists, for the verifier to check.
+    Classes are equal when their scales and lines are."""
 
-    scale: FieldElement
-    lines: tuple[Line, ...]
+    def __init__(self, scale: FieldElement, lines: tuple[Line, ...]):
+        self.scale, self.lines = scale, lines
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.scale, self.lines) == (other.scale, other.lines)
+
+    def __hash__(self):
+        return hash((self.scale, self.lines))
 
     @property
     def field(self) -> FieldSpec:
@@ -108,21 +115,27 @@ class LineClass:
         return f"LineClass(scale={self.scale.value}, lines={len(self.lines)})"
 
 
-@dataclass(frozen=True)
 class GeometryFamily:
     """Line classes for distinct nonzero scales, in the order given: file
     order when loaded, ascending scale from :func:`build_family`.  A
-    repeated scale raises :class:`RepeatedScaleError`."""
+    repeated scale raises :class:`RepeatedScaleError`.  Families are equal
+    when their fields and classes are."""
 
-    field: FieldSpec
-    classes: tuple[LineClass, ...]
-
-    def __post_init__(self):
+    def __init__(self, field: FieldSpec, classes: tuple[LineClass, ...]):
         seen = set()
-        for cls in self.classes:
+        for cls in classes:
             if cls.scale.value in seen:
                 raise RepeatedScaleError(f"scale {cls.scale.value} names more than one class")
             seen.add(cls.scale.value)
+        self.field, self.classes = field, classes
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.field, self.classes) == (other.field, other.classes)
+
+    def __hash__(self):
+        return hash((self.field, self.classes))
 
     def __repr__(self):
         return f"GeometryFamily(field={self.field!r}, classes={len(self.classes)})"

@@ -4,8 +4,8 @@ search for the smallest prime at or above a floor, and a sieve that answers
 that search for every floor of a window at once.
 
 Fields are constructed through :func:`make_field`, which factors the order,
-picks a deterministic irreducible modulus and returns an immutable
-:class:`FieldSpec`.  An element is an integer value in [0, q) whose base-p
+picks a deterministic irreducible modulus and returns a :class:`FieldSpec`
+that no caller mutates.  An element is an integer value in [0, q) whose base-p
 digits are its polynomial coefficients.  The field's add, mul, neg and inv
 tables, built once from polynomial arithmetic over GF(p), are the only
 arithmetic, so every downstream structure works on plain ints in one
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -230,7 +229,6 @@ def _smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
 # field and elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class FieldSpec:
     """An explicit GF(p^n): order, characteristic, reduction modulus, and the
     dense operation tables that are its only arithmetic.
@@ -242,19 +240,24 @@ class FieldSpec:
     reduced by ``modulus``.  ``modulus`` is monic of degree n, constant term
     first, and is always the lexicographically smallest irreducible in the
     scan order of :func:`_smallest_irreducible`, so identical orders give
-    identical fields and tables.
+    identical fields and tables.  Fields are equal when their order and
+    modulus are.
     """
 
-    p: int
-    n: int
-    q: int
-    modulus: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.q != self.p**self.n or not is_prime(self.p) or self.n < 1:
-            raise NotPrimePowerError(f"inconsistent field spec p={self.p} n={self.n} q={self.q}")
-        if len(self.modulus) != self.n + 1 or self.modulus[-1] != 1:
+    def __init__(self, p: int, n: int, q: int, modulus: tuple[int, ...]):
+        if q != p**n or not is_prime(p) or n < 1:
+            raise NotPrimePowerError(f"inconsistent field spec p={p} n={n} q={q}")
+        if len(modulus) != n + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree n")
+        self.p, self.n, self.q, self.modulus = p, n, q, modulus
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.q, self.modulus) == (other.q, other.modulus)
+
+    def __hash__(self):
+        return hash((self.q, self.modulus))
 
     def __repr__(self):
         return f"GF({self.q})"

@@ -19,7 +19,6 @@ turns each into output as it is found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
 from operator import or_
@@ -63,12 +62,20 @@ TRIANGLE = "triangle"
 CLASS_OVERLAP = "class_overlap"
 
 
-@dataclass(frozen=True)
 class Witness:
-    """A concrete, re-checkable violation of one structural property."""
+    """A concrete, re-checkable violation of one structural property.
+    Witnesses are equal when their kinds and items are."""
 
-    kind: str
-    items: dict[str, Any]
+    def __init__(self, kind: str, items: dict[str, Any]):
+        self.kind, self.items = kind, items
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.kind, self.items) == (other.kind, other.items)
+
+    def __repr__(self):
+        return f"Witness({self.kind!r}, {self.items!r})"
 
     def to_json(self) -> dict[str, Any]:
         return {"kind": self.kind, **self.items}
@@ -97,7 +104,6 @@ class CountingReport(NamedTuple):
         return self.points >= self.bound
 
 
-@dataclass(frozen=True)
 class GenericIncidence:
     """num_points point ids [0, num_points) and lines as sorted id tuples.
 
@@ -112,11 +118,23 @@ class GenericIncidence:
     on its own, and sizes the ``neighbours`` masks before they are built,
     so ``order`` never pays for them.  No line's mask is kept: a check that
     needs one rebuilds it with :func:`_mask`.  Callers read the index and
-    never mutate it.
+    never mutate it.  Structures are equal when their point counts and
+    lines are.
     """
 
-    num_points: int
-    lines: tuple[tuple[int, ...], ...]
+    def __init__(self, num_points: int, lines: tuple[tuple[int, ...], ...]):
+        self.num_points, self.lines = num_points, lines
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.num_points, self.lines) == (other.num_points, other.lines)
+
+    def __hash__(self):
+        return hash((self.num_points, self.lines))
+
+    def __repr__(self):
+        return f"GenericIncidence({self.num_points!r}, {self.lines!r})"
 
     @cached_property
     def ids(self) -> Sequence[int]:

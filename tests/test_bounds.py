@@ -5,7 +5,6 @@ formula (and, for primes, by an independent trial-division scan).
 """
 
 import math
-from dataclasses import fields
 
 import pytest
 
@@ -249,7 +248,7 @@ class TestCompare:
     def test_field_names_are_json_keys(self):
         """One spelling: the report's fields, in order, are its JSON keys, and
         the CSV columns are some of them in the same order."""
-        names = [f.name for f in fields(BoundReport)]
+        names = list(BoundReport._fields)
         assert list(compare(2, 3).to_json()) == names
         assert list(CSV_COLUMNS) == [name for name in names if name in CSV_COLUMNS]
         assert CSV_HEADER == ",".join(CSV_COLUMNS)

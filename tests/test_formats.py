@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from qpack import (
     GeometryFamily,
@@ -23,7 +22,6 @@ from qpack import (
     formats,
     make_field,
 )
-from qpack.cli import main
 from qpack.formats import (
     MAX_FIELD_ORDER,
     GeometryFormatError,
@@ -34,6 +32,7 @@ from qpack.formats import (
     parse_plain_incidence,
 )
 
+from cli_runner import invoke
 from geometry_helpers import incidence
 from oracles import (
     element_from_json,
@@ -537,10 +536,9 @@ class TestLexer:
         """``verify`` prints the same records, errors and exit code when the
         JSON route reads the text."""
         text = LEXED_EDITS[edit](Q3_TEXT)
-        runner = CliRunner()
-        lexed = runner.invoke(main, ["verify", "-"], input=text)
+        lexed = invoke(["verify", "-"], input=text)
         request.getfixturevalue("json_route")
-        parsed = runner.invoke(main, ["verify", "-"], input=text)
+        parsed = invoke(["verify", "-"], input=text)
         mask = re.compile(r'"elapsed": [^,}]*')
         assert lexed.exit_code == parsed.exit_code
         assert mask.sub("", lexed.stdout) == mask.sub("", parsed.stdout)

@@ -32,7 +32,6 @@ from functools import cache
 from itertools import combinations, product
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -68,7 +67,7 @@ from qpack import (
     union_incidence,
 )
 from qpack.bounds import MAX_THRESHOLD, OutOfRangeError, compare, csv_row, scan_rows, threshold
-from qpack.cli import ALL_CHECKS, _class_slopes, main
+from qpack.cli import ALL_CHECKS, _class_slopes
 from qpack.formats import (
     MAX_FIELD_ORDER,
     GeometryFormatError,
@@ -79,6 +78,7 @@ from qpack.formats import (
 )
 from qpack.gf import next_prime_finder, next_prime_geq
 
+from cli_runner import invoke
 from geometry_helpers import (
     certify_class,
     determinant,
@@ -269,7 +269,7 @@ def test_verify_family_records_match_the_checks(family, exhaustive, stride):
                 family_record("union", check_union_pls(family, exhaustive))]
     args = ["verify", "-", "--checks", "disjoint,union"] + ["--exhaustive"] * exhaustive
     for text in (dumps_family(family), respelled_text(family, stride)):
-        result = CliRunner().invoke(main, args, input=text)
+        result = invoke(args, input=text)
         records = [json.loads(row) for row in result.stdout.splitlines()]
         assert [{k: v for k, v in r.items() if k != "elapsed"} for r in records] == expected
         assert result.exit_code == (1 if any(r["verdict"] != "ok" for r in expected) else 0)
@@ -807,8 +807,7 @@ def plain_incidence_texts(draw) -> str:
 def test_verify_exits_cleanly(text):
     """Every check on small plain incidences, and on mutated q=3 files,
     ends with exit code 0, 1 or 2 and no traceback."""
-    result = CliRunner().invoke(main, ["verify", "-", "--checks", ",".join(ALL_CHECKS)],
-                                input=text)
+    result = invoke(["verify", "-", "--checks", ",".join(ALL_CHECKS)], input=text)
     assert result.exit_code in (0, 1, 2)
     assert result.exception is None or isinstance(result.exception, SystemExit)
 

@@ -5,9 +5,7 @@ import re
 import shlex
 from pathlib import Path
 
-from click.testing import CliRunner
-
-from qpack.cli import main
+from cli_runner import invoke
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -32,7 +30,6 @@ def test_command_line_block_runs(tmp_path, monkeypatch):
     assert [args[0] for args in commands] == [
         "construct", "verify", "verify", "bound", "scan", "exponent", "exponent"]
     monkeypatch.chdir(tmp_path)
-    runner = CliRunner()
     for args in commands:
-        result = runner.invoke(main, args, catch_exceptions=False)
+        result = invoke(args)
         assert result.exit_code == 0, (args, result.output)

@@ -13,9 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from click.testing import CliRunner
-
-from qpack.cli import main
+from cli_runner import invoke
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACED = ROOT / "perfbench" / "traced.py"
@@ -43,7 +41,7 @@ def verdicts(records: list[dict]) -> list[tuple]:
 
 
 def cli_verdicts(*args: str) -> list[tuple]:
-    result = CliRunner().invoke(main, ["verify", *args])
+    result = invoke(["verify", *args])
     return verdicts(json.loads(row) for row in result.stdout.splitlines())
 
 
@@ -68,6 +66,6 @@ def test_traced_plain_verify_matches_the_cli(tmp_path):
 
 def test_traced_bound_and_scan_print_the_cli_stdout(tmp_path):
     for args in (("bound", "--k", "12", "--r", "12"), ("scan", "--k", "2..4", "--r", "3..5")):
-        cli = CliRunner().invoke(main, list(args))
+        cli = invoke(list(args))
         assert cli.exit_code == 0
         assert traced_stdout(tmp_path, *args) == cli.stdout
