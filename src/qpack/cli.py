@@ -16,14 +16,16 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import textwrap
 import time
+from functools import partial
 from itertools import chain, islice
 from typing import Iterable, Iterator, Optional
 
 from . import __version__, bounds, verifier
-from .construction import Line, LineClass, family_scales, repeated_lines
+from .construction import Line, LineClass, family_scales, moment_curve, repeated_lines
 from .formats import (
     MAX_FIELD_ORDER,
     GeometryFormatError,
@@ -43,19 +45,16 @@ from .verifier import (
     Witness,
 )
 
-# check -> (its witnesses, one at a time; its outcome when it yields none)
+# check -> incidence -> (its witnesses, one at a time; its outcome when none)
 STRUCTURE_CHECKS = {
-    "pls": (verifier.pls_violations, lambda g: None),
-    "order": (verifier.order_violations, verifier.uniform_order),
-    "triangle": (verifier.triangle_violations, lambda g: None),
-    "counting": (lambda g: iter(()), verifier.counting_bound),
+    "pls": lambda g: (verifier.pls_violations(g), lambda: None),
+    "order": lambda g: (verifier.order_violations(g), partial(verifier.uniform_order, g)),
+    "triangle": lambda g: (verifier.triangle_violations(g), lambda: None),
+    "counting": lambda g: (iter(()), partial(verifier.counting_bound, g)),
 }
-# the family checks run on the line walk's (repeats, scales, field)
-FAMILY_CHECKS = {
-    "disjoint": (lambda walk: verifier.overlap_violations(walk[0], walk[1]), lambda walk: None),
-    "union": (lambda walk: verifier.union_violations(walk[0], walk[2]), lambda walk: None),
-}
-ALL_CHECKS = (*STRUCTURE_CHECKS, *FAMILY_CHECKS)
+# the family checks read the line walk's repeats
+FAMILY_CHECKS = ("disjoint", "union")
+ALL_CHECKS = (*STRUCTURE_CHECKS, "class", *FAMILY_CHECKS)
 DEFAULT_CHECKS = ("pls", "order", "triangle", "disjoint", "union")
 MAX_SCAN_GRID = 10**6
 # construct holds one slope block's text at a time, but verify of the file
@@ -170,36 +169,42 @@ def _read_input(path: str) -> str:
         _fail_usage(f"{'stdin' if path == '-' else path} is not UTF-8 text: {exc}")
 
 
-def _run_checks(scope: str, target, checks: list, exhaustive: bool) -> list[dict]:
-    """One JSON record per ``(name, (violations, settled))`` pair in
-    ``checks``, in order, each check run on ``target``: an incidence structure
-    for the structure checks, the line walk for the family checks.  An
-    exhaustive check's witnesses are encoded by one ``json.dumps`` call per
-    :data:`WITNESS_BATCH`, so no list of :class:`Witness` objects is built."""
+def _run_checks(scoped: Iterable[tuple[str, Iterable[tuple]]], exhaustive: bool,
+                start: float) -> list[dict]:
+    """One JSON record per ``(name, witnesses, settled)`` check of each
+    ``(scope, checks)`` of ``scoped``, in order, each check bound to what it
+    checks: its witnesses are drawn from the iterator ``witnesses``, and its
+    outcome is ``settled()`` when there are none.  An exhaustive check's
+    witnesses are encoded by one ``json.dumps`` call per
+    :data:`WITNESS_BATCH`, so no list of :class:`Witness` objects is built.
+    A record's ``elapsed`` is the time since the previous record, or since
+    ``start`` for the first, so drawing a scope's checks is timed in its
+    first record."""
     results = []
-    for name, (violations, settled) in checks:
-        start = time.perf_counter()
-        record = {"check": name, "scope": scope}
-        try:
-            found = violations(target)
-            if exhaustive:
-                count, batches = 0, []
-                while batch := [witness.to_json() for witness in islice(found, WITNESS_BATCH)]:
-                    count += len(batch)
-                    batches.append(json.dumps(batch)[1:-1])
-                witnesses = {"violations": count, "witnesses": batches} if count else None
+    for scope, checks in scoped:
+        for name, found, settled in checks:
+            record = {"check": name, "scope": scope}
+            try:
+                if exhaustive:
+                    count, batches = 0, []
+                    while batch := [witness.to_json() for witness in islice(found, WITNESS_BATCH)]:
+                        count += len(batch)
+                        batches.append(json.dumps(batch)[1:-1])
+                    witnesses = {"violations": count, "witnesses": batches} if count else None
+                else:
+                    witnesses = next(found, None)
+                outcome = witnesses or settled()
+            except MalformedStructureError as exc:
+                record.update(verdict="malformed", reason=str(exc))
+            except (verifier.NotUniformError, verifier.NotTriangleFreeError,
+                    verifier.NotPartialLinearSpaceError) as exc:
+                record.update(verdict="inapplicable", reason=str(exc))
             else:
-                witnesses = next(found, None)
-            outcome = witnesses or settled(target)
-        except MalformedStructureError as exc:
-            record.update(verdict="malformed", reason=str(exc))
-        except (verifier.NotUniformError, verifier.NotTriangleFreeError,
-                verifier.NotPartialLinearSpaceError) as exc:
-            record.update(verdict="inapplicable", reason=str(exc))
-        else:
-            _record_outcome(record, outcome)
-        record["elapsed"] = round(time.perf_counter() - start, 6)
-        results.append(record)
+                _record_outcome(record, outcome)
+            now = time.perf_counter()
+            record["elapsed"] = round(now - start, 6)
+            start = now
+            results.append(record)
     return results
 
 
@@ -209,36 +214,44 @@ def _class_slopes(values: list, pairs: list) -> Optional[frozenset]:
     return frozenset([values[s] for s in {s for s, _ in pairs}]) if distinct else None
 
 
-def _class_records(scale, slopes, pairs: list, values: list, checks: list, exhaustive: bool,
-                   start: float) -> list[dict]:
-    """The structure records of the class of ``scale`` in a geometry file,
-    with the slope set ``slopes`` and the canonical id pairs ``pairs``.  A
-    class that :func:`verifier.certify_slopes` certifies passes ``pls`` and
-    ``triangle``, has the certificate's order and the counting report of
-    q^3 points at that order, which is what the scans would report: every
-    record is printed from the certificate.  An uncertified class's lines
-    are built from its pairs for its incidence and every scan, and so every
-    witness.  The time from ``start`` to the first check goes into the
-    first record."""
-    scope = f"class:{scale.value}"
-    order = verifier.certify_slopes(scale.field, slopes, len(pairs))
-    if order is None:
-        lines = tuple(Line(values[s], values[b]) for s, b in pairs)
-        target = verifier.class_incidence(LineClass(scale, lines))
-        setup_s = time.perf_counter() - start
-        records = _run_checks(scope, target, checks, exhaustive)
-    else:
-        setup_s = time.perf_counter() - start
-        known = {"pls": None, "order": order, "triangle": None,
-                 "counting": verifier.counting_report(scale.field.q**3, order)}
-        records = [_record_outcome({"check": name, "scope": scope}, known[name]) | {"elapsed": 0.0}
-                   for name, _ in checks]
-    records[0]["elapsed"] = round(records[0]["elapsed"] + setup_s, 6)
-    return records
+def _class_checks(field, scale: int, slopes, pairs: list, values: list, checks: list) -> list:
+    """The ``checks`` of the class of ``scale``, with the slope set ``slopes``
+    and the canonical id pairs ``pairs``, bound to what they check.  If
+    :func:`verifier.certify_slopes` certifies the class, the scans are bound
+    to what they would report: ``pls`` and ``triangle`` pass, ``order`` is
+    the certificate's and ``counting`` reports q^3 points at that order.
+    Otherwise they are bound to the scans of the incidence of the pairs'
+    lines, so every witness is the scans'.  No certificate is sought without
+    a scan.  ``class`` passes when the slopes are the scale's moment curve
+    and the lines (q-1)*q^2 distinct ones, which makes the class
+    :func:`build_class`; otherwise it is bound to
+    :func:`verifier.class_violations`."""
+    q, element = field.q, field.element(scale)
+    scans = [name for name in checks if name in STRUCTURE_CHECKS]
+    bound, line_class = {}, None
+    if scans:
+        order = verifier.certify_slopes(field, slopes, len(pairs))
+        if order is None:
+            line_class = LineClass(element, tuple(Line(values[s], values[b]) for s, b in pairs))
+            g = verifier.class_incidence(line_class)
+            bound = {name: STRUCTURE_CHECKS[name](g) for name in scans}
+        else:
+            known = {"pls": None, "order": order, "triangle": None,
+                     "counting": verifier.counting_report(q**3, order)}
+            bound = {name: (iter(()), partial(known.get, name)) for name in scans}
+    if "class" in checks:
+        declared = (slopes is not None and len(pairs) == (q - 1) * q**2
+                    and slopes == frozenset(moment_curve(field, element)))
+        if not declared:
+            line_class = line_class or LineClass(
+                element, tuple(Line(values[s], values[b]) for s, b in pairs))
+        found = iter(()) if declared else verifier.class_violations(line_class)
+        bound["class"] = found, lambda: None
+    return [(name, *bound[name]) for name in checks]
 
 
-def _record_outcome(record: dict, outcome) -> dict:
-    """``record`` with the verdict of ``outcome`` and what it reports: a
+def _record_outcome(record: dict, outcome):
+    """Give ``record`` the verdict of ``outcome`` and what it reports: a
     witness as its JSON object, an exhaustive check's count and batch texts
     as they are, for :func:`_print_records` to write into the record's line."""
     if outcome is None:
@@ -253,85 +266,70 @@ def _record_outcome(record: dict, outcome) -> dict:
         record.update(verdict="violation", witness=outcome)
     else:
         raise AssertionError(f"unhandled outcome {outcome!r}")
-    return record
 
 
-def _parse_input(input_path: str) -> tuple:
-    """``(document, structure)``, one of them None, parsed from the input at
-    ``input_path``: a geometry file's document and triples, as
-    :func:`parse_geometry` gives them, or a plain incidence structure.  The
-    input text goes out of scope on return, so it is freed before any class
-    is decoded or any check runs."""
-    text = _read_input(input_path)
-    stripped = text.lstrip()
-    try:
-        if stripped.startswith("{"):
-            return parse_geometry(text), None
-        if stripped.startswith("points"):
-            return None, parse_plain_incidence(text)
-        raise GeometryFormatError("input is neither geometry JSON nor plain incidence")
-    except GeometryFormatError as exc:
-        _fail_usage(str(exc))
-
-
-def _family_records(obj, triples: list, structure_checks: list, family_checks: list,
-                    exhaustive: bool) -> list[dict]:
-    """The records of a geometry document: each class's structure records,
-    made from its canonical id pairs one class at a time, then the family
-    checks'.  A line in two classes puts its slope in both, so no line
-    repeats while each class's slope set is set (its lines are distinct)
-    and meets no earlier class's: if every class passes, each family check
-    is ``ok`` with no walk.  Otherwise :func:`repeated_lines` walks the id
-    pairs in file order, and a ``Line`` is built for each repeated copy
-    alone, for its witnesses.  The time of the test and of the walk goes
-    into the first family record."""
-    field, values, classes = family_from_json(obj, triples)
-    results, seen, walk, family_s = [], set(), False, 0.0
+def _family_checks(field, values: list, classes: list, checks: tuple) -> Iterator[tuple]:
+    """``(scope, checks)`` of a geometry document, as :func:`_run_checks`
+    takes them: each class's, drawn from its canonical id pairs one class at
+    a time, then the family's.  A line in two classes puts its slope in
+    both, so no line repeats while each class's slope set is set (its lines
+    are distinct) and meets no earlier class's: if every class passes, the
+    family checks are bound to no repeats.  Otherwise :func:`repeated_lines`
+    walks the id pairs in file order, and a ``Line`` is built for each
+    repeated copy alone, for its witnesses."""
+    per_class = [name for name in checks if name not in FAMILY_CHECKS]
+    family_checks = [name for name in checks if name in FAMILY_CHECKS]
+    seen, walk = set(), False
     for scale, pairs in classes:
-        start = time.perf_counter()
         slopes = _class_slopes(values, pairs)
-        if structure_checks:
-            results.extend(_class_records(field.element(scale), slopes, pairs, values,
-                                          structure_checks, exhaustive, start))
-            start = time.perf_counter()
         if family_checks and not walk:
             walk = slopes is None or not seen.isdisjoint(slopes)
             seen.update(slopes or ())
-            family_s += time.perf_counter() - start
-    if not family_checks:
-        return results
-    if walk:
-        start = time.perf_counter()
-        walked = ([(Line(values[s], values[b]), first, copy) for (s, b), first, copy
-                   in repeated_lines([pairs for _, pairs in classes])],
-                  [scale for scale, _ in classes], field)
-        family_s += time.perf_counter() - start
-        family_results = _run_checks("family", walked, family_checks, exhaustive)
-    else:
-        family_results = [{"check": name, "scope": "family", "verdict": "ok", "elapsed": 0.0}
-                          for name, _ in family_checks]
-    family_results[0]["elapsed"] = round(family_results[0]["elapsed"] + family_s, 6)
-    return results + family_results
+        if per_class:
+            yield f"class:{scale}", _class_checks(field, scale, slopes, pairs, values, per_class)
+    if family_checks:
+        scales, repeats = [scale for scale, _ in classes], []
+        if walk:
+            repeats = [(Line(values[s], values[b]), first, copy) for (s, b), first, copy
+                       in repeated_lines([pairs for _, pairs in classes])]
+        del values, classes, pairs  # the id pairs are freed here, timed in the first family record
+        bound = {"disjoint": verifier.overlap_violations(repeats, scales),
+                 "union": verifier.union_violations(repeats, field)}
+        yield "family", [(name, bound[name], lambda: None) for name in family_checks]
 
 
 def _verify_records(input_path: str, checks: tuple, exhaustive: bool) -> list[dict]:
-    """The records of ``checks`` on the input at ``input_path``, in order.  The
-    parsed input goes out of scope on return, so it is freed before the
-    records are printed."""
-    document, structure = _parse_input(input_path)
-    structure_checks = [(c, STRUCTURE_CHECKS[c]) for c in checks if c in STRUCTURE_CHECKS]
-    family_checks = [(c, FAMILY_CHECKS[c]) for c in checks if c in FAMILY_CHECKS]
-    if document is None:
-        if not structure_checks:
-            _fail_usage("plain incidence input has no geometry family for the checks "
-                        + ",".join(c for c, _ in family_checks))
-        skipped = [{"check": check, "scope": "structure", "verdict": "skipped",
-                    "reason": "requires a geometry family"} for check, _ in family_checks]
-        return _run_checks("structure", structure, structure_checks, exhaustive) + skipped
+    """The records of ``checks`` on the input at ``input_path``, in order:
+    :func:`_run_checks`', then a plain input's ``skipped`` records of the
+    checks that need a geometry family.  The clock starts before the read,
+    so the read, the parse and the decode are timed in the first record.
+    The text is dropped once parsed, before any check runs, and the parsed
+    input on return, before the records are printed."""
+    start = time.perf_counter()
+    text = _read_input(input_path)
+    head, skipped = text.lstrip()[:6], []
     try:
-        return _family_records(*document, structure_checks, family_checks, exhaustive)
+        if head.startswith("{"):
+            document = parse_geometry(text)
+            del text
+            scoped = _family_checks(*family_from_json(*document), checks)
+            del document
+        elif head == "points":
+            structure = parse_plain_incidence(text)
+            del text
+            unscanned = [name for name in checks if name not in STRUCTURE_CHECKS]
+            if len(unscanned) == len(checks):
+                _fail_usage("plain incidence input has no geometry family for the checks "
+                            + ",".join(unscanned))
+            scoped = [("structure", [(name, *STRUCTURE_CHECKS[name](structure))
+                                     for name in checks if name not in unscanned])]
+            skipped = [{"check": name, "scope": "structure", "verdict": "skipped",
+                        "reason": "requires a geometry family"} for name in unscanned]
+        else:
+            raise GeometryFormatError("input is neither geometry JSON nor plain incidence")
     except GeometryFormatError as exc:
         _fail_usage(str(exc))
+    return _run_checks(scoped, exhaustive, start) + skipped
 
 
 def _print_records(records: Iterable):
@@ -492,7 +490,13 @@ def cmd_exponent(alpha, orientation, do_scan, alpha_max, alpha_step):
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose usage errors are one ``error:`` line, exit 2."""
+    """A parser whose usage errors are one ``error:`` line, exit 2, and that
+    reads every token of ``-`` and then a digit or ``.`` as a value, such as
+    ``--alpha -1e3`` or ``--k -5..3``, which its command then checks."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[0-9.]")
 
     def error(self, message: str):
         _fail_usage(message)

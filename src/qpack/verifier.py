@@ -4,7 +4,8 @@ Every structure check consumes a :class:`GenericIncidence` (point ids plus
 lines as point-id tuples), so handcrafted counterexamples, mutated
 structures and imported files are all first-class inputs; the two family
 checks read the repeated canonical lines of a family's walk,
-:func:`construction.repeated_lines`.  A class that
+:func:`construction.repeated_lines`, and :func:`class_violations` reads a
+class against the class that its scale declares.  A class that
 holds every line of its slopes is decided without its lines by
 :func:`certify_slopes`, from its slope set and line count alone.  A failed
 check returns a :class:`Witness` whose items, fed back to
@@ -24,7 +25,14 @@ from itertools import combinations
 from operator import or_
 from typing import Any, Collection, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .construction import GeometryFamily, LineClass, Triple, canonical_slope
+from .construction import (
+    GeometryFamily,
+    LineClass,
+    Triple,
+    build_class,
+    canonical_slope,
+    moment_curve,
+)
 from .gf import FieldSpec
 
 
@@ -60,6 +68,7 @@ PLS_VIOLATION = "pls_violation"
 ORDER_VIOLATION = "order_violation"
 TRIANGLE = "triangle"
 CLASS_OVERLAP = "class_overlap"
+CLASS_MISMATCH = "class_mismatch"
 
 
 class Witness:
@@ -430,6 +439,28 @@ def overlap_violations(repeats: list, scales: Sequence[int]) -> Iterator[Witness
                                           "slope": line.slope, "base": line.base})
 
 
+def class_violations(line_class: LineClass) -> Iterator[Witness]:
+    """Each way the lines of ``line_class`` differ from :func:`build_class`
+    of its scale: in list order, each line whose slope is off the scale's
+    moment curve (``foreign``) and each later copy of a line
+    (``repeated``), with its index in the list as ``line``; then each line
+    of the built class that ``line_class`` lacks (``missing``), in the
+    built class's order.  It yields nothing exactly when the two hold the
+    same lines."""
+    field, scale = line_class.field, line_class.scale
+    curve, seen = set(moment_curve(field, scale)), set()
+    for idx, line in enumerate(line_class.lines):
+        detail = "foreign" if line.slope not in curve else "repeated" if line in seen else None
+        if detail:
+            yield Witness(CLASS_MISMATCH, {"scale": scale.value, "detail": detail,
+                                           "slope": line.slope, "base": line.base, "line": idx})
+        seen.add(line)
+    for line in build_class(field, scale).lines:
+        if line not in seen:
+            yield Witness(CLASS_MISMATCH, {"scale": scale.value, "detail": "missing",
+                                           "slope": line.slope, "base": line.base})
+
+
 def check_union_pls(family: GeometryFamily, exhaustive: bool = False):
     """The union of all classes, checked as one partial linear space.
 
@@ -557,6 +588,8 @@ def revalidate(target: Union[GenericIncidence, GeometryFamily], witness: Witness
     """
     if witness.kind == CLASS_OVERLAP:
         return _revalidate_overlap(target, witness)
+    if witness.kind == CLASS_MISMATCH:
+        return _revalidate_class(target, witness)
     g = target
     items = witness.items
     if witness.kind == PLS_VIOLATION:
@@ -594,3 +627,24 @@ def _revalidate_overlap(family: GeometryFamily, witness: Witness) -> bool:
     line = (tuple(witness.items["slope"]), tuple(witness.items["base"]))
     hits = [line in cls.lines for cls in family.classes if cls.scale.value in (scale_1, scale_2)]
     return len(hits) >= 2 and all(hits)
+
+
+def _revalidate_class(family: GeometryFamily, witness: Witness) -> bool:
+    """A ``class_mismatch`` against :func:`build_class` of its scale: a
+    ``missing`` line is built and not in the class, a ``foreign`` or
+    ``repeated`` one is the class's line at ``line``, with a slope that no
+    built line has or with a copy earlier in the class."""
+    items = witness.items
+    line = (tuple(items["slope"]), tuple(items["base"]))
+    found = [cls for cls in family.classes if cls.scale.value == items["scale"]]
+    if not found:
+        return False
+    lines, built = found[0].lines, build_class(family.field, found[0].scale).lines
+    if items["detail"] == "missing":
+        return line in built and line not in lines
+    idx = items.get("line")
+    if type(idx) is not int or not 0 <= idx < len(lines) or lines[idx] != line:
+        return False
+    if items["detail"] == "foreign":
+        return line[0] not in {built_line.slope for built_line in built}
+    return items["detail"] == "repeated" and line in lines[:idx]

@@ -33,6 +33,7 @@ from qpack import GeometryFamily, Line, canonical_line
 
 from cli_runner import invoke
 from geometry_helpers import hyperoval_class, intersect, line_points
+from oracles import reference_loads_family
 
 
 def run(*args, **kwargs):
@@ -1254,6 +1255,156 @@ class TestCertificatePath:
              "s": 3, "t": 5, "bound": 64, "equality": True}]
 
 
+def _class_oracle(family: GeometryFamily) -> list[dict]:
+    """The ``class_mismatch`` witnesses of each class of ``family``, class by
+    class, read against ``build_class``: the lines off its slopes and the
+    later copies, in list order, then the built lines the class lacks."""
+    witnesses = []
+    for cls in family.classes:
+        scale, built = cls.scale.value, build_class(family.field, cls.scale).lines
+        curve = {line.slope for line in built}
+        for idx, (slope, base) in enumerate(cls.lines):
+            detail = ("foreign" if slope not in curve
+                      else "repeated" if (slope, base) in cls.lines[:idx] else None)
+            if detail:
+                witnesses.append({"kind": "class_mismatch", "scale": scale, "detail": detail,
+                                  "slope": list(slope), "base": list(base), "line": idx})
+        witnesses.extend({"kind": "class_mismatch", "scale": scale, "detail": "missing",
+                          "slope": list(slope), "base": list(base)}
+                         for slope, base in built if (slope, base) not in cls.lines)
+    return witnesses
+
+
+def _replayed(family: GeometryFamily, witness: dict) -> bool:
+    items = dict(witness)
+    return verifier.revalidate(family, verifier.Witness(items.pop("kind"), items))
+
+
+class TestClassCheck:
+    """``--checks class`` holds each class to ``build_class`` of its scale:
+    ``ok`` exactly when the class has the built lines, in any order and
+    spelling, and otherwise the lines off the scale's moment curve, the
+    repeated lines and the missing ones, each a witness that replays on the
+    reference loader's family."""
+
+    @staticmethod
+    def mutants(obj: dict) -> dict:
+        """:func:`_sweep_mutants`, and class 1 with its first slope replaced
+        by (1, 0, 0), which no moment curve holds, on each of its lines."""
+        field = make_field(obj["field"]["p"] ** obj["field"]["n"])
+        mutants = _sweep_mutants(obj)
+        first, foreign = obj["classes"]["1"][0]["slope"], [list(field.coeff_table[c])
+                                                           for c in (1, 0, 0)]
+        classes = dict(obj["classes"], **{"1": [
+            {**ln, "slope": foreign} if ln["slope"] == first else ln
+            for ln in obj["classes"]["1"]]})
+        mutants["slope-foreign"] = json.dumps({**obj, "classes": classes})
+        return mutants
+
+    @pytest.mark.parametrize("q", [5, 7])
+    def test_witnesses_are_build_class_s(self, tmp_path, q):
+        path = tmp_path / "geo.json"
+        assert run("construct", "--q", str(q), "--out", str(path)).exit_code == 0
+        for name, text in self.mutants(json.loads(path.read_text())).items():
+            family = reference_loads_family(text)
+            expected = _class_oracle(family)
+            assert bool(expected) == (name not in ("clean", "bases-moved")), name
+            first = run("verify", "-", "--checks", "class", input=text)
+            every = run("verify", "-", "--checks", "class", "--exhaustive", input=text)
+            assert first.exit_code == every.exit_code == (1 if expected else 0), name
+            records = _records(first)
+            assert [r["scope"] for r in records] == [f"class:{c.scale.value}"
+                                                     for c in family.classes]
+            printed = [r["witness"] for r in records if r["verdict"] == "violation"]
+            assert printed == [next(w for w in expected if w["scale"] == scale)
+                               for scale in dict.fromkeys(w["scale"] for w in expected)], name
+            printed = [w for r in _records(every) if r["verdict"] == "violation"
+                       for w in r["witness"]["witnesses"]]
+            assert printed == expected, name
+            assert all(_replayed(family, w) for w in printed), name
+
+    def test_forged_witnesses_replay_false(self, geo5):
+        family = reference_loads_family(geo5.read_text())
+        slope, base = build_class(family.field, family.classes[0].scale).lines[0]
+        line = {"kind": "class_mismatch", "scale": 1, "slope": list(slope), "base": list(base)}
+        assert not _replayed(family, {**line, "detail": "missing"})
+        assert not _replayed(family, {**line, "detail": "foreign", "line": 0})
+        assert not _replayed(family, {**line, "detail": "repeated", "line": 0})
+        assert not _replayed(family, {**line, "scale": 2, "detail": "foreign", "line": 0})
+        assert not _replayed(family, {**line, "detail": "repeated", "line": True})
+
+    @pytest.mark.parametrize("mutant", ["slope-dropped", "classes-swapped"])
+    def test_class_check_sees_what_the_default_checks_pass(self, tmp_path, mutant):
+        """A q=7 family with one slope's 49 lines dropped from class 1, and
+        with the lists of classes 1 and 2 swapped: every default check
+        passes, and ``class`` fails."""
+        path = tmp_path / "geo7.json"
+        assert run("construct", "--q", "7", "--out", str(path)).exit_code == 0
+        text = _sweep_mutants(json.loads(path.read_text()))[mutant]
+        result = run("verify", "-", input=text)
+        assert (result.exit_code, result.stderr) == (0, "verify: 20/20 checks ok\n")
+        result = run("verify", "-", "--checks", "class", input=text)
+        assert result.exit_code == 1
+        assert '"kind": "class_mismatch"' in result.stdout
+
+    def test_clean_class_is_decided_from_its_slopes(self, geo5, monkeypatch):
+        """No certificate, no class incidence and no ``Line``."""
+        def refuse(*args):
+            raise AssertionError("verify sought a certificate or built an incidence")
+
+        monkeypatch.setattr(verifier, "certify_slopes", refuse)
+        monkeypatch.setattr(verifier, "class_incidence", refuse)
+        built = count_lines(monkeypatch)
+        result = run("verify", str(geo5), "--checks", "class")
+        assert (result.exit_code, result.stderr) == (0, "verify: 4/4 checks ok\n")
+        assert built == [0]
+
+    def test_records_sit_in_their_class_in_selected_order(self, geo5):
+        records = _records(run("verify", str(geo5), "--checks", "union,class,order"))
+        assert [(r["check"], r["scope"]) for r in records] == [
+            (check, f"class:{scale}") for scale in (1, 2, 3, 4) for check in ("class", "order")
+        ] + [("union", "family")]
+
+    def test_plain_input_skips_it(self):
+        text = "points 3\n0 1\n1 2\n"
+        records = _records(run("verify", "-", "--checks", "class,pls", input=text))
+        assert records == [
+            {"check": "pls", "scope": "structure", "verdict": "ok"},
+            {"check": "class", "scope": "structure", "verdict": "skipped",
+             "reason": "requires a geometry family"}]
+        result = run("verify", "-", "--checks", "class,union", input=text)
+        assert_usage_error(result)
+        assert result.stderr == ("error: plain incidence input has no geometry family "
+                                 "for the checks class,union\n")
+
+
+class TestOneClock:
+    """Each record's ``elapsed`` is the time since the previous record, and
+    the first record's since ``verify`` began reading its input."""
+
+    @pytest.mark.parametrize("parser", ["parse_geometry", "parse_plain_incidence"])
+    def test_parse_time_is_in_the_first_record(self, geo5, monkeypatch, parser):
+        parse, pause = getattr(cli, parser), 0.25
+        monkeypatch.setattr(cli, parser, lambda text: time.sleep(pause) or parse(text))
+        if parser == "parse_geometry":
+            result = run("verify", str(geo5))
+        else:
+            result = run("verify", "-", input=mutated_q11_text(merge_lines, seed=9))
+        elapsed = [r.get("elapsed") for r in json_lines(result.stdout)]
+        assert elapsed[0] >= pause
+        assert not any(e is not None and e >= pause for e in elapsed[1:])
+
+    @pytest.mark.parametrize("checks", ["pls,order,triangle,disjoint,union", "class,counting",
+                                        "disjoint,union"])
+    def test_records_account_for_the_run(self, tmp_path, checks):
+        path = tmp_path / "geo7.json"
+        assert run("construct", "--q", "7", "--out", str(path)).exit_code == 0
+        start = time.perf_counter()
+        records = cli._verify_records(str(path), tuple(checks.split(",")), False)
+        total = time.perf_counter() - start
+        assert 0.9 * total <= sum(r["elapsed"] for r in records) <= total + 1e-5
+
+
 def count_lines(monkeypatch) -> list[int]:
     """From now on, the number of ``Line`` objects built, in a list."""
     built, new = [0], Line.__new__
@@ -1487,6 +1638,18 @@ class TestClosedStdout:
 def test_parser_errors_are_one_error_line(args):
     """The parser's own errors are usage errors like the commands' own."""
     assert_usage_error(run(*args))
+
+
+@pytest.mark.parametrize("args, message", [
+    (["exponent", "--alpha", "-1e3"], "need a finite alpha >= 1, got -1000.0"),
+    (["scan", "--k", "-5..3", "--r", "3"], "need k >= 2 and r >= 3, got k=-5, r=3"),
+], ids=["alpha", "k-range"])
+def test_values_that_start_with_a_minus_reach_their_command(args, message):
+    """A value of ``-`` and a digit or ``.`` is read as a value, not as an
+    option, so its command's own check reports it."""
+    result = run(*args)
+    assert_usage_error(result)
+    assert result.stderr == f"error: {message}\n"
 
 
 class TestStartup:

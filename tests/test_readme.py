@@ -28,7 +28,7 @@ def test_command_line_block_runs(tmp_path, monkeypatch):
                 for row in fenced_blocks(section, "sh")[0].splitlines()
                 if row.startswith("qpack ")]
     assert [args[0] for args in commands] == [
-        "construct", "verify", "verify", "bound", "scan", "exponent", "exponent"]
+        "construct", "verify", "verify", "verify", "bound", "scan", "exponent", "exponent"]
     monkeypatch.chdir(tmp_path)
     for args in commands:
         result = invoke(args)
